@@ -2,22 +2,23 @@
  * @file
  * The perf-regression gate: compares benchmark measurements against
  * the committed baseline (bench/baselines/BENCH_table3.json) and the
- * paper's Table 3, and exits non-zero on drift.
+ * paper's Table 3, and exits non-zero on drift. Cycles and every
+ * cycle-account category must match the baseline exactly.
  *
  * By default the tool re-measures the full grid itself; pass
  * --report to diff a previously captured perf_report document
  * instead. This binary does not use the shared bench_main harness:
- * its flags (--baseline, --report, --tolerance, ...) are gate
- * controls, not cell selectors, and a gate must never silently
- * accept a misspelled flag.
+ * its flags (--baseline, --report, --paper-factor, ...) are gate
+ * controls, not cell selectors. They are declared in
+ * parseBenchDiffArgs() on study::CliOptions, so a misspelled flag or
+ * a malformed number is a usage error, never a silently skipped
+ * check.
  *
  * Exit codes: 0 all checks pass; 1 drift or paper-target violation;
  * 2 usage or I/O error.
  */
 
-#include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "study/bench_report.hh"
@@ -28,109 +29,6 @@ using namespace triarch::study;
 
 namespace
 {
-
-void
-usage(std::ostream &os, const char *prog)
-{
-    os << "usage: " << prog << " --baseline PATH [options]\n"
-       << "\nCompare benchmark measurements against a committed\n"
-       << "triarch.bench.v1 baseline and the paper's Table 3.\n"
-       << "\noptions:\n"
-       << "  --baseline PATH     committed baseline JSON (required)\n"
-       << "  --report PATH       diff this perf_report output instead\n"
-       << "                      of re-measuring the grid\n"
-       << "  --seed N            workload seed when re-measuring\n"
-       << "                      (default 11; must match baseline)\n"
-       << "  --threads N         worker threads when re-measuring\n"
-       << "                      (0 = hardware concurrency)\n"
-       << "  --tolerance F       allowed relative drift per cell\n"
-       << "                      (default 0.005 = 0.5%)\n"
-       << "  --paper-factor F    sanity band around Table 3\n"
-       << "                      (default 2.0; 0 disables the check)\n"
-       << "  --host-gate R       fail when a fresh host median exceeds\n"
-       << "                      baseline x R (host comparison is\n"
-       << "                      advisory-only otherwise)\n"
-       << "  --help              this text\n";
-}
-
-struct Options
-{
-    std::string baselinePath;
-    std::string reportPath;
-    std::uint64_t seed = 11;
-    unsigned threads = 0;
-    double tolerance = 0.005;
-    double paperFactor = 2.0;
-    double hostGate = 0.0;      //!< 0 = advisory host comparison
-};
-
-/** Parse argv; exits 0 on --help, 2 on a bad flag. */
-Options
-parseArgs(int argc, char **argv)
-{
-    Options opts;
-    auto needValue = [&](int &i, const std::string &flag,
-                         std::string &out) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq != std::string::npos) {
-            out = arg.substr(eq + 1);
-            return true;
-        }
-        if (i + 1 >= argc) {
-            std::cerr << argv[0] << ": " << flag
-                      << " requires a value\n";
-            std::exit(2);
-        }
-        out = argv[++i];
-        return true;
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const std::string flag = arg.substr(0, arg.find('='));
-        std::string value;
-        if (flag == "--help" || flag == "-h") {
-            usage(std::cout, argv[0]);
-            std::exit(0);
-        } else if (flag == "--baseline") {
-            needValue(i, flag, opts.baselinePath);
-        } else if (flag == "--report") {
-            needValue(i, flag, opts.reportPath);
-        } else if (flag == "--seed") {
-            needValue(i, flag, value);
-            opts.seed = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flag == "--threads") {
-            needValue(i, flag, value);
-            opts.threads = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flag == "--tolerance") {
-            needValue(i, flag, value);
-            opts.tolerance = std::strtod(value.c_str(), nullptr);
-        } else if (flag == "--paper-factor") {
-            needValue(i, flag, value);
-            opts.paperFactor = std::strtod(value.c_str(), nullptr);
-        } else if (flag == "--host-gate") {
-            needValue(i, flag, value);
-            opts.hostGate = std::strtod(value.c_str(), nullptr);
-            if (opts.hostGate <= 0.0) {
-                std::cerr << argv[0]
-                          << ": --host-gate wants a ratio > 0\n";
-                std::exit(2);
-            }
-        } else {
-            std::cerr << argv[0] << ": unknown flag '" << flag
-                      << "'\n\n";
-            usage(std::cerr, argv[0]);
-            std::exit(2);
-        }
-    }
-    if (opts.baselinePath.empty()) {
-        std::cerr << argv[0] << ": --baseline is required\n\n";
-        usage(std::cerr, argv[0]);
-        std::exit(2);
-    }
-    return opts;
-}
 
 /** Report the failure lines of one check; returns ok(). */
 bool
@@ -152,7 +50,9 @@ report(const std::string &what, const BenchDiffResult &diff)
 int
 main(int argc, char **argv)
 {
-    const Options opts = parseArgs(argc, argv);
+    BenchDiffArgs opts;
+    if (const auto rc = parseBenchDiffArgs(argc, argv, &opts))
+        return *rc;
 
     std::string error;
     const auto baseline =
@@ -180,10 +80,8 @@ main(int argc, char **argv)
                   << " cells (seed " << cfg.seed << ")\n";
     }
 
-    BenchDiffOptions diffOpts;
-    diffOpts.tolerance = opts.tolerance;
     bool ok = report("baseline diff vs " + opts.baselinePath,
-                     diffBenchReports(*baseline, fresh, diffOpts));
+                     diffBenchReports(*baseline, fresh));
     if (opts.paperFactor > 0.0) {
         ok &= report("paper Table 3 sanity",
                      checkPaperTargets(fresh, opts.paperFactor));

@@ -19,7 +19,7 @@
  * The gate matters for determinism: triarch.stats.v1 documents are
  * bit-identical across thread counts *because* they carry only
  * simulated counts. Host-time histograms are therefore recorded only
- * while profiling is enabled (--host-stats, triarchd), and an empty
+ * while profiling is enabled (--host-stats), and an empty
  * histogram is invisible in every rendering, so profiling-off output
  * stays byte-identical to the pre-host-clock repo.
  */

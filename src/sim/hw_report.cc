@@ -236,31 +236,28 @@ writeCell(json::Writer &w, const HwCell &cell)
 } // namespace
 
 void
-writeHwReport(std::ostream &os, const HwReport &report, bool compact)
+writeHwReport(std::ostream &os, const HwReport &report)
 {
-    const auto style = compact ? json::Writer::Style::Compact
-                               : json::Writer::Style::Pretty;
     json::Writer w(os);
-    w.beginObject(style);
+    w.beginObject();
     w.member("schema", "triarch.hw.v1");
     if (!report.configHash.empty())
         w.member("config_hash", report.configHash);
     w.member("epoch_slots", kEpochSlots);
-    w.key("cells").beginArray(style);
+    w.key("cells").beginArray();
     for (const HwCell &cell : report.cells)
         writeCell(w, cell);
     w.endArray();
     w.endObject();
     w.finish();
-    if (!compact)
-        os << "\n";
+    os << "\n";
 }
 
 std::string
-renderHwReport(const HwReport &report, bool compact)
+renderHwReport(const HwReport &report)
 {
     std::ostringstream os;
-    writeHwReport(os, report, compact);
+    writeHwReport(os, report);
     return os.str();
 }
 

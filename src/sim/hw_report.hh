@@ -210,12 +210,10 @@ class EpochSampler
 };
 
 /** Render @p report as a triarch.hw.v1 document. */
-void writeHwReport(std::ostream &os, const HwReport &report,
-                   bool compact = false);
+void writeHwReport(std::ostream &os, const HwReport &report);
 
 /** writeHwReport() to a string. */
-std::string renderHwReport(const HwReport &report,
-                           bool compact = false);
+std::string renderHwReport(const HwReport &report);
 
 /**
  * Parse and validate a triarch.hw.v1 document. Beyond shape, this

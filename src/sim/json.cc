@@ -190,14 +190,6 @@ Writer::valueUint(std::uint64_t v)
     return *this;
 }
 
-Writer &
-Writer::rawValue(const std::string &rendered)
-{
-    beforeElement();
-    os << rendered;
-    return *this;
-}
-
 void
 Writer::finish()
 {
@@ -482,62 +474,6 @@ std::optional<Value>
 parse(const std::string &text, std::string *error)
 {
     return Parser(text).parse(error);
-}
-
-namespace
-{
-
-void
-renderInto(std::string &out, const Value &v)
-{
-    switch (v.kind) {
-      case Value::Kind::Null:
-        out += "null";
-        break;
-      case Value::Kind::Bool:
-        out += v.boolean ? "true" : "false";
-        break;
-      case Value::Kind::Number:
-        // Raw text, not a reformatted double: bit-exact round trip.
-        out += v.text;
-        break;
-      case Value::Kind::String:
-        out += '"';
-        out += escape(v.text);
-        out += '"';
-        break;
-      case Value::Kind::Array:
-        out += '[';
-        for (std::size_t i = 0; i < v.items.size(); ++i) {
-            if (i)
-                out += ", ";
-            renderInto(out, v.items[i]);
-        }
-        out += ']';
-        break;
-      case Value::Kind::Object:
-        out += '{';
-        for (std::size_t i = 0; i < v.fields.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += '"';
-            out += escape(v.fields[i].first);
-            out += "\": ";
-            renderInto(out, v.fields[i].second);
-        }
-        out += '}';
-        break;
-    }
-}
-
-} // namespace
-
-std::string
-render(const Value &v)
-{
-    std::string out;
-    renderInto(out, v);
-    return out;
 }
 
 } // namespace triarch::json

@@ -3,21 +3,19 @@
  * The one JSON serializer (and matching minimal reader) behind every
  * versioned document this repo emits: "triarch.results.v1"
  * (result_sink.cc), "triarch.stats.v1" (metrics.cc),
- * "triarch.bench.v1" (bench_report.cc), "triarch.cache.v1"
- * (result_cache.cc), and the "triarch.job.v1"/"triarch.result.v1"
- * daemon protocol (src/serve). Before this file each emitter carried
- * its own copy of string escaping and double formatting; now the
- * escaping rules and the deterministic number format exist exactly
- * once.
+ * "triarch.bench.v1" (bench_report.cc) and "triarch.hw.v1"
+ * (hw_report.cc). Before this file each emitter carried its own copy
+ * of string escaping and double formatting; now the escaping rules
+ * and the deterministic number format exist exactly once.
  *
  * Writer: a streaming serializer with explicit begin/end calls,
  * automatic comma and ": " separator management, and a per-container
  * style — Pretty (newline + two-space indent per element) or Compact
  * (everything on one line; nested containers inherit Compact, which
- * is what the line-delimited socket protocol uses). Both styles use
- * '"key": value' separators, so substring-based consumers see the
- * same shape either way. Output is byte-deterministic: no locale, no
- * pointer values, doubles via formatDouble().
+ * keeps short leaf objects such as a breakdown on one line). Both
+ * styles use '"key": value' separators, so substring-based consumers
+ * see the same shape either way. Output is byte-deterministic: no
+ * locale, no pointer values, doubles via formatDouble().
  *
  * Reader: the whitespace-insensitive recursive-descent parser that
  * used to live inside bench_report.cc — objects, arrays, strings,
@@ -90,9 +88,6 @@ class Writer
         else
             return valueUint(static_cast<std::uint64_t>(v));
     }
-
-    /** Splice a pre-rendered JSON value verbatim. */
-    Writer &rawValue(const std::string &rendered);
 
     /** key(k) + value(v) in one call. */
     template <typename T>
@@ -167,15 +162,6 @@ struct Value
  * still empty).
  */
 std::optional<Value> parse(const std::string &text, std::string *error);
-
-/**
- * Re-serialize a parsed Value compactly. Numbers are spliced back as
- * their original raw text and field order is preserved, so a
- * parse()/render() round trip of a compact document is bit-exact —
- * which is how the daemon embeds a client-visible stats snapshot
- * without reformatting it.
- */
-std::string render(const Value &v);
 
 } // namespace triarch::json
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -133,7 +132,7 @@ MetricsRegistry::clear()
 }
 
 void
-MetricsRegistry::writeJson(std::ostream &os, bool compact) const
+MetricsRegistry::writeJson(std::ostream &os) const
 {
     // Merge live groups (read now) into the snapshot map so the
     // document comes out in one label-sorted sweep regardless of
@@ -146,27 +145,16 @@ MetricsRegistry::writeJson(std::ostream &os, bool compact) const
             merged.insert_or_assign(g->name(), snapshotOf(*g));
     }
 
-    const auto style = compact ? json::Writer::Style::Compact
-                               : json::Writer::Style::Pretty;
     json::Writer w(os);
-    w.beginObject(style);
+    w.beginObject();
     w.member("schema", "triarch.stats.v1");
-    w.key("groups").beginArray(style);
+    w.key("groups").beginArray();
     for (const auto &[label, snap] : merged)
         writeGroup(w, label, snap);
     w.endArray();
     w.endObject();
     w.finish();
-    if (!compact)
-        os << "\n";
-}
-
-std::string
-MetricsRegistry::toJson() const
-{
-    std::ostringstream os;
-    writeJson(os, /*compact=*/true);
-    return os.str();
+    os << "\n";
 }
 
 void

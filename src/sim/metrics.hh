@@ -74,13 +74,8 @@ class MetricsRegistry
     /** Drop all snapshots and live registrations. */
     void clear();
 
-    /** Render the "triarch.stats.v1" document. With @p compact the
-     *  whole document lands on one line (no trailing newline) — the
-     *  form the daemon's stats wire response embeds. */
-    void writeJson(std::ostream &os, bool compact = false) const;
-
-    /** The compact one-line rendering as a string. */
-    std::string toJson() const;
+    /** Render the "triarch.stats.v1" document. */
+    void writeJson(std::ostream &os) const;
 
     /** Render to @p path; fatal if the file cannot be written. */
     void writeJsonFile(const std::string &path) const;

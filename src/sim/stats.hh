@@ -336,8 +336,8 @@ struct DistributionReading
 /**
  * Snapshot of one histogram for serialization. Only non-zero
  * buckets are kept, as (index, count) pairs in index order; median
- * and p95 are precomputed so consumers (the stats document, the
- * --statsz client) need no bucket math.
+ * and p95 are precomputed so consumers of the stats document need no
+ * bucket math.
  */
 struct HistogramReading
 {

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <fstream>
 #include <iomanip>
-#include <ostream>
+#include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
+#include "study/cli_options.hh"
 #include "study/machine_info.hh"
 #include "study/study_json.hh"
 
@@ -193,7 +195,7 @@ parseBenchReportJson(const std::string &text, std::string *error)
     for (const json::Value &entry : cells->items) {
         if (!entry.isObject())
             return reject(error, "cell entry is not an object");
-        // A bench cell carries the same wire fields as a RunResult
+        // A bench cell carries the same fields as a RunResult
         // minus the notes; parseRunResult validates tokens and the
         // breakdown partition in one place.
         RunResult parsed;
@@ -312,8 +314,7 @@ cellName(const BenchCell &cell)
 } // namespace
 
 BenchDiffResult
-diffBenchReports(const BenchReport &baseline, const BenchReport &fresh,
-                 const BenchDiffOptions &opts)
+diffBenchReports(const BenchReport &baseline, const BenchReport &fresh)
 {
     BenchDiffResult result;
     auto failf = [&result](const std::string &line) {
@@ -346,22 +347,13 @@ diffBenchReports(const BenchReport &baseline, const BenchReport &fresh,
         if (!cell->validated)
             failf(cellName(base) + ": output no longer validates");
 
-        const double allowed =
-            opts.tolerance * static_cast<double>(base.cycles);
-        const auto drift = [](std::uint64_t a, std::uint64_t b) {
-            return a > b ? static_cast<double>(a - b)
-                         : static_cast<double>(b - a);
-        };
-
-        if (drift(cell->cycles, base.cycles) > allowed) {
+        if (cell->cycles != base.cycles) {
             failf(cellName(base) + ": cycles "
                   + std::to_string(cell->cycles) + " drifted from "
-                  + std::to_string(base.cycles) + " (tolerance "
-                  + std::to_string(opts.tolerance * 100.0) + "%)");
+                  + std::to_string(base.cycles));
         }
         for (const auto cat : stats::allCycleCategories()) {
-            if (drift(cell->breakdown[cat], base.breakdown[cat])
-                > allowed) {
+            if (cell->breakdown[cat] != base.breakdown[cat]) {
                 failf(cellName(base) + ": "
                       + stats::cycleCategoryToken(cat) + " "
                       + std::to_string(cell->breakdown[cat])
@@ -373,9 +365,7 @@ diffBenchReports(const BenchReport &baseline, const BenchReport &fresh,
             != cell->measuredUnbalanced.has_value()) {
             failf(cellName(base)
                   + ": measured_unbalanced presence changed");
-        } else if (base.measuredUnbalanced
-                   && drift(*cell->measuredUnbalanced,
-                            *base.measuredUnbalanced) > allowed) {
+        } else if (cell->measuredUnbalanced != base.measuredUnbalanced) {
             failf(cellName(base) + ": measured_unbalanced "
                   + std::to_string(*cell->measuredUnbalanced)
                   + " drifted from "
@@ -478,6 +468,68 @@ checkPaperTargets(const BenchReport &report, double factor)
         }
     }
     return result;
+}
+
+std::optional<int>
+parseBenchDiffArgs(int argc, char **argv, BenchDiffArgs *args)
+{
+    CliOptions cli("compare benchmark measurements against a "
+                   "committed triarch.bench.v1 baseline and the "
+                   "paper's Table 3",
+                   "bench_diff");
+    cli.value("--baseline", "PATH", "committed baseline JSON (required)",
+              [args](const std::string &v) {
+                  args->baselinePath = v;
+                  return 0;
+              });
+    cli.value("--report", "PATH",
+              "diff this perf_report output instead of re-measuring",
+              [args](const std::string &v) {
+                  args->reportPath = v;
+                  return 0;
+              });
+    cli.number("--seed", "N",
+               "workload seed when re-measuring (default 11; must "
+               "match the baseline)",
+               std::numeric_limits<std::uint64_t>::max(),
+               [args](std::uint64_t n) {
+                   args->seed = n;
+                   return 0;
+               });
+    cli.number("--threads", "N",
+               "worker threads when re-measuring (0 = hardware "
+               "concurrency)",
+               std::numeric_limits<unsigned>::max(),
+               [args](std::uint64_t n) {
+                   args->threads = static_cast<unsigned>(n);
+                   return 0;
+               });
+    cli.real("--paper-factor", "F",
+             "sanity band around Table 3 (default 2.0; 0 disables)",
+             [args](double f) {
+                 args->paperFactor = f;
+                 return 0;
+             });
+    cli.real("--host-gate", "R",
+             "fail when a fresh host median exceeds baseline x R "
+             "(advisory otherwise)",
+             [&cli, args](double r) {
+                 if (r <= 0.0) {
+                     std::cerr << cli.prog()
+                               << ": --host-gate wants a ratio > 0\n";
+                     return 2;
+                 }
+                 args->hostGate = r;
+                 return 0;
+             });
+    if (const auto rc = cli.parse(argc, argv))
+        return rc;
+    if (args->baselinePath.empty()) {
+        std::cerr << cli.prog() << ": --baseline is required\n\n";
+        cli.usage(std::cerr);
+        return 2;
+    }
+    return std::nullopt;
 }
 
 } // namespace triarch::study

@@ -4,7 +4,7 @@
  * bench/bench_diff: a versioned JSON document ("triarch.bench.v1")
  * holding per-(machine, kernel) cycle totals and cycle-account
  * breakdowns, plus the two comparisons the CI perf gate runs —
- * fresh-vs-baseline drift within a per-cell tolerance, and a loose
+ * fresh-vs-baseline exact equality per cell and category, and a loose
  * sanity check against the paper's Table 3.
  *
  * Parsing and diffing live here as library code (not in the tools)
@@ -130,14 +130,6 @@ parseBenchReportJson(const std::string &text, std::string *error);
 std::optional<BenchReport>
 loadBenchReportFile(const std::string &path, std::string *error);
 
-/** Knobs for diffBenchReports. */
-struct BenchDiffOptions
-{
-    /** Allowed per-cell relative drift, applied to the total and to
-     *  each breakdown category (relative to the baseline total). */
-    double tolerance = 0.005;
-};
-
 /** Outcome of a comparison: ok() iff no failure lines. */
 struct BenchDiffResult
 {
@@ -150,12 +142,12 @@ struct BenchDiffResult
 /**
  * Compare a fresh report against the committed baseline: same
  * config hash and seed, same cell set, every cell validated, and
- * cycles plus every breakdown category within tolerance of the
- * baseline. Every violation becomes one failure line.
+ * cycles plus every breakdown category equal to the baseline's.
+ * Simulation is deterministic, so the gate allows no drift. Every
+ * violation becomes one failure line.
  */
 BenchDiffResult diffBenchReports(const BenchReport &baseline,
-                                 const BenchReport &fresh,
-                                 const BenchDiffOptions &opts = {});
+                                 const BenchReport &fresh);
 
 /**
  * Compare the host sections of two reports. Host time is hardware-
@@ -180,6 +172,26 @@ BenchDiffResult diffHostSections(const BenchReport &baseline,
  */
 BenchDiffResult checkPaperTargets(const BenchReport &report,
                                   double factor = 2.0);
+
+/** The bench_diff gate's command line. */
+struct BenchDiffArgs
+{
+    std::string baselinePath;
+    std::string reportPath;     //!< empty = re-measure the grid
+    std::uint64_t seed = 11;
+    unsigned threads = 0;       //!< 0 = hardware concurrency
+    double paperFactor = 2.0;   //!< 0 disables the paper band
+    double hostGate = 0.0;      //!< 0 = advisory host comparison
+};
+
+/**
+ * Parse bench_diff's argv with CliOptions. Returns an exit code when
+ * the tool should stop (0 after --help; 2 on an unknown flag, a
+ * non-positive --host-gate or a missing --baseline), or nullopt to
+ * proceed. A malformed number exits with status 2 directly.
+ */
+std::optional<int> parseBenchDiffArgs(int argc, char **argv,
+                                      BenchDiffArgs *args);
 
 } // namespace triarch::study
 

@@ -88,6 +88,19 @@ CliOptions::number(const std::string &name, const std::string &argspec,
 }
 
 void
+CliOptions::real(const std::string &name, const std::string &argspec,
+                 const std::string &help, RealHandler handler)
+{
+    Flag f;
+    f.name = name;
+    f.argspec = argspec;
+    f.help = help;
+    f.kind = Kind::Real;
+    f.onReal = std::move(handler);
+    flags.push_back(std::move(f));
+}
+
+void
 CliOptions::toggle(const std::string &name, const std::string &help,
                    ToggleHandler handler)
 {
@@ -225,6 +238,26 @@ CliOptions::parse(int argc, char **argv)
             return n;
         };
 
+        auto needReal = [&](const std::string &flag) -> double {
+            const std::string v = needValue(flag);
+            // A digit or '.' first rules out signs, "nan" and "inf".
+            const bool leadOk =
+                !v.empty()
+                && (std::isdigit(static_cast<unsigned char>(v[0]))
+                    || v[0] == '.');
+            errno = 0;
+            char *end = nullptr;
+            const double d = leadOk ? std::strtod(v.c_str(), &end) : 0.0;
+            if (!leadOk || end == v.c_str() || *end != '\0'
+                || errno == ERANGE) {
+                std::cerr << prog << ": " << flag
+                          << " needs a non-negative decimal, got '"
+                          << v << "'\n";
+                std::exit(2);
+            }
+            return d;
+        };
+
         if (arg == "--help" || arg == "-h") {
             noValue("--help");
             usage(std::cout);
@@ -246,6 +279,9 @@ CliOptions::parse(int argc, char **argv)
             break;
           case Kind::Number:
             rc = flag->onNumber(needNumber(flag->name, flag->maxValue));
+            break;
+          case Kind::Real:
+            rc = flag->onReal(needReal(flag->name));
             break;
           case Kind::Toggle:
             noValue(flag->name);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Declarative command-line parsing shared by every triarch binary
- * (bench harness, triarchd, triarch_client). A binary declares its
- * flags with value()/number()/toggle(), then hands argv to parse();
- * usage text, '--flag=value' splitting, and the numeric-range checks
- * live here once.
+ * (the bench harness, bench_diff and micro_host). A binary declares
+ * its flags with value()/number()/real()/toggle(), then hands argv to
+ * parse(); usage text, '--flag=value' splitting, and the numeric
+ * checks live here once.
  *
  * Error contract (kept byte-for-byte with the original bench
  * harness, which tests/test_bench.cc pins down):
@@ -56,6 +56,7 @@ class CliOptions
      *  prints its own diagnostic, prefixed with prog()). */
     using ValueHandler = std::function<int(const std::string &)>;
     using NumberHandler = std::function<int(std::uint64_t)>;
+    using RealHandler = std::function<int(double)>;
     using ToggleHandler = std::function<int()>;
 
     /**
@@ -73,6 +74,10 @@ class CliOptions
     void number(const std::string &name, const std::string &argspec,
                 const std::string &help, std::uint64_t max_value,
                 NumberHandler handler);
+
+    /** Declare a flag that takes a finite non-negative decimal. */
+    void real(const std::string &name, const std::string &argspec,
+              const std::string &help, RealHandler handler);
 
     /** Declare a value-less flag. */
     void toggle(const std::string &name, const std::string &help,
@@ -96,7 +101,7 @@ class CliOptions
     const char *prog() const { return progName.c_str(); }
 
   private:
-    enum class Kind { Value, Number, Toggle };
+    enum class Kind { Value, Number, Real, Toggle };
 
     struct Flag
     {
@@ -106,6 +111,7 @@ class CliOptions
         Kind kind;
         ValueHandler onValue;
         NumberHandler onNumber;
+        RealHandler onReal;
         ToggleHandler onToggle;
         std::uint64_t maxValue =
             std::numeric_limits<std::uint64_t>::max();

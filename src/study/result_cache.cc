@@ -1,25 +1,9 @@
 #include "result_cache.hh"
 
-#include <cctype>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <ostream>
-#include <sstream>
-
-#include "sim/json.hh"
 #include "sim/metrics.hh"
-#include "study/study_json.hh"
 
 namespace triarch::study
 {
-
-const std::string &
-ResultCache::cacheSchema()
-{
-    static const std::string schema = "triarch.cache.v1";
-    return schema;
-}
 
 ResultCache::ResultCache(Capacity cache_capacity) : cap(cache_capacity)
 {
@@ -168,145 +152,6 @@ std::uint64_t
 ResultCache::evictions() const
 {
     return nEvictions.value();
-}
-
-namespace
-{
-
-std::string
-hashHex(std::uint64_t hash)
-{
-    std::ostringstream os;
-    os << std::hex << hash;
-    return os.str();
-}
-
-bool
-parseHashHex(const std::string &text, std::uint64_t *out)
-{
-    if (text.empty() || text.size() > 16)
-        return false;
-    for (char c : text) {
-        if (!std::isxdigit(static_cast<unsigned char>(c)))
-            return false;
-    }
-    *out = std::strtoull(text.c_str(), nullptr, 16);
-    return true;
-}
-
-} // namespace
-
-void
-ResultCache::save(std::ostream &os) const
-{
-    json::Writer w(os);
-    w.beginObject();
-    w.member("schema", cacheSchema());
-    w.key("entries").beginArray();
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        // Least-recently-used first: replaying the document through
-        // put() reproduces the recency order exactly.
-        for (auto it = lru.rbegin(); it != lru.rend(); ++it) {
-            w.beginObject(json::Writer::Style::Compact);
-            w.member("config_hash", hashHex(std::get<2>(it->key)));
-            w.key("result");
-            writeRunResult(w, it->result);
-            w.endObject();
-        }
-    }
-    w.endArray();
-    w.endObject();
-    w.finish();
-    os << "\n";
-}
-
-bool
-ResultCache::saveFile(const std::string &path, std::string *error) const
-{
-    std::ofstream os(path);
-    if (!os) {
-        if (error)
-            *error = "cannot open '" + path + "' for writing";
-        return false;
-    }
-    save(os);
-    if (!os.good()) {
-        if (error)
-            *error = "failed writing cache JSON to '" + path + "'";
-        return false;
-    }
-    return true;
-}
-
-std::optional<std::size_t>
-ResultCache::load(const std::string &text, std::string *error)
-{
-    const auto fail = [error](const std::string &why)
-        -> std::optional<std::size_t> {
-        if (error && error->empty())
-            *error = why;
-        return std::nullopt;
-    };
-    if (error)
-        error->clear();
-
-    const auto root = json::parse(text, error);
-    if (!root)
-        return std::nullopt;
-    if (!root->isObject())
-        return fail("cache document root is not an object");
-
-    const json::Value *schema = root->field("schema");
-    if (!schema || !schema->isString())
-        return fail("cache document missing schema field");
-    if (schema->text != cacheSchema()) {
-        return fail("unsupported cache schema '" + schema->text
-                    + "' (want " + cacheSchema() + ")");
-    }
-
-    const json::Value *entries = root->field("entries");
-    if (!entries || !entries->isArray())
-        return fail("cache document missing entries array");
-
-    std::size_t loaded = 0;
-    for (const json::Value &entry : entries->items) {
-        if (!entry.isObject())
-            return fail("cache entry is not an object");
-        const json::Value *hash = entry.field("config_hash");
-        std::uint64_t config_hash = 0;
-        if (!hash || !hash->isString()
-            || !parseHashHex(hash->text, &config_hash))
-            return fail("cache entry has a bad config_hash field");
-        const json::Value *result = entry.field("result");
-        if (!result)
-            return fail("cache entry missing result object");
-        RunResult parsed;
-        if (!parseRunResult(*result, &parsed, error))
-            return std::nullopt;
-        put(parsed, config_hash);
-        ++loaded;
-    }
-    return loaded;
-}
-
-std::optional<std::size_t>
-ResultCache::loadFile(const std::string &path, std::string *error)
-{
-    if (!std::filesystem::exists(path))
-        return 0;    // cold start: nothing persisted yet
-    std::ifstream is(path);
-    if (!is) {
-        if (error)
-            *error = "cannot open '" + path + "' for reading";
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    auto loaded = load(text.str(), error);
-    if (!loaded && error && !error->empty())
-        *error = path + ": " + *error;
-    return loaded;
 }
 
 ResultCache &

@@ -9,9 +9,8 @@
  * The cache is bounded: an explicit Capacity (max entries plus an
  * approximate byte budget) evicts the least-recently-used cell once
  * either bound is exceeded, and an "evictions" counter in the stat
- * group records how often that happened. A cache can also be saved
- * to and reloaded from a triarch.cache.v1 JSON document, which is
- * how the experiment daemon keeps warm results across restarts.
+ * group records how often that happened. The cache lives only as
+ * long as its process; nothing is persisted.
  */
 
 #ifndef TRIARCH_STUDY_RESULT_CACHE_HH
@@ -78,23 +77,6 @@ class ResultCache
 
     /** The "result_cache" group holding the hit/miss counters. */
     const stats::StatGroup &statGroup() const { return group; }
-
-    /**
-     * Persistence: write/read the whole cache as a triarch.cache.v1
-     * JSON document. save() orders entries least-recently-used
-     * first, so a subsequent load() reproduces the recency order.
-     * loadFile() of a missing file is not an error (returns 0); a
-     * malformed document is (returns nullopt with *error set).
-     */
-    void save(std::ostream &os) const;
-    bool saveFile(const std::string &path, std::string *error) const;
-    std::optional<std::size_t> load(const std::string &text,
-                                    std::string *error);
-    std::optional<std::size_t> loadFile(const std::string &path,
-                                        std::string *error);
-
-    /** The schema tag of the persistence document. */
-    static const std::string &cacheSchema();
 
     /** The process-wide cache shared by default by every runner;
      *  its stat group is live-registered in the global

@@ -62,7 +62,7 @@ ResultSink::writeJson(std::ostream &os) const
 
     w.key("results").beginArray();
     for (const RunResult &r : results) {
-        // The wire fields plus the display conveniences (names,
+        // The RunResult fields plus the display conveniences (names,
         // derived milliseconds) trajectory-tracking scripts read.
         w.beginObject(json::Writer::Style::Compact);
         w.member("machine", machineName(r.machine));

@@ -1,7 +1,5 @@
 #include "study_json.hh"
 
-#include <initializer_list>
-#include <limits>
 #include <sstream>
 
 #include "study/machine_info.hh"
@@ -22,52 +20,6 @@ reject(std::string *error, const std::string &why)
     if (error && error->empty())
         *error = why;
     return false;
-}
-
-bool
-fieldU64(const Value &obj, const char *name, std::uint64_t *out,
-         std::string *error, const char *where)
-{
-    const Value *v = obj.field(name);
-    if (!v)
-        return true;    // optional: keep the default
-    if (!v->asU64(*out)) {
-        return reject(error, std::string(where) + ": bad '" + name
-                                 + "' field");
-    }
-    return true;
-}
-
-template <typename T>
-bool
-fieldNarrow(const Value &obj, const char *name, T *out,
-            std::string *error, const char *where)
-{
-    std::uint64_t wide = *out;
-    if (!fieldU64(obj, name, &wide, error, where))
-        return false;
-    if (wide > std::numeric_limits<T>::max()) {
-        return reject(error, std::string(where) + ": '" + name
-                                 + "' out of range");
-    }
-    *out = static_cast<T>(wide);
-    return true;
-}
-
-bool
-knownFieldsOnly(const Value &obj, std::initializer_list<const char *> known,
-                std::string *error, const char *where)
-{
-    for (const auto &[key, value] : obj.fields) {
-        bool ok = false;
-        for (const char *name : known)
-            ok = ok || key == name;
-        if (!ok) {
-            return reject(error, std::string(where)
-                                     + ": unknown field '" + key + "'");
-        }
-    }
-    return true;
 }
 
 } // namespace
@@ -106,98 +58,6 @@ writeStudyConfig(Writer &w, const StudyConfig &cfg)
     w.endArray();
     w.member("hash", studyConfigHashHex(cfg));
     w.endObject();
-}
-
-bool
-parseStudyConfig(const Value &v, StudyConfig *cfg, std::string *error)
-{
-    if (!v.isObject())
-        return reject(error, "config is not an object");
-    if (!knownFieldsOnly(v,
-                         {"matrix_size", "seed", "cslc", "beam",
-                          "jammer_bins", "hash"},
-                         error, "config"))
-        return false;
-
-    StudyConfig out;    // start from the paper's defaults
-    if (!fieldNarrow(v, "matrix_size", &out.matrixSize, error, "config"))
-        return false;
-    if (!fieldU64(v, "seed", &out.seed, error, "config"))
-        return false;
-
-    if (const Value *cslc = v.field("cslc")) {
-        if (!cslc->isObject())
-            return reject(error, "config: 'cslc' is not an object");
-        if (!knownFieldsOnly(*cslc,
-                             {"main_channels", "aux_channels", "samples",
-                              "sub_bands", "sub_band_len",
-                              "sub_band_stride"},
-                             error, "config.cslc"))
-            return false;
-        if (!fieldNarrow(*cslc, "main_channels", &out.cslc.mainChannels,
-                         error, "config.cslc")
-            || !fieldNarrow(*cslc, "aux_channels", &out.cslc.auxChannels,
-                            error, "config.cslc")
-            || !fieldNarrow(*cslc, "samples", &out.cslc.samples, error,
-                            "config.cslc")
-            || !fieldNarrow(*cslc, "sub_bands", &out.cslc.subBands,
-                            error, "config.cslc")
-            || !fieldNarrow(*cslc, "sub_band_len", &out.cslc.subBandLen,
-                            error, "config.cslc")
-            || !fieldNarrow(*cslc, "sub_band_stride",
-                            &out.cslc.subBandStride, error,
-                            "config.cslc"))
-            return false;
-    }
-
-    if (const Value *beam = v.field("beam")) {
-        if (!beam->isObject())
-            return reject(error, "config: 'beam' is not an object");
-        if (!knownFieldsOnly(*beam,
-                             {"elements", "directions", "dwells",
-                              "shift"},
-                             error, "config.beam"))
-            return false;
-        if (!fieldNarrow(*beam, "elements", &out.beam.elements, error,
-                         "config.beam")
-            || !fieldNarrow(*beam, "directions", &out.beam.directions,
-                            error, "config.beam")
-            || !fieldNarrow(*beam, "dwells", &out.beam.dwells, error,
-                            "config.beam")
-            || !fieldNarrow(*beam, "shift", &out.beam.shift, error,
-                            "config.beam"))
-            return false;
-    }
-
-    if (const Value *bins = v.field("jammer_bins")) {
-        if (!bins->isArray())
-            return reject(error, "config: 'jammer_bins' is not an array");
-        out.jammerBins.clear();
-        for (const Value &bin : bins->items) {
-            unsigned b = 0;
-            std::uint64_t wide = 0;
-            if (!bin.asU64(wide)
-                || wide > std::numeric_limits<unsigned>::max()) {
-                return reject(error,
-                              "config: bad 'jammer_bins' element");
-            }
-            b = static_cast<unsigned>(wide);
-            out.jammerBins.push_back(b);
-        }
-    }
-
-    if (const Value *hash = v.field("hash")) {
-        if (!hash->isString()
-            || hash->text != studyConfigHashHex(out)) {
-            return reject(error,
-                          "config: 'hash' does not match the config "
-                          "fields (expected "
-                              + studyConfigHashHex(out) + ")");
-        }
-    }
-
-    *cfg = std::move(out);
-    return true;
 }
 
 void

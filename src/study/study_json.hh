@@ -3,13 +3,12 @@
  * JSON projections of the study layer's core value types — the
  * StudyConfig block and the per-cell RunResult — shared by every
  * document that carries them: the triarch.results.v1 sink, the
- * triarch.cache.v1 persistent result cache, and the
- * triarch.job.v1/triarch.result.v1 daemon protocol. One writer and
- * one parser per type, so a RunResult that crosses any of those
- * boundaries round-trips bit-identically (doubles are rendered with
- * json::formatDouble's round-trip precision, notes keep their
- * order, and the cycle-breakdown partition invariant is re-checked
- * on the way back in).
+ * triarch.bench.v1 report and perfbench's per-pass result records.
+ * One writer per type, plus one RunResult parser, so a result
+ * written and read back round-trips bit-identically (doubles are
+ * rendered with json::formatDouble's round-trip precision, notes keep
+ * their order, and the cycle-breakdown partition invariant is
+ * re-checked on the way back in).
  */
 
 #ifndef TRIARCH_STUDY_STUDY_JSON_HH
@@ -33,17 +32,6 @@ std::string studyConfigHashHex(const StudyConfig &cfg);
  */
 void writeStudyConfig(json::Writer &w, const StudyConfig &cfg);
 
-/**
- * Parse a config object written by writeStudyConfig(). Every field
- * is optional and defaults to the paper's StudyConfig value, so a
- * request may override just {"seed": 7}. Unknown fields are
- * rejected (they are silent typos otherwise), as is a "hash" field
- * that contradicts the parsed config. Returns false and sets *error
- * on the first violation.
- */
-bool parseStudyConfig(const json::Value &v, StudyConfig *cfg,
-                      std::string *error);
-
 /** Emit the five-category breakdown object (token: cycles). */
 void writeCycleBreakdown(json::Writer &w,
                          const stats::CycleBreakdown &breakdown);
@@ -51,7 +39,7 @@ void writeCycleBreakdown(json::Writer &w,
 /**
  * Emit one RunResult with machine-readable tokens only: machine,
  * kernel, cycles, validated, measured_unbalanced (when present),
- * breakdown, notes. This is the wire/cache form; display emitters
+ * breakdown, notes. This is the machine form; display emitters
  * (ResultSink) add their own derived fields on top.
  */
 void writeRunResult(json::Writer &w, const RunResult &result);

@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for study::CliOptions, the declarative flag parser shared by
- * the bench harness, triarchd, and triarch_client. test_bench.cc pins
+ * the bench harness, bench_diff and micro_host. test_bench.cc pins
  * the end-to-end bench contract (death tests through a real main);
  * this file exercises the class directly: handler dispatch, the
  * '--flag=value' form, unknown-option and --help return codes, the
  * generated usage text, and the exit(2) paths for malformed values.
+ * It also drives bench_diff's flag set, so a malformed gate knob can
+ * never silently disable a check.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +15,13 @@
 #include <sstream>
 #include <vector>
 
+#include "study/bench_report.hh"
 #include "study/cli_options.hh"
 
 namespace
 {
 
+using triarch::study::BenchDiffArgs;
 using triarch::study::CliOptions;
 
 /** parse() over a brace-list of arguments (argv[0] included). */
@@ -160,6 +164,7 @@ TEST(CliOptionsDeath, MalformedValuesExitWithStatusTwo)
               [](const std::string &) { return 0; });
     cli.number("--count", "N", "how many", 100,
                [](std::uint64_t) { return 0; });
+    cli.real("--ratio", "F", "a ratio", [](double) { return 0; });
     cli.toggle("--verbose", "say more", [] { return 0; });
 
     EXPECT_EXIT(parseArgs(cli, {"--out"}),
@@ -173,6 +178,75 @@ TEST(CliOptionsDeath, MalformedValuesExitWithStatusTwo)
                 "out of range \\(max 100\\)");
     EXPECT_EXIT(parseArgs(cli, {"--verbose=yes"}),
                 testing::ExitedWithCode(2), "does not take a value");
+    for (const char *bad : {"abc", "-1", "+1", "1.5x", "", "nan", "inf",
+                            "1e999"}) {
+        EXPECT_EXIT(parseArgs(cli, {"--ratio", bad}),
+                    testing::ExitedWithCode(2),
+                    "--ratio needs a non-negative decimal")
+            << "'" << bad << "'";
+    }
+}
+
+/** parseBenchDiffArgs() over a brace-list of arguments. */
+std::optional<int>
+parseDiffArgs(std::vector<std::string> args, BenchDiffArgs *out)
+{
+    args.insert(args.begin(), "bench_diff");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return triarch::study::parseBenchDiffArgs(
+        static_cast<int>(argv.size()), argv.data(), out);
+}
+
+TEST(BenchDiffCli, ParsesEveryGateKnob)
+{
+    BenchDiffArgs args;
+    EXPECT_FALSE(parseDiffArgs({"--baseline", "b.json", "--report=r.json",
+                                "--seed", "7", "--threads", "3",
+                                "--paper-factor", "0",
+                                "--host-gate=1.5"},
+                               &args)
+                     .has_value());
+    EXPECT_EQ(args.baselinePath, "b.json");
+    EXPECT_EQ(args.reportPath, "r.json");
+    EXPECT_EQ(args.seed, 7u);
+    EXPECT_EQ(args.threads, 3u);
+    EXPECT_EQ(args.paperFactor, 0.0);
+    EXPECT_EQ(args.hostGate, 1.5);
+}
+
+TEST(BenchDiffCli, UsageErrorsReturnTwo)
+{
+    testing::internal::CaptureStderr();
+    BenchDiffArgs args;
+    EXPECT_EQ(parseDiffArgs({"--report", "r.json"}, &args), 2)
+        << "--baseline is required";
+    EXPECT_EQ(parseDiffArgs({"--baseline", "b", "--host-gate", "0"},
+                            &args),
+              2);
+    EXPECT_EQ(parseDiffArgs({"--baseline", "b", "--tolerance", "0.01"},
+                            &args),
+              2)
+        << "cycles are gated exactly; there is no tolerance knob";
+    testing::internal::GetCapturedStderr();
+}
+
+TEST(BenchDiffCliDeath, MalformedNumbersExitWithStatusTwo)
+{
+    BenchDiffArgs args;
+    EXPECT_EXIT(parseDiffArgs({"--baseline", "b", "--paper-factor", "abc"},
+                              &args),
+                testing::ExitedWithCode(2),
+                "--paper-factor needs a non-negative decimal");
+    EXPECT_EXIT(parseDiffArgs({"--baseline", "b", "--seed", "xyz"},
+                              &args),
+                testing::ExitedWithCode(2),
+                "--seed needs a non-negative number");
+    EXPECT_EXIT(parseDiffArgs({"--baseline", "b", "--threads", "-1"},
+                              &args),
+                testing::ExitedWithCode(2),
+                "--threads needs a non-negative number");
 }
 
 TEST(CliHelpers, SplitListDropsEmptiesAndLoweredLowercases)

@@ -296,7 +296,7 @@ TEST(BenchDiff, PerturbedTotalFails)
 {
     const BenchReport &fresh = smallReport();
     BenchReport baseline = fresh;
-    // Drift one cell by 10% — far past the 0.5% default tolerance.
+    // Drift one cell by 10%.
     // The breakdown moves with the total so the perturbed document
     // still satisfies the partition invariant.
     BenchCell &cell = baseline.cells[0];
@@ -313,22 +313,23 @@ TEST(BenchDiff, PerturbedTotalFails)
     EXPECT_NE(diff.failures[0].find("cycles"), std::string::npos);
 }
 
-TEST(BenchDiff, PerturbationWithinToleranceVanishes)
+TEST(BenchDiff, OneCycleDriftFails)
 {
+    // Simulation is deterministic, so the gate allows no drift: a
+    // single cycle on one cell is a failure.
     const BenchReport &fresh = smallReport();
     BenchReport baseline = fresh;
     BenchCell &cell = baseline.cells[0];
-    // 0.1% drift, checked against a 0.5% tolerance.
-    const std::uint64_t delta = cell.cycles / 1000;
-    cell.cycles += delta;
-    cell.breakdown.total += delta;
-    cell.breakdown.cycles[0] += delta;
+    cell.cycles += 1;
+    cell.breakdown.total += 1;
+    cell.breakdown.cycles[0] += 1;
 
-    EXPECT_TRUE(diffBenchReports(baseline, fresh).ok());
-
-    BenchDiffOptions tight;
-    tight.tolerance = 0.0001;
-    EXPECT_FALSE(diffBenchReports(baseline, fresh, tight).ok());
+    const BenchDiffResult diff = diffBenchReports(baseline, fresh);
+    EXPECT_FALSE(diff.ok());
+    // The total and the compute category each name the cell.
+    ASSERT_EQ(diff.failures.size(), 2u);
+    EXPECT_NE(diff.failures[0].find("cycles"), std::string::npos);
+    EXPECT_NE(diff.failures[1].find("compute"), std::string::npos);
 }
 
 TEST(BenchDiff, CategoryShiftAtConstantTotalFails)

@@ -254,8 +254,9 @@ TEST(StatsDeterminism, DocumentsAreBitIdenticalAcrossThreadCounts)
                 study::ParallelRunner::noCache());
             par.runAll();
         }
-        const std::string doc =
-            metrics::MetricsRegistry::global().toJson();
+        std::ostringstream os;
+        metrics::MetricsRegistry::global().writeJson(os);
+        const std::string doc = os.str();
         EXPECT_EQ(doc.find("histograms"), std::string::npos)
             << "host histograms recorded with profiling off";
         if (first.empty())
