@@ -1,5 +1,7 @@
 #include "bench_main.hh"
 
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -102,6 +104,18 @@ const std::vector<study::RunResult> &
 BenchContext::allResults()
 {
     if (!haveGrid) {
+        const auto covers = [](const auto &selected, const auto &all) {
+            return std::ranges::all_of(all, [&](auto id) {
+                return std::ranges::find(selected, id) != selected.end();
+            });
+        };
+        if (!covers(opts.machines, study::allMachines())
+            || !covers(opts.kernels, study::allKernels())) {
+            std::cerr << opts.prog
+                      << ": this bench needs the full 5x3 grid; "
+                         "--machines/--kernels cannot narrow it\n";
+            std::exit(2);
+        }
         gridResults = runner().runAll();
         sink().add(gridResults);
         haveGrid = true;
@@ -287,6 +301,7 @@ benchMain(int argc, char **argv, const char *description,
     if (const auto rc = cli.parse(argc, argv))
         return *rc;
     const char *prog = cli.prog();
+    opts.prog = prog;
 
     study::ensureParentDir("--json", opts.jsonPath, prog);
     study::ensureParentDir("--trace", opts.tracePath, prog);

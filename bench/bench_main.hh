@@ -64,6 +64,7 @@ struct BenchOptions
     unsigned hostWarmup = 1;    //!< --host-warmup (CI-friendly default)
     unsigned hostReps = 5;      //!< --host-reps (contract wants 30+)
     int pinCpu = -1;            //!< --pin; < 0 = no pinning
+    std::string prog = "bench"; //!< program name for usage errors
 };
 
 /**
@@ -89,10 +90,12 @@ class BenchContext
      *  concurrently on first use and recorded in the sink. */
     const std::vector<study::RunResult> &results();
 
-    /** Results for the full 5x3 grid, regardless of selection — the
-     *  paper's figure/table builders need every cell (including the
-     *  AltiVec baseline). A bench should use either this or
-     *  results(), not both, so the sink stays duplicate-free. */
+    /** Results for the full 5x3 grid, for the paper's figure/table
+     *  builders that need every cell (including the AltiVec
+     *  baseline). Exits 2 when --machines/--kernels narrow the grid
+     *  rather than silently ignoring them. A bench should use either
+     *  this or results(), not both, so the sink stays
+     *  duplicate-free. */
     const std::vector<study::RunResult> &allResults();
 
     /** The cells selected by --machines/--kernels. */

@@ -4,7 +4,8 @@
  * on the paper's workloads (corner turn 1024x1024x4B; CSLC 4
  * channels x 8K samples in 73 x 128-point sub-bands; beam steering
  * 1608 elements x 4 directions x 8 dwells), and prints the measured
- * values against the paper's for every cell.
+ * values against the paper's for every cell. --machines/--kernels
+ * narrow both the table and the work to the selected cells.
  */
 
 #include <algorithm>
@@ -23,21 +24,23 @@ namespace
 int
 run(bench::BenchContext &ctx)
 {
-    const auto &results = ctx.allResults();
+    const auto &results = ctx.results();
+    const auto &opts = ctx.options();
+    const Table table3 = buildTable3(results, opts.machines, opts.kernels);
 
     // --csv emits machine-readable output for plotting scripts.
-    if (ctx.options().csv) {
-        buildTable3(results).renderCsv(std::cout);
+    if (opts.csv) {
+        table3.renderCsv(std::cout);
         return 0;
     }
 
-    buildTable3(results).render(std::cout);
+    table3.render(std::cout);
 
     Table cmp("Measured vs paper (cycles in 10^3)");
     cmp.header({"Machine", "Kernel", "Paper", "Measured",
                 "Measured/Paper"});
-    for (MachineId machine : ctx.options().machines) {
-        for (KernelId kernel : ctx.options().kernels) {
+    for (MachineId machine : opts.machines) {
+        for (KernelId kernel : opts.kernels) {
             const auto &r = findResult(results, machine, kernel);
             const double paper = paperTable3Kcycles(machine, kernel);
             const double measured =

@@ -164,7 +164,6 @@ RawMachine::dmaIn(unsigned port, unsigned dstTile, Addr base,
         return;
     hot[dstTile].dmaFed = true;
     ports[port].inQueue.push_back({base - globalBase, words, dstTile});
-    ++ports[port].work;
     ++portWork;
 }
 
@@ -176,7 +175,6 @@ RawMachine::dmaOut(unsigned port, Addr base, unsigned words)
     if (words == 0)
         return;
     ports[port].outQueue.push_back({base - globalBase, words, 0});
-    ++ports[port].work;
     ++portWork;
 }
 
@@ -210,7 +208,6 @@ RawMachine::send(unsigned t, Word value, Cycles now)
         // Peripheral port: one hop from the attached tile.
         ports[route - 1000].arrivals.emplace_back(
             now + cfg.netBaseLatency + 1, value);
-        ++ports[route - 1000].work;
         ++portWork;
     } else {
         const Cycles arrival =
@@ -437,27 +434,8 @@ RawMachine::stepTile(unsigned t, Cycles now)
         ++_fpops;
         break;
       case Op::Lw: {
-        // The address operand is peeked, not popped: a fused chain
-        // run must park on a global access before any state changes
-        // (D13), and the committed pop below replays readReg exactly.
-        const std::uint32_t rsv =
-            in.rs == regCsti ? tile.inFifo.front().second
-            : in.rs == 0     ? 0
-                             : tile.regs[in.rs];
-        const Addr addr = rsv + static_cast<std::uint32_t>(in.imm);
-        if (addr >= globalBase) {
-            if (chainMode) [[unlikely]] {
-                chainParked = true;
-                wake[t] = now;
-                return;
-            }
-            if (!hazardBoxes.empty()) [[unlikely]]
-                checkChainHazard(t, addr);
-        }
-        if (in.rs == regCsti) {
-            fifoWordCycles += now - tile.inFifo.front().first;
-            tile.inFifo.pop_front();
-        }
+        const Addr addr =
+            readReg(in.rs) + static_cast<std::uint32_t>(in.imm);
         Word value = 0;
         Cycles extra = 0;
         if (addr >= globalBase) {
@@ -491,25 +469,8 @@ RawMachine::stepTile(unsigned t, Cycles now)
         break;
       }
       case Op::Sw: {
-        // Same peek-before-pop dance as Lw, for the same reason.
-        const std::uint32_t rsv =
-            in.rs == regCsti ? tile.inFifo.front().second
-            : in.rs == 0     ? 0
-                             : tile.regs[in.rs];
-        const Addr addr = rsv + static_cast<std::uint32_t>(in.imm);
-        if (addr >= globalBase) {
-            if (chainMode) [[unlikely]] {
-                chainParked = true;
-                wake[t] = now;
-                return;
-            }
-            if (!hazardBoxes.empty()) [[unlikely]]
-                checkChainHazard(t, addr);
-        }
-        if (in.rs == regCsti) {
-            fifoWordCycles += now - tile.inFifo.front().first;
-            tile.inFifo.pop_front();
-        }
+        const Addr addr =
+            readReg(in.rs) + static_cast<std::uint32_t>(in.imm);
         const Word value = readReg(in.rt);
         if (addr >= globalBase) {
             const Addr off = addr - globalBase;
@@ -833,7 +794,6 @@ RawMachine::stepPort(Port &port, Cycles now)
             port.inFree = now + cost;
             if (++seg.done == seg.words) {
                 port.inQueue.pop_front();
-                --port.work;
                 --portWork;
             }
         }
@@ -846,7 +806,6 @@ RawMachine::stepPort(Port &port, Cycles now)
         DmaSegment &seg = port.outQueue.front();
         const Word v = port.arrivals.front().second;
         port.arrivals.pop_front();
-        --port.work;
         --portWork;
         const Addr a = seg.base + static_cast<Addr>(seg.done) * 4;
         std::memcpy(dram + a, &v, 4);
@@ -861,7 +820,6 @@ RawMachine::stepPort(Port &port, Cycles now)
         port.outFree = now + cost;
         if (++seg.done == seg.words) {
             port.outQueue.pop_front();
-            --port.work;
             --portWork;
         }
     }
@@ -970,251 +928,6 @@ RawMachine::nextEventCycle(Cycles from) const
     return next;
 }
 
-bool
-RawMachine::coBatchEligible()
-{
-    // Tile side: every live tile must keep all its traffic inside
-    // its own (tile t, port t) chain — static route to its own port
-    // (or none), and no dynamic-network instructions anywhere in the
-    // program (Dsend/Drecv cross chains by construction).
-    for (unsigned t = 0; t < cfg.tiles(); ++t) {
-        if (hot[t].halted)
-            continue;
-        if (hot[t].route != ~0u && hot[t].route != portEndpoint(t))
-            return false;
-        for (const Instr &in : cold[t].program) {
-            if (in.op == Op::Dsend || in.op == Op::Drecv)
-                return false;
-        }
-    }
-
-    // Port side: every DMA-in segment on port p must feed tile p,
-    // and DMA footprints must be order-independent across chains.
-    // DMA-in only reads DRAM, so in-in overlap is harmless; any
-    // write range overlapping another chain's footprint is not.
-    //
-    // Intervals are globalBase-relative [lo, hi) byte ranges. The
-    // corpus queues its write segments in ascending address order
-    // per port (out-of-order ports get a local sort — they are rare
-    // and short), so the cross-port write check is a 16-way merge
-    // rather than a global sort of tens of thousands of segments.
-    struct Box
-    {
-        Addr lo = ~Addr{0};
-        Addr hi = 0;
-        bool
-        overlaps(const Box &other) const
-        {
-            return lo < other.hi && other.lo < hi;
-        }
-    };
-    const unsigned n = static_cast<unsigned>(ports.size());
-    std::vector<Box> readBox(n), writeBox(n);
-    std::vector<std::vector<Box>> writes(n);
-    chainBoxes.assign(cfg.tiles(), {});
-    for (unsigned p = 0; p < n; ++p) {
-        const Port &port = ports[p];
-        if (!port.arrivals.empty())
-            return false;
-        for (std::size_t i = 0; i < port.inQueue.size(); ++i) {
-            const DmaSegment &seg = port.inQueue[i];
-            if (seg.dstTile != p)
-                return false;
-            const Addr hi = seg.base + static_cast<Addr>(seg.words) * 4;
-            readBox[p].lo = std::min(readBox[p].lo, seg.base);
-            readBox[p].hi = std::max(readBox[p].hi, hi);
-        }
-        bool sorted = true;
-        writes[p].reserve(port.outQueue.size());
-        for (std::size_t i = 0; i < port.outQueue.size(); ++i) {
-            const DmaSegment &seg = port.outQueue[i];
-            const Addr hi = seg.base + static_cast<Addr>(seg.words) * 4;
-            sorted = sorted
-                     && (writes[p].empty()
-                         || writes[p].back().lo <= seg.base);
-            writes[p].push_back({seg.base, hi});
-            writeBox[p].lo = std::min(writeBox[p].lo, seg.base);
-            writeBox[p].hi = std::max(writeBox[p].hi, hi);
-        }
-        if (!sorted) {
-            std::sort(writes[p].begin(), writes[p].end(),
-                      [](const Box &a, const Box &b) {
-                          return a.lo < b.lo;
-                      });
-        }
-        chainBoxes[p].owner = p;
-        chainBoxes[p].lo = std::min(readBox[p].lo, writeBox[p].lo);
-        chainBoxes[p].hi = std::max(readBox[p].hi, writeBox[p].hi);
-    }
-
-    // Reads vs writes: box-level check. Every corpus kernel reads
-    // and writes disjoint allocations, so a box overlap means an
-    // unusual layout — fall back to the plain event loop rather
-    // than resolving it segment by segment.
-    for (unsigned p = 0; p < n; ++p) {
-        if (readBox[p].hi == 0)
-            continue;
-        for (unsigned q = 0; q < n; ++q) {
-            if (q != p && readBox[p].overlaps(writeBox[q]))
-                return false;
-        }
-    }
-
-    // Writes vs writes: merge the per-port sorted lists in ascending
-    // lo order, tracking the largest end seen (maxHi1, from port1)
-    // and the largest end seen from any other port (maxHi2). A new
-    // interval conflicts iff it starts before the furthest end among
-    // OTHER ports' intervals — same-port overlap stays ordered
-    // inside its chain and is fine.
-    std::vector<std::size_t> head(n, 0);
-    Addr maxHi1 = 0, maxHi2 = 0;
-    unsigned port1 = ~0u;
-    for (;;) {
-        unsigned best = ~0u;
-        for (unsigned p = 0; p < n; ++p) {
-            if (head[p] < writes[p].size()
-                && (best == ~0u
-                    || writes[p][head[p]].lo < writes[best][head[best]].lo)) {
-                best = p;
-            }
-        }
-        if (best == ~0u)
-            break;
-        const Box &b = writes[best][head[best]++];
-        const Addr otherHi = best == port1 ? maxHi2 : maxHi1;
-        if (b.lo < otherHi)
-            return false;
-        if (best == port1) {
-            maxHi1 = std::max(maxHi1, b.hi);
-        } else if (b.hi >= maxHi1) {
-            // New furthest end; the old one came from a different
-            // port, so it is exactly the new runner-up.
-            maxHi2 = maxHi1;
-            maxHi1 = b.hi;
-            port1 = best;
-        } else {
-            maxHi2 = std::max(maxHi2, b.hi);
-        }
-    }
-    return true;
-}
-
-Cycles
-RawMachine::runChain(unsigned t)
-{
-    // The private two-actor event loop: same structure as runEvent,
-    // restricted to tile t and port t. The eligibility gate proved
-    // no other actor can observe or influence this pair, so stepping
-    // it in isolation visits exactly the cycles the global loop
-    // would and leaves identical state and tallies.
-    TileHot &tile = hot[t];
-    Port &port = ports[t];
-    Cycles now = 0;
-    while (!tile.halted || port.work != 0) {
-        if (port.work != 0)
-            stepPort(port, now);
-        if (wake[t] <= now) {
-            if (now > tile.talliedThrough)
-                creditSleep(t, now);
-            stepTile(t, now);
-            if (chainParked)
-                return now;
-            if (tile.talliedThrough < now + 1)
-                tile.talliedThrough = now + 1;
-        }
-        ++now;
-        if (now > cfg.maxCycles) {
-            triarch_fatal("Raw simulation exceeded ", cfg.maxCycles,
-                          " cycles — deadlock or runaway program");
-        }
-        if (tile.halted && port.work == 0)
-            break;
-        Cycles next = wake[t];
-        // Busy steady state: the tile runs this very cycle, and the
-        // port candidates below clamp to >= now, so they cannot move
-        // the cursor earlier — skip computing them.
-        if (next > now && port.work != 0) {
-            // Mirror nextEventCycle's port candidates for this port.
-            if (!port.inQueue.empty()
-                && tile.inFifo.size() < cfg.fifoCapacity) {
-                next = std::min(next, std::max(port.inFree, now));
-            }
-            if (!port.outQueue.empty() && !port.arrivals.empty()) {
-                next = std::min(
-                    next, std::max({port.outFree,
-                                    port.arrivals.front().first, now}));
-            }
-        }
-        if (next > cfg.maxCycles) {
-            triarch_fatal("Raw simulation exceeded ", cfg.maxCycles,
-                          " cycles — deadlock or runaway program");
-        }
-        now = next;
-    }
-    return now;
-}
-
-Cycles
-RawMachine::runCoBatch(bool &poisoned)
-{
-    chainMode = true;
-    Cycles end = 0;
-    for (unsigned t = 0; t < cfg.tiles(); ++t) {
-        chainParked = false;
-        const Cycles chainEnd = runChain(t);
-        if (chainParked) {
-            poisoned = true;
-            chainMode = false;
-            // Chains 0..t ran ahead of global time (chain t exactly
-            // up to its park cycle). Any later global access into
-            // their DMA footprints — except the parked chain's own
-            // tile touching its own footprint, which stays in exact
-            // cycle order — would observe future memory; arm the
-            // traps.
-            for (unsigned c = 0; c <= t; ++c) {
-                if (chainBoxes[c].hi > chainBoxes[c].lo)
-                    hazardBoxes.push_back(chainBoxes[c]);
-            }
-            // The general loop's cursor can exit behind the chains
-            // that already completed; fold their ends into the
-            // existing exit clamp.
-            batchedHaltEnd = std::max(batchedHaltEnd, end);
-            return end;
-        }
-        end = std::max(end, chainEnd);
-    }
-    chainMode = false;
-
-    if (batchedHaltEnd > end)
-        end = batchedHaltEnd;
-    if (end > cfg.maxCycles) {
-        triarch_fatal("Raw simulation exceeded ", cfg.maxCycles,
-                      " cycles — deadlock or runaway program");
-    }
-    // Settle the books exactly like runEvent's epilogue: every tile
-    // sleeps from its own chain's end to the machine-wide end.
-    for (unsigned t = 0; t < cfg.tiles(); ++t)
-        creditSleep(t, end);
-    return end;
-}
-
-void
-RawMachine::checkChainHazard(unsigned t, Addr addr) const
-{
-    const Addr off = addr - globalBase;
-    for (const ChainBox &box : hazardBoxes) {
-        if (t != box.owner && off + 4 > box.lo && off < box.hi) {
-            triarch_fatal(
-                "Raw tile ", t, " global access @", addr,
-                " lands in the DMA footprint of chain ", box.owner,
-                ", which a fused co-batch run already completed "
-                "ahead of global time; this access cannot be "
-                "ordered correctly (DESIGN D13) — run with the "
-                "reference stepper");
-        }
-    }
-}
-
 Cycles
 RawMachine::runReference()
 {
@@ -1246,22 +959,6 @@ RawMachine::runEvent()
         wake[t] = hot[t].halted ? kNever : 0;
     }
     batchedHaltEnd = 0;
-
-    // Grid-wide fast path (D13): when the machine decomposes into
-    // independent (tile t, port t) chains, run each chain to
-    // completion in a fused two-actor loop instead of interleaving
-    // all 32 actors cycle by cycle. Bit-identical by construction;
-    // a dynamic global lw/sw parks its tile and falls back to the
-    // general loop below, which resumes every tile from its exact
-    // per-tile progress (talliedThrough / wake are already correct)
-    // while checkChainHazard() traps accesses into footprints that
-    // completed chains already touched ahead of global time.
-    if (batching && portWork != 0 && coBatchEligible()) {
-        bool poisoned = false;
-        const Cycles end = runCoBatch(poisoned);
-        if (!poisoned)
-            return end;
-    }
 
     Cycles now = 0;
     while (liveTiles != 0 || portWork != 0) {
@@ -1318,7 +1015,6 @@ Cycles
 RawMachine::run()
 {
     debugTrace = logLevel() >= LogLevel::Debug;
-    hazardBoxes.clear();
     const RawStepper mode = cfg.stepper == RawStepper::Default
                                 ? defaultRawStepper()
                                 : cfg.stepper;

@@ -18,16 +18,6 @@
  * jumps `now` to the minimum pending wake, and credits the skipped
  * cycles to the sleeping tiles' stall tallies in bulk. Both produce
  * bit-identical cycle counts and statistics.
- *
- * On top of the event stepper sits the fused DMA co-batch (DESIGN
- * D13): when the machine decomposes into independent (tile t, port t)
- * chains — every live tile routes $csto to its own port, every DMA
- * segment on port t targets tile t, no dynamic-network traffic, and
- * no cross-chain DMA footprint overlap — each chain runs to
- * completion in a private two-actor loop before the next one starts.
- * Chains share no observable state, so the per-chain runs commute
- * with the global cycle interleaving and every counter, tally, and
- * memory byte lands exactly where the plain event loop puts it.
  */
 
 #ifndef TRIARCH_RAW_MACHINE_HH
@@ -271,21 +261,6 @@ class RawMachine
         Cycles outFree = 0;
         Addr inLastRow = ~Addr{0};
         Addr outLastRow = ~Addr{0};
-        /** This port's share of portWork (queued segments plus
-         *  in-flight arrivals), so a fused chain run can test "this
-         *  chain's port is drained" in O(1). */
-        std::uint64_t work = 0;
-    };
-
-    /** Bounding box of one chain's DMA footprint (globalBase-
-     *  relative bytes), armed as a hazard trap when a co-batch run
-     *  is abandoned after some chains already ran ahead of global
-     *  time (D13). */
-    struct ChainBox
-    {
-        Addr lo = ~Addr{0};
-        Addr hi = 0;
-        unsigned owner = 0;     //!< chain (tile/port) index
     };
 
     /** Step one tile by one cycle; records one tally and refreshes
@@ -327,35 +302,6 @@ class RawMachine
     /** The event-driven loop: jump to the minimum pending wake. */
     Cycles runEvent();
 
-    /**
-     * Fused co-batch gate (D13): true when every live tile and every
-     * queued DMA segment stays inside its own (tile t, port t) chain
-     * and no DMA write range can overlap another chain's DMA
-     * footprint. Side effect: fills chainBoxes. Global lw/sw cannot
-     * be ruled out statically (addresses are register-computed);
-     * runChain() parks on one dynamically instead.
-     */
-    bool coBatchEligible();
-
-    /**
-     * Run every chain to completion back to back; returns the wall
-     * clock (max chain end) with all tallies settled. When a tile
-     * parks on a global lw/sw, sets @p poisoned, arms the hazard
-     * boxes of the chains that already ran ahead, and returns with
-     * per-tile progress exact so the general event loop can resume
-     * from cycle 0.
-     */
-    Cycles runCoBatch(bool &poisoned);
-
-    /** Run the (tile t, port t) chain until both are done; returns
-     *  the first cycle with nothing left (or the park cycle). */
-    Cycles runChain(unsigned t);
-
-    /** Trap a post-poison global access into a completed chain's DMA
-     *  footprint — the co-batch ran that chain ahead of global time,
-     *  so the access cannot be ordered correctly any more. */
-    void checkChainHazard(unsigned t, Addr addr) const;
-
     bool allDone() const;
 
     RawConfig cfg;
@@ -382,21 +328,9 @@ class RawMachine
     /** Event-stepper runs may execute tile-local instruction runs in
      *  one stepTile call; always false for the reference stepper. */
     bool batching = false;
-    /** Latest halt-cycle + 1 executed inside a batch (or fused chain)
-     *  this run; the event loop's cursor can exit behind it. */
+    /** Latest halt-cycle + 1 executed inside a batch this run; the
+     *  event loop's cursor can exit behind it. */
     Cycles batchedHaltEnd = 0;
-    /** A fused chain run is active: stepTile parks the tile on a
-     *  global lw/sw instead of executing it (D13). */
-    bool chainMode = false;
-    /** The active chain run parked its tile on a global access. */
-    bool chainParked = false;
-    /** Per-chain DMA footprints, filled by coBatchEligible(). */
-    std::vector<ChainBox> chainBoxes;
-    /** Non-empty only after a poisoned co-batch: footprints of the
-     *  chains that ran ahead; stepTile checks global accesses
-     *  against them (owner-tile accesses are exempt — a chain's own
-     *  progress is cycle-exact relative to itself). */
-    std::vector<ChainBox> hazardBoxes;
     /** O(1) allDone for the event loop: non-halted tiles ... */
     unsigned liveTiles = 0;
     /** ... plus undrained port work items (queued DMA segments and

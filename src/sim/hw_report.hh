@@ -15,7 +15,9 @@
  * Everything here is deterministic: epoch boundaries are simulated-
  * cycle positions (never wall clock), the sampler's result is
  * independent of the order events are recorded in (required because
- * the Raw co-batch replays per-chain cycle ranges out of order), and
+ * the Raw event stepper credits skipped cycles in bulk ranges after
+ * later cycles were already recorded, and its tile-local batches run
+ * ahead of the global cursor), and
  * the registry renders label-sorted — so hw documents are
  * byte-identical at any worker-thread count and under both the Span
  * and Reference memory models (D13).

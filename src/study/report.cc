@@ -85,17 +85,19 @@ buildTable2()
 }
 
 Table
-buildTable3(const std::vector<RunResult> &results)
+buildTable3(const std::vector<RunResult> &results,
+            const std::vector<MachineId> &machines,
+            const std::vector<KernelId> &kernels)
 {
     Table t("Table 3. Experimental results (cycles in 10^3)");
     std::vector<std::string> head = {""};
-    for (KernelId k : allKernels())
+    for (KernelId k : kernels)
         head.push_back(kernelName(k));
     t.header(head);
 
-    for (MachineId machine : allMachines()) {
+    for (MachineId machine : machines) {
         std::vector<std::string> cells = {machineName(machine)};
-        for (KernelId kernel : allKernels()) {
+        for (KernelId kernel : kernels) {
             const auto &r = findResult(results, machine, kernel);
             triarch_assert(r.validated, machineName(machine), " ",
                            kernelName(kernel),

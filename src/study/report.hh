@@ -27,8 +27,11 @@ Table buildTable1();
 /** Table 2: processor parameters. */
 Table buildTable2();
 
-/** Table 3: experimental results (cycles in 10^3). */
-Table buildTable3(const std::vector<RunResult> &results);
+/** Table 3: experimental results (cycles in 10^3), one row per
+ *  machine and one column per kernel, in the given orders. */
+Table buildTable3(const std::vector<RunResult> &results,
+                  const std::vector<MachineId> &machines = allMachines(),
+                  const std::vector<KernelId> &kernels = allKernels());
 
 /**
  * Table 4: Section 2.5 performance-model bounds vs measured cycles,

@@ -4,7 +4,8 @@
  * lookup tables: numeric flags reject negative, overflowing, and
  * truncating values instead of silently wrapping; value-less flags
  * reject inline values; the trace file is written even when the
- * bench body fails; and out-of-range KernelId/MachineId lookups
+ * bench body fails; --machines/--kernels either narrow the work or,
+ * where a bench needs the whole grid, exit 2; and out-of-range KernelId/MachineId lookups
  * panic with the numeric value instead of reading past the static
  * name arrays.
  */
@@ -20,6 +21,7 @@
 #include "bench_main.hh"
 #include "study/experiment.hh"
 #include "study/machine_info.hh"
+#include "study/report.hh"
 
 namespace triarch
 {
@@ -154,6 +156,47 @@ TEST(BenchTrace, WrittenEvenWhenBodyFails)
     EXPECT_NE(out.find("failed with exit code 3"),
               std::string::npos);
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------
+// --machines/--kernels are honoured or rejected, never ignored.
+// ---------------------------------------------------------------
+
+TEST(BenchSelection, GridBenchesRejectNarrowingFilters)
+{
+    // Figures 8/9, Table 4 and the energy ablation need every cell;
+    // a narrowed selection exits 2 instead of running all 15 anyway.
+    const bench::BenchBody grid = [](bench::BenchContext &ctx) {
+        ctx.allResults();
+        return 0;
+    };
+    EXPECT_EXIT(runBench({"--machines", "imagine"}, grid),
+                testing::ExitedWithCode(2),
+                "needs the full 5x3 grid");
+    EXPECT_EXIT(runBench({"--kernels", "bs"}, grid),
+                testing::ExitedWithCode(2),
+                "needs the full 5x3 grid");
+}
+
+TEST(BenchSelection, Table3RunsAndShowsOnlySelectedCells)
+{
+    EXPECT_EQ(runBench({"--machines", "imagine", "--kernels", "bs"},
+                       [](bench::BenchContext &ctx) {
+                           const auto &results = ctx.results();
+                           std::ostringstream os;
+                           study::buildTable3(results,
+                                              ctx.options().machines,
+                                              ctx.options().kernels)
+                               .renderCsv(os);
+                           const std::string csv = os.str();
+                           const bool narrow =
+                               results.size() == 1
+                               && csv.find("Imagine") != std::string::npos
+                               && csv.find("Raw") == std::string::npos
+                               && csv.find("CSLC") == std::string::npos;
+                           return narrow ? 0 : 9;
+                       }),
+              0);
 }
 
 // ---------------------------------------------------------------

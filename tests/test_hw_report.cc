@@ -77,8 +77,9 @@ TEST(EpochSamplerTest, GrowMergesSlotsPairwise)
 TEST(EpochSamplerTest, ResultIsOrderIndependent)
 {
     // Same multiset of additions, wildly different orders — with
-    // growth happening at different points in each schedule. This is
-    // the property the Raw co-batch stepper depends on.
+    // growth happening at different points in each schedule. The Raw
+    // event stepper depends on this: it credits slept-through cycles
+    // as bulk ranges after later cycles were already recorded.
     EpochSampler forward({"a", "b"});
     forward.addRange(0, 0, 100);
     forward.addAt(1, 900, 7);

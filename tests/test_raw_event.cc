@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <vector>
 
 #include "raw/assembler.hh"
 #include "raw/machine.hh"
@@ -24,15 +25,20 @@ namespace triarch::raw
 namespace
 {
 
+/** Global-memory words a test reads back after run(). */
+using Readback = std::function<std::vector<Word>(const RawMachine &)>;
+
 /**
  * Build the same workload on a reference-stepped and an
  * event-stepped machine, run both, and require every observable —
- * cycle count, scalar stats, the six per-tile-cycle tallies, and
- * per-tile instruction/idle figures — to match exactly.
+ * cycle count, scalar stats, the six per-tile-cycle tallies,
+ * per-tile instruction/idle figures, and the optional @p readback
+ * words — to match exactly.
  */
 void
 expectSteppersAgree(const std::function<void(RawMachine &)> &setup,
-                    RawConfig base = RawConfig{})
+                    RawConfig base = RawConfig{},
+                    const Readback &readback = {})
 {
     RawConfig refCfg = base;
     refCfg.stepper = RawStepper::Reference;
@@ -67,6 +73,9 @@ expectSteppersAgree(const std::function<void(RawMachine &)> &setup,
             << "tile " << t;
         EXPECT_EQ(ref.tileIdleAfterHalt(t), evt.tileIdleAfterHalt(t))
             << "tile " << t;
+    }
+    if (readback) {
+        EXPECT_EQ(readback(ref), readback(evt));
     }
 }
 
@@ -197,6 +206,72 @@ TEST(RawEventDifferential, CachedGlobalAccesses)
         as.halt();
         m.setProgram(0, as.finish());
     });
+}
+
+TEST(RawEventDifferential, DmaChainBesideCachedGlobalReader)
+{
+    // One tile streams a buffer through its own port while another
+    // tile reads the same buffer through its data cache. Read/read
+    // sharing is legal; the event stepper must interleave the cached
+    // loads with the DMA stream in global cycle order like the
+    // reference does, not trap or abort.
+    std::vector<Word> data(1024);
+    for (unsigned i = 0; i < 1024; ++i)
+        data[i] = i * 3 + 1;
+    Addr out = 0, total = 0;
+    const auto setup = [&](RawMachine &m) {
+        const Addr in = m.allocGlobal(4096, "in");
+        out = m.allocGlobal(4096, "out");
+        total = m.allocGlobal(4, "total");
+        m.pokeGlobal(in, data);
+
+        m.setRoute(0, portEndpoint(0));
+        m.dmaIn(0, 0, in, 1024);
+        m.dmaOut(0, out, 1024);
+        Assembler stream;
+        stream.li(2, 1024);
+        Label copy = stream.label();
+        stream.bind(copy);
+        stream.add(regCsto, regCsti, 0);
+        stream.addi(2, 2, -1);
+        stream.bne(2, 0, copy);
+        stream.halt();
+        m.setProgram(0, stream.finish());
+
+        Assembler reader;
+        reader.li(1, static_cast<std::int32_t>(in));
+        reader.li(2, 256);
+        reader.li(3, 0);
+        Label sum = reader.label();
+        reader.bind(sum);
+        reader.lw(4, 1, 0);
+        reader.add(3, 3, 4);
+        reader.addi(1, 1, 4);
+        reader.addi(2, 2, -1);
+        reader.bne(2, 0, sum);
+        reader.li(5, static_cast<std::int32_t>(total));
+        reader.sw(3, 5, 0);
+        reader.halt();
+        m.setProgram(1, reader.finish());
+    };
+    const auto readback = [&](const RawMachine &m) {
+        std::vector<Word> words = m.peekGlobal(out, 1024);
+        words.push_back(m.peekGlobal(total, 1)[0]);
+        return words;
+    };
+    expectSteppersAgree(setup, RawConfig{}, readback);
+
+    RawConfig evtCfg;
+    evtCfg.stepper = RawStepper::Event;
+    RawMachine evt(evtCfg);
+    setup(evt);
+    evt.run();
+    std::vector<Word> expect = data;
+    Word sum = 0;
+    for (unsigned i = 0; i < 256; ++i)
+        sum += data[i];
+    expect.push_back(sum);
+    EXPECT_EQ(readback(evt), expect);
 }
 
 TEST(RawEventDifferential, DynamicNetworkGather)
