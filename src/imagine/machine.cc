@@ -53,6 +53,7 @@ ImagineMachine::allocMem(std::uint64_t bytes, const std::string &what)
                       " bytes for ", what);
     }
     allocNext = addr + bytes;
+    dram.adviseDense(addr, bytes);
     return addr;
 }
 

@@ -1,6 +1,7 @@
 #include "machine.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <sstream>
 
@@ -10,8 +11,41 @@
 namespace triarch::raw
 {
 
+namespace
+{
+
+/** The event loop's live-tile and busy-port sets are bits of one
+ *  64-bit word, so a mesh must have 1..64 tiles. */
+const RawConfig &
+checkMeshSize(const RawConfig &c)
+{
+    if (c.tiles() == 0 || c.tiles() > 64) {
+        triarch_fatal("Raw mesh ", c.meshWidth, "x", c.meshHeight,
+                      " has ", c.tiles(), " tiles; 1..64 supported");
+    }
+    return c;
+}
+
+/** Index of the lowest set bit of @p mask (non-zero), cleared. */
+unsigned
+popLowBit(std::uint64_t &mask)
+{
+    const unsigned i = static_cast<unsigned>(std::countr_zero(mask));
+    mask &= mask - 1;
+    return i;
+}
+
+constexpr std::uint64_t
+bitOf(unsigned i)
+{
+    return std::uint64_t{1} << i;
+}
+
+} // namespace
+
 RawMachine::RawMachine(const RawConfig &machine_config)
-    : cfg(machine_config), hot(cfg.tiles()), cold(cfg.tiles()),
+    : cfg(checkMeshSize(machine_config)), hot(cfg.tiles()),
+      cold(cfg.tiles()),
       wake(cfg.tiles(), kNever), ports(cfg.tiles()),
       global(cfg.globalBytes), group("raw")
 {
@@ -65,6 +99,7 @@ RawMachine::allocGlobal(std::uint64_t bytes, const std::string &what)
                       " bytes for ", what);
     }
     allocNext = addr + bytes;
+    global.adviseDense(addr, bytes);
     return globalBase + addr;
 }
 
@@ -102,16 +137,15 @@ RawMachine::setProgram(unsigned tile, std::vector<Instr> program)
     triarch_assert(tile < cfg.tiles(), "tile out of range");
     TileCold &c = cold[tile];
     TileHot &h = hot[tile];
-    const bool wasHalted = h.halted;
     c.program = std::move(program);
     h.prog = c.program.data();
     h.progLen = static_cast<std::uint32_t>(c.program.size());
     h.pc = 0;
     h.halted = c.program.empty();
-    if (wasHalted && !h.halted)
-        ++liveTiles;
-    else if (!wasHalted && h.halted)
-        --liveTiles;
+    if (h.halted)
+        liveTileMask &= ~bitOf(tile);
+    else
+        liveTileMask |= bitOf(tile);
 }
 
 void
@@ -164,6 +198,7 @@ RawMachine::dmaIn(unsigned port, unsigned dstTile, Addr base,
         return;
     hot[dstTile].dmaFed = true;
     ports[port].inQueue.push_back({base - globalBase, words, dstTile});
+    busyPortMask |= bitOf(port);
     ++portWork;
 }
 
@@ -175,6 +210,7 @@ RawMachine::dmaOut(unsigned port, Addr base, unsigned words)
     if (words == 0)
         return;
     ports[port].outQueue.push_back({base - globalBase, words, 0});
+    busyPortMask |= bitOf(port);
     ++portWork;
 }
 
@@ -539,7 +575,7 @@ RawMachine::stepTile(unsigned t, Cycles now)
       case Op::Halt:
         tile.halted = true;
         cold[t].haltCycle = now;
-        --liveTiles;
+        liveTileMask &= ~bitOf(t);
         break;
     }
 
@@ -742,7 +778,7 @@ RawMachine::batchTile(unsigned t, Cycles cur)
           case Op::Halt:
             tile.halted = true;
             cold[t].haltCycle = cur;
-            --liveTiles;
+            liveTileMask &= ~bitOf(t);
             ++tile.instrs;
             tile.talliedThrough = cur + 1;
             wake[t] = kNever;
@@ -828,10 +864,14 @@ RawMachine::stepPort(Port &port, Cycles now)
 void
 RawMachine::stepPorts(Cycles now)
 {
-    for (auto &port : ports) {
-        if (port.inQueue.empty() && port.outQueue.empty())
-            continue;
+    // Ports with no queued segment cannot act (arrivals wait for an
+    // out segment), so only the busy ones step, in port order.
+    for (std::uint64_t m = busyPortMask; m != 0;) {
+        const unsigned p = popLowBit(m);
+        Port &port = ports[p];
         stepPort(port, now);
+        if (port.inQueue.empty() && port.outQueue.empty())
+            busyPortMask &= ~bitOf(p);
     }
 }
 
@@ -897,17 +937,18 @@ RawMachine::creditSleep(unsigned t, Cycles now)
 Cycles
 RawMachine::nextEventCycle(Cycles from) const
 {
-    Cycles next = kNever;
-    for (const Cycles w : wake)
-        next = std::min(next, w);
+    // Halted tiles always sleep at kNever, so only live ones count.
     // Candidates below clamp to `from`, so nothing can beat it: the
-    // all-tiles-busy steady state (ct, bs) exits here without ever
-    // touching the port scan.
-    if (next <= from)
-        return from;
-    if (portWork == 0)
-        return next;
-    for (const Port &port : ports) {
+    // all-tiles-busy steady state (ct, bs) exits at the first live
+    // tile without touching the rest or the port scan.
+    Cycles next = kNever;
+    for (std::uint64_t m = liveTileMask; m != 0;) {
+        next = std::min(next, wake[popLowBit(m)]);
+        if (next <= from)
+            return from;
+    }
+    for (std::uint64_t m = busyPortMask; m != 0;) {
+        const Port &port = ports[popLowBit(m)];
         // A port with queued DMA-in work can act as soon as it is
         // free, unless the destination FIFO is full — then its next
         // chance strictly follows a consumer pop, which is itself a
@@ -961,10 +1002,12 @@ RawMachine::runEvent()
     batchedHaltEnd = 0;
 
     Cycles now = 0;
-    while (liveTiles != 0 || portWork != 0) {
-        if (portWork != 0)
-            stepPorts(now);
-        for (unsigned t = 0; t < cfg.tiles(); ++t) {
+    while (liveTileMask != 0 || portWork != 0) {
+        stepPorts(now);
+        // Tiles only leave the live set mid-cycle (by halting), so
+        // walking a snapshot visits exactly the tiles that can wake.
+        for (std::uint64_t m = liveTileMask; m != 0;) {
+            const unsigned t = popLowBit(m);
             if (wake[t] <= now) {
                 if (now > hot[t].talliedThrough)
                     creditSleep(t, now);
@@ -978,7 +1021,7 @@ RawMachine::runEvent()
             triarch_fatal("Raw simulation exceeded ", cfg.maxCycles,
                           " cycles — deadlock or runaway program");
         }
-        if (liveTiles == 0 && portWork == 0)
+        if (liveTileMask == 0 && portWork == 0)
             break;
         const Cycles next = nextEventCycle(now);
         if (next > cfg.maxCycles) {

@@ -15,9 +15,10 @@
  * Two interchangeable run loops execute that model (DESIGN D12): the
  * reference stepper spins one cycle at a time calling every tile,
  * while the event-driven stepper keeps a next-wake cycle per tile,
- * jumps `now` to the minimum pending wake, and credits the skipped
- * cycles to the sleeping tiles' stall tallies in bulk. Both produce
- * bit-identical cycle counts and statistics.
+ * jumps `now` to the minimum pending wake of the live tiles and busy
+ * ports, and credits the skipped cycles to the sleeping tiles' stall
+ * tallies in bulk. Both produce bit-identical cycle counts and
+ * statistics.
  */
 
 #ifndef TRIARCH_RAW_MACHINE_HH
@@ -331,10 +332,16 @@ class RawMachine
     /** Latest halt-cycle + 1 executed inside a batch this run; the
      *  event loop's cursor can exit behind it. */
     Cycles batchedHaltEnd = 0;
-    /** O(1) allDone for the event loop: non-halted tiles ... */
-    unsigned liveTiles = 0;
-    /** ... plus undrained port work items (queued DMA segments and
-     *  in-flight port arrivals). */
+    /** Bit t set while tile t has a program and has not halted
+     *  (the constructor caps tiles() at 64). The event loop steps
+     *  and wake-scans only these tiles; with portWork it is the
+     *  O(1) allDone test. */
+    std::uint64_t liveTileMask = 0;
+    /** Bit p set while port p has a queued DMA-in or DMA-out
+     *  segment; stepPorts and the wake scan visit only these. */
+    std::uint64_t busyPortMask = 0;
+    /** Undrained port work items (queued DMA segments and in-flight
+     *  port arrivals). */
     std::uint64_t portWork = 0;
 
     /** Epoch channels mirroring the stall tallies (busy is derived

@@ -58,6 +58,7 @@ ViramMachine::alloc(std::uint64_t bytes, const std::string &what)
                       " bytes for ", what);
     }
     allocNext = addr + bytes;
+    dram.adviseDense(addr, bytes);
     return addr;
 }
 

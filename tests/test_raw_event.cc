@@ -14,7 +14,9 @@
 #include <functional>
 #include <vector>
 
+#include "kernels/corner_turn.hh"
 #include "raw/assembler.hh"
+#include "raw/kernels_raw.hh"
 #include "raw/machine.hh"
 #include "sim/bitutil.hh"
 #include "study/fuzz.hh"
@@ -28,17 +30,20 @@ namespace
 /** Global-memory words a test reads back after run(). */
 using Readback = std::function<std::vector<Word>(const RawMachine &)>;
 
+/** Set up a workload on a machine and run it; returns the cycles. */
+using Drive = std::function<Cycles(RawMachine &)>;
+
 /**
- * Build the same workload on a reference-stepped and an
- * event-stepped machine, run both, and require every observable —
- * cycle count, scalar stats, the six per-tile-cycle tallies,
- * per-tile instruction/idle figures, and the optional @p readback
- * words — to match exactly.
+ * Drive the same workload on a reference-stepped and an
+ * event-stepped machine and require every observable — cycle count,
+ * scalar stats, the six per-tile-cycle tallies, per-tile
+ * instruction/idle figures, the hw report (breakdown, metrics,
+ * verdict, epoch timeline), and the optional @p readback words — to
+ * match exactly.
  */
 void
-expectSteppersAgree(const std::function<void(RawMachine &)> &setup,
-                    RawConfig base = RawConfig{},
-                    const Readback &readback = {})
+expectRunsAgree(const Drive &drive, RawConfig base = RawConfig{},
+                const Readback &readback = {})
 {
     RawConfig refCfg = base;
     refCfg.stepper = RawStepper::Reference;
@@ -46,10 +51,8 @@ expectSteppersAgree(const std::function<void(RawMachine &)> &setup,
     evtCfg.stepper = RawStepper::Event;
 
     RawMachine ref(refCfg), evt(evtCfg);
-    setup(ref);
-    setup(evt);
-    const Cycles refCycles = ref.run();
-    const Cycles evtCycles = evt.run();
+    const Cycles refCycles = drive(ref);
+    const Cycles evtCycles = drive(evt);
     EXPECT_EQ(refCycles, evtCycles);
 
     EXPECT_EQ(ref.instructions(), evt.instructions());
@@ -68,15 +71,80 @@ expectSteppersAgree(const std::function<void(RawMachine &)> &setup,
     EXPECT_EQ(a.dma, b.dma);
     EXPECT_EQ(a.idle, b.idle);
 
-    for (unsigned t = 0; t < 16; ++t) {
+    for (unsigned t = 0; t < base.tiles(); ++t) {
         EXPECT_EQ(ref.tileInstructions(t), evt.tileInstructions(t))
             << "tile " << t;
         EXPECT_EQ(ref.tileIdleAfterHalt(t), evt.tileIdleAfterHalt(t))
             << "tile " << t;
     }
+
+    // The hw cell carries the D9 breakdown, the derived metrics, the
+    // verdict and the epoch timeline.
+    const stats::CycleBreakdown refSplit = ref.cycleBreakdown(refCycles);
+    const stats::CycleBreakdown evtSplit = evt.cycleBreakdown(evtCycles);
+    EXPECT_EQ(ref.hwCell(refCycles, refSplit),
+              evt.hwCell(evtCycles, evtSplit));
+
     if (readback) {
         EXPECT_EQ(readback(ref), readback(evt));
     }
+}
+
+/** expectRunsAgree for a workload that only needs setting up. */
+void
+expectSteppersAgree(const std::function<void(RawMachine &)> &setup,
+                    RawConfig base = RawConfig{},
+                    const Readback &readback = {})
+{
+    expectRunsAgree(
+        [&](RawMachine &m) {
+            setup(m);
+            return m.run();
+        },
+        base, readback);
+}
+
+/** A mesh of @p width x @p height tiles, other parameters default. */
+RawConfig
+meshConfig(unsigned width, unsigned height)
+{
+    RawConfig cfg;
+    cfg.meshWidth = width;
+    cfg.meshHeight = height;
+    return cfg;
+}
+
+/** A square test matrix with distinct, position-dependent words. */
+kernels::WordMatrix
+testMatrix(unsigned n)
+{
+    kernels::WordMatrix m(n, n);
+    for (std::size_t i = 0; i < m.data.size(); ++i)
+        m.data[i] = static_cast<Word>(i * 2654435761u + 17);
+    return m;
+}
+
+/**
+ * Run cornerTurnRaw on an n x n matrix under both steppers on
+ * @p base's mesh; both transposes must match each other and the
+ * source.
+ */
+void
+expectCornerTurnAgrees(unsigned n, const RawConfig &base = RawConfig{})
+{
+    const kernels::WordMatrix src = testMatrix(n);
+    std::vector<kernels::WordMatrix> outs;
+    expectRunsAgree(
+        [&](RawMachine &m) {
+            kernels::WordMatrix dst;
+            const Cycles cycles = cornerTurnRaw(m, src, dst);
+            outs.push_back(std::move(dst));
+            return cycles;
+        },
+        base);
+    ASSERT_EQ(outs.size(), 2u);
+    EXPECT_EQ(outs[0].data, outs[1].data);
+    EXPECT_TRUE(kernels::isTransposeOf(src, outs[1]));
 }
 
 TEST(RawEventDifferential, DependentLatencyChain)
@@ -302,6 +370,100 @@ TEST(RawEventDifferential, DynamicNetworkGather)
         hub.halt();
         m.setProgram(0, hub.finish());
     });
+}
+
+TEST(RawEventDifferential, CornerTurnWithFewLiveTilesAndPorts)
+{
+    // n / 64 block rows go round-robin over the 16 tiles, so these
+    // sizes leave 1-4 tiles and ports live; the rest halt at cycle 0.
+    for (const unsigned n : {64u, 128u, 192u, 256u}) {
+        SCOPED_TRACE(n);
+        expectCornerTurnAgrees(n);
+    }
+}
+
+TEST(RawEventDifferential, SingleTileMesh)
+{
+    expectCornerTurnAgrees(128, meshConfig(1, 1));
+    expectSteppersAgree(
+        [](RawMachine &m) {
+            const Addr in = m.allocGlobal(4096, "in");
+            const Addr out = m.allocGlobal(4096, "out");
+            std::vector<Word> data(1024);
+            for (unsigned i = 0; i < 1024; ++i)
+                data[i] = i * 5 + 3;
+            m.pokeGlobal(in, data);
+            m.dmaIn(0, 0, in, 1024);
+            m.dmaOut(0, out, 1024);
+            m.setRoute(0, portEndpoint(0));
+            Assembler as;
+            as.li(2, 1024);
+            Label loop = as.label();
+            as.bind(loop);
+            as.add(regCsto, regCsti, 0);
+            as.addi(2, 2, -1);
+            as.bne(2, 0, loop);
+            as.halt();
+            m.setProgram(0, as.finish());
+        },
+        meshConfig(1, 1));
+}
+
+TEST(RawEventDifferential, TwoByTwoMesh)
+{
+    expectCornerTurnAgrees(192, meshConfig(2, 2));
+    // Static-network ping-pong across the mesh diagonal plus a
+    // dynamic-network gather into tile 0.
+    expectSteppersAgree(
+        [](RawMachine &m) {
+            m.setRoute(1, 2);
+            m.setRoute(2, 1);
+            Assembler t1;
+            t1.li(1, 6);
+            Label loop = t1.label();
+            t1.bind(loop);
+            t1.move(regCsto, 1);
+            t1.move(2, regCsti);
+            t1.addi(1, 1, -1);
+            t1.bne(1, 0, loop);
+            t1.halt();
+            m.setProgram(1, t1.finish());
+            Assembler t2;
+            t2.li(3, 6);
+            Label echo = t2.label();
+            t2.bind(echo);
+            t2.move(regCsto, regCsti);
+            t2.addi(3, 3, -1);
+            t2.bne(3, 0, echo);
+            t2.li(4, 0);
+            t2.li(5, 42);
+            t2.dsend(4, 5);
+            t2.halt();
+            m.setProgram(2, t2.finish());
+            Assembler t3;
+            t3.li(4, 0);
+            t3.li(5, 7);
+            t3.dsend(4, 5);
+            t3.halt();
+            m.setProgram(3, t3.finish());
+            Assembler hub;
+            hub.drecv(1);
+            hub.drecv(2);
+            hub.add(1, 1, 2);
+            hub.sw(1, 0, 0);
+            hub.halt();
+            m.setProgram(0, hub.finish());
+        },
+        meshConfig(2, 2));
+}
+
+TEST(RawEventDifferential, MeshSizeOutsideMaskWidthIsFatal)
+{
+    // The event loop's live-tile and busy-port sets are 64-bit masks.
+    EXPECT_DEATH(RawMachine m(meshConfig(0, 4)), "1..64");
+    EXPECT_DEATH(RawMachine m(meshConfig(13, 5)), "1..64");
+    RawMachine widest(meshConfig(8, 8));
+    EXPECT_EQ(widest.config().tiles(), 64u);
 }
 
 TEST(RawEventDifferential, MaxCyclesDeadlockIsFatalInBothModes)

@@ -1,18 +1,22 @@
 /**
  * @file
  * Unit tests for the simulation base library: bit utilities, RNG
- * determinism, statistics, and table rendering.
+ * determinism, statistics, table rendering, and zero-filled buffers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "sim/bitutil.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
+#include "sim/zero_buffer.hh"
 
 namespace triarch
 {
@@ -71,6 +75,65 @@ TEST(BitUtil, FloatWordRoundTrip)
     for (float f : {0.0f, 1.5f, -3.25f, 1e-20f, 1e20f}) {
         EXPECT_EQ(wordToFloat(floatToWord(f)), f);
     }
+}
+
+/** True iff every byte of @p b is zero. */
+bool
+allZero(const ZeroBuffer &b)
+{
+    return std::all_of(b.data(), b.data() + b.size(),
+                       [](std::uint8_t v) { return v == 0; });
+}
+
+TEST(ZeroBuffer, ReallocatedAfterDirtyingComesBackZero)
+{
+    // 13 MiB is VIRAM's DRAM image: below glibc's dynamic mmap
+    // threshold once a larger block has been freed, the size a heap
+    // allocator would hand back recycled.
+    constexpr std::size_t n = 13u << 20;
+    for (int round = 0; round < 3; ++round) {
+        ZeroBuffer b(n);
+        ASSERT_NE(b.data(), nullptr);
+        ASSERT_EQ(b.size(), n);
+        EXPECT_TRUE(allZero(b)) << "round " << round;
+        std::memset(b.data(), 0xA5, n);
+    }
+}
+
+TEST(ZeroBuffer, DenseAdviceKeepsContents)
+{
+    // Huge-page advice at the start, in the middle and clamped at the
+    // end of the buffer, around a short range it must ignore.
+    constexpr std::size_t n = 13u << 20;
+    ZeroBuffer b(n);
+    b.data()[100] = 9;
+    b.adviseDense(64, 4u << 20);
+    b.adviseDense((4u << 20) + 128, 4096);
+    b.adviseDense(n - (3u << 20), 3u << 20);
+    EXPECT_EQ(b.data()[100], 9);
+    b.data()[100] = 0;
+    EXPECT_TRUE(allZero(b));
+    std::memset(b.data(), 0x5A, n);
+    EXPECT_EQ(b.data()[n - 1], 0x5A);
+}
+
+TEST(ZeroBuffer, MovedFromIsNullAndSafeToDestroy)
+{
+    ZeroBuffer a(4096);
+    a.data()[4095] = 7;
+    ZeroBuffer b(std::move(a));
+    EXPECT_EQ(a.data(), nullptr);
+    EXPECT_EQ(a.size(), 0u);
+    ASSERT_EQ(b.size(), 4096u);
+    EXPECT_EQ(b.data()[4095], 7);
+}
+
+TEST(ZeroBuffer, SizeZeroWorks)
+{
+    ZeroBuffer b(0);
+    EXPECT_EQ(b.size(), 0u);
+    EXPECT_NE(b.data(), nullptr);
+    EXPECT_TRUE(allZero(b));
 }
 
 TEST(Rng, Deterministic)
