@@ -4,14 +4,16 @@
  * counts side by side.
  *
  * This is the smallest complete use of the public API: build a
- * Runner with a workload configuration, ask it for (machine, kernel)
- * measurements, and read cycles + validation out of the RunResult.
+ * ParallelRunner with a workload configuration (one thread is
+ * plenty here), ask it for (machine, kernel) measurements, and read
+ * cycles + validation out of the RunResult.
  *
  *   $ ./quickstart
  */
 
 #include <iostream>
 
+#include "study/parallel.hh"
 #include "study/report.hh"
 
 using namespace triarch;
@@ -32,7 +34,7 @@ main()
     cfg.jammerBins = {100, 900};
     cfg.beam.dwells = 2;
 
-    Runner runner(cfg);
+    ParallelRunner runner(cfg, 1);
 
     std::cout << "triarch quickstart: corner turn ("
               << cfg.matrixSize << "x" << cfg.matrixSize

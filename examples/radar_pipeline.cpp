@@ -15,6 +15,7 @@
 #include <iostream>
 #include <string>
 
+#include "study/parallel.hh"
 #include "study/report.hh"
 
 using namespace triarch;
@@ -71,7 +72,7 @@ main(int argc, char **argv)
               << Table::num(10.0 * std::log10(inputPower), 1)
               << " dB re unit signal\n";
 
-    Runner runner(cfg);
+    ParallelRunner runner(cfg, 1);
     auto result = runner.run(machine, KernelId::Cslc);
 
     // Re-derive the cancellation depth from the same workload.

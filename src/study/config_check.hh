@@ -2,9 +2,9 @@
  * @file
  * Up-front validation of a StudyConfig. Every rule a registered
  * mapping or the reference pipeline relies on is checked here and
- * reported as a typed ConfigError (like MappingError), so a bad
- * configuration fails before buildWorkloads() runs — not as a panic
- * deep inside a worker thread.
+ * reported as a typed ConfigError, so a bad configuration fails
+ * before buildWorkloads() runs — not as a panic deep inside a worker
+ * thread.
  *
  * The rules (also listed in the README):
  *  - matrixSize: a positive multiple of 64 (VIRAM 64-element strips,

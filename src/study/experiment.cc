@@ -5,7 +5,6 @@
 
 #include "sim/logging.hh"
 #include "study/config_check.hh"
-#include "study/registry.hh"
 
 namespace triarch::study
 {
@@ -151,44 +150,6 @@ cslcOutputValid(const StudyConfig &cfg, const Workloads &work,
         }
     }
     return err <= 1e-4 * power;
-}
-
-Runner::Runner(StudyConfig run_config, const MappingRegistry *mappings)
-    : cfg(std::move(run_config)),
-      mappings(mappings ? mappings : &MappingRegistry::builtin()),
-      work(buildWorkloads(cfg))
-{
-}
-
-Runner::~Runner() = default;
-
-RunOutcome
-Runner::tryRun(MachineId machine, KernelId kernel)
-{
-    const KernelMapping *mapping = mappings->find(machine, kernel);
-    if (!mapping)
-        return mappings->missing(machine, kernel);
-    return (*mapping)(cfg, *work);
-}
-
-RunResult
-Runner::run(MachineId machine, KernelId kernel)
-{
-    RunOutcome outcome = tryRun(machine, kernel);
-    if (auto *err = std::get_if<MappingError>(&outcome))
-        triarch_fatal(err->message);
-    return std::get<RunResult>(std::move(outcome));
-}
-
-std::vector<RunResult>
-Runner::runAll()
-{
-    std::vector<RunResult> results;
-    for (MachineId machine : allMachines()) {
-        for (KernelId kernel : allKernels())
-            results.push_back(run(machine, kernel));
-    }
-    return results;
 }
 
 } // namespace triarch::study

@@ -1,15 +1,14 @@
 /**
  * @file
- * The experiment runner: builds the paper's workloads, dispatches a
- * (machine, kernel) pair to the registered simulator mapping,
- * validates the output against the reference kernels, and returns
- * the cycle count plus explanatory statistics. This is the
- * measurement loop behind Table 3 and Figures 8-9.
+ * The study's vocabulary: the three kernels, the workload
+ * configuration, the per-cell RunResult, and the immutable shared
+ * Workloads (synthesized inputs plus golden reference outputs) that
+ * every (machine, kernel) measurement behind Table 3 and Figures 8-9
+ * runs against.
  *
- * Dispatch goes through a MappingRegistry (registry.hh) rather than
- * hard-coded switches, so new architectures and kernels plug in by
- * registration, and the same cell implementations serve both the
- * serial Runner here and the ParallelRunner (parallel.hh).
+ * Cells are implemented once in the MappingRegistry (registry.hh)
+ * and run by the ParallelRunner (parallel.hh) — the only runner; at
+ * one thread it calls each mapping inline on the calling thread.
  */
 
 #ifndef TRIARCH_STUDY_EXPERIMENT_HH
@@ -19,7 +18,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "kernels/beam_steering.hh"
@@ -127,60 +125,6 @@ std::shared_ptr<const Workloads> buildWorkloads(const StudyConfig &cfg);
 bool cslcOutputValid(const StudyConfig &cfg, const Workloads &work,
                      const kernels::CslcOutput &out,
                      kernels::FftAlgo algo);
-
-/**
- * Typed error for a (machine, kernel) pair with no registered
- * mapping — returned instead of falling through a switch.
- */
-struct MappingError
-{
-    MachineId machine{};
-    KernelId kernel{};
-    std::string message;
-};
-
-/** A run either measures a cell or names the missing mapping. */
-using RunOutcome = std::variant<RunResult, MappingError>;
-
-class MappingRegistry;
-
-/**
- * Builds workloads once and runs any (machine, kernel) pair on
- * freshly constructed machine models, serially on the calling
- * thread. ParallelRunner (parallel.hh) is the concurrent,
- * result-caching equivalent; both dispatch through the same
- * MappingRegistry and produce bit-identical results.
- */
-class Runner
-{
-  public:
-    /** @p mappings defaults to MappingRegistry::builtin(). */
-    explicit Runner(StudyConfig run_config = {},
-                    const MappingRegistry *mappings = nullptr);
-    ~Runner();
-
-    const StudyConfig &config() const { return cfg; }
-
-    /** The shared immutable workloads (never null). */
-    const std::shared_ptr<const Workloads> &workloads() const
-    {
-        return work;
-    }
-
-    /** Run one cell of Table 3 (fatal if the pair is unmapped). */
-    RunResult run(MachineId machine, KernelId kernel);
-
-    /** Run one cell, or report the missing mapping as a value. */
-    RunOutcome tryRun(MachineId machine, KernelId kernel);
-
-    /** Run all 15 cells (5 platforms x 3 kernels). */
-    std::vector<RunResult> runAll();
-
-  private:
-    StudyConfig cfg;
-    const MappingRegistry *mappings;
-    std::shared_ptr<const Workloads> work;
-};
 
 } // namespace triarch::study
 

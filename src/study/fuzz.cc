@@ -5,7 +5,6 @@
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "study/registry.hh"
 
 namespace triarch::study
 {
@@ -185,32 +184,18 @@ checkConfigDifferential(const StudyConfig &cfg,
 {
     const std::vector<Cell> cells = selectedCells(opts);
 
-    Runner serial(cfg, opts.mappings);
+    ParallelRunner serial(cfg, 1, opts.mappings,
+                          ParallelRunner::noCache());
     ParallelRunner par(cfg, opts.threads, opts.mappings,
                        ParallelRunner::noCache());
-    const std::vector<RunOutcome> parallel = par.tryRunCells(cells);
+    const std::vector<RunResult> serialResults = serial.runCells(cells);
+    const std::vector<RunResult> parallel = par.runCells(cells);
 
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const std::string label = machineToken(cells[i].machine) + "/"
                                   + kernelToken(cells[i].kernel);
-        RunOutcome s = serial.tryRun(cells[i].machine,
-                                     cells[i].kernel);
-        const auto *serialErr = std::get_if<MappingError>(&s);
-        const auto *parErr = std::get_if<MappingError>(&parallel[i]);
-        if (serialErr || parErr) {
-            // Consistently missing mappings are fine (a partial
-            // registry); disagreement about *whether* the mapping
-            // exists is not.
-            if (static_cast<bool>(serialErr)
-                != static_cast<bool>(parErr)) {
-                return label
-                       + ": serial and parallel runners disagree on "
-                         "whether the mapping is registered";
-            }
-            continue;
-        }
-        const auto &serialRes = std::get<RunResult>(s);
-        const auto &parRes = std::get<RunResult>(parallel[i]);
+        const RunResult &serialRes = serialResults[i];
+        const RunResult &parRes = parallel[i];
         if (!serialRes.validated) {
             return label + ": output failed reference validation ("
                    + std::to_string(serialRes.cycles) + " cycles)";

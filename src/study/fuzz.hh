@@ -3,12 +3,12 @@
  * Differential config-fuzzing across the four simulators. A seeded,
  * wall-clock-free enumerator sweeps boundary and random workload
  * shapes; every config that passes the ConfigValidator is run on
- * every registered (machine, kernel) cell twice — serially and
- * through the ParallelRunner — and the two result sets must agree
- * bit-for-bit with every output validating against the reference
- * kernels. A disagreement is minimized to the smallest config that
- * still fails and reported with its studyConfigHash so it can be
- * replayed exactly.
+ * every registered (machine, kernel) cell twice — through a
+ * ParallelRunner at one thread and at opts.threads — and the two
+ * result sets must agree bit-for-bit with every output validating
+ * against the reference kernels. A disagreement is minimized to the
+ * smallest config that still fails and reported with its
+ * studyConfigHash so it can be replayed exactly.
  *
  * Configs the validator rejects are part of the sweep on purpose:
  * each one must come back as a typed ConfigError, never as a panic.
@@ -36,11 +36,13 @@ struct FuzzOptions
     unsigned randomConfigs = 48;
     /** Include the hand-written boundary config list. */
     bool includeBoundary = true;
-    /** Worker threads for the parallel half of each comparison. */
+    /** Worker threads for the second run of each comparison. */
     unsigned threads = 2;
     /** Cells to compare per config; empty = every registered cell. */
     std::vector<Cell> cells;
-    /** Mapping registry; null = MappingRegistry::builtin(). */
+    /** Mapping registry; null = MappingRegistry::builtin(). Every
+     *  selected cell must be registered (an unmapped pair is
+     *  fatal). */
     const MappingRegistry *mappings = nullptr;
 };
 
@@ -64,7 +66,7 @@ struct FuzzReport
 {
     std::vector<StudyConfig> configs;       //!< enumerated, in order
     std::vector<FuzzRejection> rejected;
-    std::uint64_t cellsChecked = 0;         //!< serial+parallel pairs
+    std::uint64_t cellsChecked = 0;         //!< 1-thread/N-thread pairs
     std::vector<FuzzFailure> failures;
 
     bool clean() const { return failures.empty(); }
@@ -81,12 +83,12 @@ struct FuzzReport
 std::vector<StudyConfig> enumerateFuzzConfigs(const FuzzOptions &opts);
 
 /**
- * Run every selected cell of @p cfg serially and through a
- * ParallelRunner (uncached) and compare. Returns a description of
- * the first failure — a cell whose output fails reference
- * validation, or whose parallel result is not bit-identical to the
- * serial one — or nullopt when all cells agree. @p cfg must already
- * be valid.
+ * Run every selected cell of @p cfg through an uncached
+ * ParallelRunner at one thread and at opts.threads, and compare.
+ * Returns a description of the first failure — a cell whose output
+ * fails reference validation, or whose multi-threaded result is not
+ * bit-identical to the one-thread one — or nullopt when all cells
+ * agree. @p cfg must already be valid.
  */
 std::optional<std::string>
 checkConfigDifferential(const StudyConfig &cfg,

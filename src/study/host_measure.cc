@@ -1,7 +1,7 @@
 #include "host_measure.hh"
 
-#include "sim/logging.hh"
-#include "study/machine_info.hh"
+#include <algorithm>
+
 #include "study/registry.hh"
 
 namespace triarch::study
@@ -10,11 +10,8 @@ namespace triarch::study
 HostSection
 measureHostSection(const StudyConfig &cfg,
                    const std::vector<Cell> &cells,
-                   const host::MeasureOptions &opts,
-                   const MappingRegistry *mappings)
+                   const host::MeasureOptions &opts)
 {
-    if (!mappings)
-        mappings = &MappingRegistry::builtin();
     const auto work = buildWorkloads(cfg);
 
     HostSection section;
@@ -32,13 +29,10 @@ measureHostSection(const StudyConfig &cfg,
 
     double medianSumNs = 0.0;
     for (const Cell &cell : cells) {
-        const KernelMapping *mapping =
-            mappings->find(cell.machine, cell.kernel);
-        triarch_assert(mapping != nullptr, "no mapping for ",
-                       machineToken(cell.machine), "/",
-                       kernelToken(cell.kernel));
+        const KernelMapping &mapping =
+            MappingRegistry::builtin().at(cell.machine, cell.kernel);
         const host::Measurement m = host::measureRepeated(
-            cellOpts, [&] { (void)(*mapping)(cfg, *work); });
+            cellOpts, [&] { (void)mapping(cfg, *work); });
 
         HostCellTiming timing;
         timing.machine = cell.machine;

@@ -24,13 +24,11 @@ namespace triarch::study
  * once, then each mapping runs opts.warmup unmeasured plus
  * opts.repetitions measured times. cellsPerSec is the grid
  * throughput at the per-cell medians (cells / sum of medians).
- * Panics on an unmapped pair — callers measure known grids.
+ * Cells run the built-in mappings; an unmapped pair is fatal.
  */
 HostSection measureHostSection(const StudyConfig &cfg,
                                const std::vector<Cell> &cells,
-                               const host::MeasureOptions &opts,
-                               const MappingRegistry *mappings
-                               = nullptr);
+                               const host::MeasureOptions &opts);
 
 } // namespace triarch::study
 

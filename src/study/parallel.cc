@@ -6,7 +6,6 @@
 
 #include "sim/host_clock.hh"
 #include "sim/hw_report.hh"
-#include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "study/machine_info.hh"
@@ -50,8 +49,6 @@ ParallelRunner::ParallelRunner(StudyConfig run_config,
                                "cells executed by workers");
     schedGroup.addAtomicScalar("cells_cached", &nCellsCached,
                                "cells served from the result cache");
-    schedGroup.addAtomicScalar("cells_missing", &nCellsMissing,
-                               "cells with no registered mapping");
     schedGroup.addHistogram("cell_host_ns", &cellHostNs,
                             "host ns per executed cell mapping");
     schedGroup.addHistogram("queue_wait_ns", &queueWaitNs,
@@ -66,12 +63,6 @@ ParallelRunner::~ParallelRunner()
     metrics::MetricsRegistry::global().capture(schedGroup,
                                                "scheduler");
     metrics::MetricsRegistry::global().unregisterLive(&schedGroup);
-}
-
-RunOutcome
-ParallelRunner::tryRun(MachineId machine, KernelId kernel)
-{
-    return tryRunCells({{machine, kernel}}).front();
 }
 
 RunResult
@@ -89,22 +80,7 @@ ParallelRunner::runAll()
 std::vector<RunResult>
 ParallelRunner::runCells(const std::vector<Cell> &cells)
 {
-    std::vector<RunOutcome> outcomes = tryRunCells(cells);
-    std::vector<RunResult> results;
-    results.reserve(outcomes.size());
-    for (RunOutcome &outcome : outcomes) {
-        if (auto *err = std::get_if<MappingError>(&outcome))
-            triarch_fatal(err->message);
-        results.push_back(std::get<RunResult>(std::move(outcome)));
-    }
-    return results;
-}
-
-std::vector<RunOutcome>
-ParallelRunner::tryRunCells(const std::vector<Cell> &cells)
-{
-    std::vector<RunOutcome> outcomes(cells.size(),
-                                     RunOutcome{MappingError{}});
+    std::vector<RunResult> results(cells.size());
 
     // Grab the session once so every event in this batch goes to the
     // same place even if tracing stops mid-batch.
@@ -121,14 +97,20 @@ ParallelRunner::tryRunCells(const std::vector<Cell> &cells)
                + kernelToken(cell.kernel);
     };
 
-    // Serve what the cache already has; queue the rest.
-    std::vector<std::size_t> pending;
+    // Serve what the cache already has; queue the rest with its
+    // mapping, resolved here so an unmapped pair dies on the caller.
+    struct Pending
+    {
+        std::size_t slot;
+        const KernelMapping *mapping;
+    };
+    std::vector<Pending> pending;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         if (cache) {
             const double lookupUs = ts ? ts->nowUs() : 0.0;
             if (auto hit = cache->get(cells[i].machine,
                                       cells[i].kernel, cfgHash)) {
-                outcomes[i] = std::move(*hit);
+                results[i] = std::move(*hit);
                 ++nCellsCached;
                 if (ts) {
                     ts->span(cellLabel(cells[i]), "cell", lookupUs,
@@ -138,7 +120,8 @@ ParallelRunner::tryRunCells(const std::vector<Cell> &cells)
                 continue;
             }
         }
-        pending.push_back(i);
+        pending.push_back(
+            {i, &mappings->at(cells[i].machine, cells[i].kernel)});
     }
     if (ts && cache) {
         ts->counter("cache.hits",
@@ -147,10 +130,10 @@ ParallelRunner::tryRunCells(const std::vector<Cell> &cells)
                     static_cast<double>(cache->misses()));
     }
     if (pending.empty())
-        return outcomes;
+        return results;
 
     // Each worker claims queue slots with an atomic ticket; results
-    // land in the outcome slot of their cell, so the output order is
+    // land in the result slot of their cell, so the output order is
     // scheduling-independent. When tracing, each executed cell gets
     // a span on its worker's lane from the moment the ticket was
     // claimed, carrying the queue wait as an arg and the raw mapping
@@ -162,20 +145,12 @@ ParallelRunner::tryRunCells(const std::vector<Cell> &cells)
                 next.fetch_add(1, std::memory_order_relaxed);
             if (ticket >= pending.size())
                 return;
-            const std::size_t slot = pending[ticket];
+            const std::size_t slot = pending[ticket].slot;
             const Cell &cell = cells[slot];
             const double pickUs = ts ? ts->nowUs() : 0.0;
             const std::uint64_t pickNs = hostOn ? host::nowNs() : 0;
-            const KernelMapping *mapping =
-                mappings->find(cell.machine, cell.kernel);
-            if (!mapping) {
-                outcomes[slot] =
-                    mappings->missing(cell.machine, cell.kernel);
-                ++nCellsMissing;
-                continue;
-            }
             const double execUs = ts ? ts->nowUs() : 0.0;
-            RunResult result = (*mapping)(cfg, *work);
+            RunResult result = (*pending[ticket].mapping)(cfg, *work);
             if (hostOn) {
                 const std::uint64_t doneNs = host::nowNs();
                 cellHostNs.record(doneNs - pickNs);
@@ -187,7 +162,7 @@ ParallelRunner::tryRunCells(const std::vector<Cell> &cells)
             }
             if (cache)
                 cache->put(result, cfgHash);
-            outcomes[slot] = std::move(result);
+            results[slot] = std::move(result);
             ++nCellsRun;
             if (ts) {
                 ts->span(cellLabel(cell), "cell", pickUs,
@@ -242,7 +217,7 @@ ParallelRunner::tryRunCells(const std::vector<Cell> &cells)
 
     if (n <= 1) {
         worker();
-        return outcomes;
+        return results;
     }
 
     std::vector<std::thread> pool;
@@ -256,7 +231,7 @@ ParallelRunner::tryRunCells(const std::vector<Cell> &cells)
     }
     for (std::thread &t : pool)
         t.join();
-    return outcomes;
+    return results;
 }
 
 } // namespace triarch::study

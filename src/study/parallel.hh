@@ -1,9 +1,11 @@
 /**
  * @file
- * The parallel experiment engine: a work-queue scheduler that runs
- * any set of (machine, kernel) cells concurrently on freshly
+ * The experiment engine — the study's only runner: a work-queue
+ * scheduler that runs any set of (machine, kernel) cells on freshly
  * constructed per-task machine models against one immutable shared
- * Workloads, producing results bit-identical to the serial Runner.
+ * Workloads. At one thread (or one pending cell) it calls each
+ * mapping inline on the calling thread; at more it fans the cells
+ * out to workers, with bit-identical results either way.
  *
  * Determinism: every KernelMapping is a pure function of the
  * (config, workloads) pair — machines are constructed per task, the
@@ -27,6 +29,8 @@
 
 namespace triarch::study
 {
+
+class MappingRegistry;
 
 /** One schedulable task: a (machine, kernel) pair. */
 struct Cell
@@ -75,19 +79,14 @@ class ParallelRunner
     /** Run one cell, through the cache (fatal if unmapped). */
     RunResult run(MachineId machine, KernelId kernel);
 
-    /** Run one cell, or report the missing mapping as a value. */
-    RunOutcome tryRun(MachineId machine, KernelId kernel);
-
-    /** Run all 15 cells concurrently; same order as Runner::runAll(). */
+    /** Run all 15 cells in allCells() order. */
     std::vector<RunResult> runAll();
 
-    /** Run an arbitrary cell set concurrently (fatal if any pair is
-     *  unmapped); results are returned in @p cells order. */
+    /** Run an arbitrary cell set; results are returned in @p cells
+     *  order. Every uncached cell's mapping is resolved on the
+     *  calling thread before any worker starts, so an unmapped pair
+     *  is fatal there. */
     std::vector<RunResult> runCells(const std::vector<Cell> &cells);
-
-    /** Like runCells(), but unmapped pairs come back as typed
-     *  MappingError values in their slots instead of aborting. */
-    std::vector<RunOutcome> tryRunCells(const std::vector<Cell> &cells);
 
     /** Sentinel distinguishing "default cache" from "no cache". */
     static ResultCache *defaultCache();
@@ -98,10 +97,10 @@ class ParallelRunner
     /**
      * Scheduler progress counters ("scheduler" group, live-registered
      * in the global MetricsRegistry for this runner's lifetime):
-     * batches submitted, cells executed / served from cache / found
-     * unmapped. Counts only — no wall clock — so the values are
-     * identical at any worker-thread count. When host profiling is
-     * enabled (host::setProfiling) the group additionally carries
+     * batches submitted, cells executed / served from cache. Counts
+     * only — no wall clock — so the values are identical at any
+     * worker-thread count. When host profiling is enabled
+     * (host::setProfiling) the group additionally carries
      * cell_host_ns / queue_wait_ns histograms; those record wall
      * clock and are empty (hence invisible) otherwise.
      */
@@ -119,7 +118,6 @@ class ParallelRunner
     stats::AtomicScalar nBatches;
     stats::AtomicScalar nCellsRun;
     stats::AtomicScalar nCellsCached;
-    stats::AtomicScalar nCellsMissing;
     stats::Histogram cellHostNs;
     stats::Histogram queueWaitNs;
 };

@@ -1,5 +1,10 @@
 #include "registry.hh"
 
+#include <cstdint>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "imagine/kernels_imagine.hh"
 #include "ppc/kernels_ppc.hh"
 #include "raw/kernels_raw.hh"
@@ -25,48 +30,18 @@ MappingRegistry::add(MachineId machine, KernelId kernel,
                    machineName(machine), "/", kernelName(kernel));
 }
 
-const KernelMapping *
-MappingRegistry::find(MachineId machine, KernelId kernel) const noexcept
+const KernelMapping &
+MappingRegistry::at(MachineId machine, KernelId kernel) const
 {
     auto it = mappings.find(key(machine, kernel));
-    return it == mappings.end() ? nullptr : &it->second;
-}
-
-MappingError
-MappingRegistry::missing(MachineId machine, KernelId kernel) const
-{
-    MappingError err;
-    err.machine = machine;
-    err.kernel = kernel;
-    err.message = "no kernel mapping registered for "
-                  + machineName(machine) + " / " + kernelName(kernel);
-    return err;
-}
-
-std::vector<std::pair<MachineId, KernelId>>
-MappingRegistry::registeredPairs() const
-{
-    std::vector<std::pair<MachineId, KernelId>> pairs;
-    pairs.reserve(mappings.size());
-    for (const auto &[k, mapping] : mappings) {
-        (void)mapping;
-        pairs.emplace_back(static_cast<MachineId>(k.first),
-                           static_cast<KernelId>(k.second));
-    }
-    return pairs;
+    if (it == mappings.end())
+        triarch_fatal("no kernel mapping registered for ",
+                      machineName(machine), " / ", kernelName(kernel));
+    return it->second;
 }
 
 namespace
 {
-
-RunResult
-cellResult(MachineId machine, KernelId kernel)
-{
-    RunResult result;
-    result.machine = machine;
-    result.kernel = kernel;
-    return result;
-}
 
 /**
  * Snapshot the machine model's stats into the global MetricsRegistry
@@ -96,310 +71,61 @@ captureCell(Machine &m, const RunResult &result)
     hw::HwRegistry::global().capture(std::move(cell));
 }
 
-// ---------------------------------------------------------------
-// PowerPC G4 (scalar and AltiVec share the mapping bodies; the
-// AltiVec flag selects the vectorized code paths).
-// ---------------------------------------------------------------
+/** The buffer a kernel's output is read back into. */
+template <KernelId Kernel>
+using KernelOutput = std::conditional_t<
+    Kernel == KernelId::CornerTurn, kernels::WordMatrix,
+    std::conditional_t<Kernel == KernelId::Cslc, kernels::CslcOutput,
+                       std::vector<std::int32_t>>>;
 
+using Notes = std::vector<std::pair<std::string, double>>;
+
+/** For cells the cycle account already explains. */
+const auto noNotes = [](const auto &, const auto &) { return Notes{}; };
+
+/**
+ * Register one cell of the grid. The mapping constructs a fresh
+ * Machine and output buffer, calls @p run (the kernel, returning its
+ * cycles, or Raw CSLC's load-balance result), validates the output
+ * against the kernel's reference (CSLC at radix @p algo), takes
+ * @p notes from the machine and what @p run returned, accounts the
+ * cycles, and captures the machine's stats. The setup / run /
+ * readback host-time split brackets the kernel call.
+ */
+template <typename Machine, KernelId Kernel, typename Run,
+          typename NotesFn>
 void
-registerPpc(MappingRegistry &r, MachineId id, bool altivec)
+cell(MappingRegistry &r, MachineId machine, Run run, NotesFn notes,
+     kernels::FftAlgo algo = kernels::FftAlgo::Radix2)
 {
-    r.add(id, KernelId::CornerTurn,
-          [id, altivec](const StudyConfig &, const Workloads &work) {
-              RunResult result = cellResult(id, KernelId::CornerTurn);
+    r.add(machine, Kernel,
+          [=](const StudyConfig &cfg, const Workloads &work) {
+              RunResult result;
+              result.machine = machine;
+              result.kernel = Kernel;
               host::PhaseSplit split;
-              ppc::PpcMachine m;
-              kernels::WordMatrix dst;
+              Machine m;
+              KernelOutput<Kernel> out;
               split.startRun();
-              result.cycles =
-                  ppc::cornerTurnPpc(m, work.matrix, dst, altivec);
+              const auto ran = run(m, cfg, work, out);
               split.startReadback();
-              result.notes.emplace_back(
-                  "ppc.mem_stall_fraction",
-                  static_cast<double>(m.memStallCycles())
-                      / result.cycles);
-              result.validated =
-                  kernels::isTransposeOf(work.matrix, dst);
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-
-    r.add(id, KernelId::Cslc,
-          [id, altivec](const StudyConfig &cfg, const Workloads &work) {
-              RunResult result = cellResult(id, KernelId::Cslc);
-              host::PhaseSplit split;
-              ppc::PpcMachine m;
-              kernels::CslcOutput out;
-              split.startRun();
-              result.cycles =
-                  ppc::cslcPpc(m, cfg.cslc, work.cslcIn, work.weights,
-                               out, altivec);
-              split.startReadback();
-              result.validated = cslcOutputValid(
-                  cfg, work, out, kernels::FftAlgo::Radix2);
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-
-    r.add(id, KernelId::BeamSteering,
-          [id, altivec](const StudyConfig &cfg, const Workloads &work) {
-              RunResult result =
-                  cellResult(id, KernelId::BeamSteering);
-              host::PhaseSplit split;
-              ppc::PpcMachine m;
-              std::vector<std::int32_t> out;
-              split.startRun();
-              result.cycles = ppc::beamSteeringPpc(
-                  m, cfg.beam, work.tables, out, altivec);
-              split.startReadback();
-              result.validated = out == work.beamRef;
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-}
-
-// ---------------------------------------------------------------
-// Berkeley VIRAM (processor-in-memory vector machine).
-// ---------------------------------------------------------------
-
-void
-registerViram(MappingRegistry &r)
-{
-    const MachineId id = MachineId::Viram;
-
-    r.add(id, KernelId::CornerTurn,
-          [](const StudyConfig &, const Workloads &work) {
-              RunResult result =
-                  cellResult(MachineId::Viram, KernelId::CornerTurn);
-              host::PhaseSplit split;
-              viram::ViramMachine m;
-              kernels::WordMatrix dst;
-              split.startRun();
-              result.cycles =
-                  viram::cornerTurnViram(m, work.matrix, dst);
-              split.startReadback();
-              result.notes.emplace_back(
-                  "viram.row_overhead_fraction",
-                  static_cast<double>(m.rowOverheadCycles())
-                      / result.cycles);
-              result.notes.emplace_back(
-                  "viram.tlb_overhead_fraction",
-                  static_cast<double>(m.tlbOverheadCycles())
-                      / result.cycles);
-              result.validated =
-                  kernels::isTransposeOf(work.matrix, dst);
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-
-    r.add(id, KernelId::Cslc,
-          [](const StudyConfig &cfg, const Workloads &work) {
-              RunResult result =
-                  cellResult(MachineId::Viram, KernelId::Cslc);
-              host::PhaseSplit split;
-              viram::ViramMachine m;
-              kernels::CslcOutput out;
-              split.startRun();
-              result.cycles = viram::cslcViram(m, cfg.cslc, work.cslcIn,
-                                               work.weights, out);
-              split.startReadback();
-              result.validated = cslcOutputValid(
-                  cfg, work, out, kernels::FftAlgo::Radix2);
-              result.notes.emplace_back(
-                  "viram.shuffle_fraction",
-                  static_cast<double>(m.permInstructions())
-                      / m.vectorInstructions());
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-
-    r.add(id, KernelId::BeamSteering,
-          [](const StudyConfig &cfg, const Workloads &work) {
-              RunResult result = cellResult(MachineId::Viram,
-                                            KernelId::BeamSteering);
-              host::PhaseSplit split;
-              viram::ViramMachine m;
-              std::vector<std::int32_t> out;
-              split.startRun();
-              result.cycles = viram::beamSteeringViram(m, cfg.beam,
-                                                       work.tables, out);
-              split.startReadback();
-              const double compute =
-                  static_cast<double>(m.vau0Busy() + m.vau1Busy())
-                  / 2.0;
-              result.notes.emplace_back("viram.compute_bound_fraction",
-                                        compute / result.cycles);
-              result.validated = out == work.beamRef;
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-}
-
-// ---------------------------------------------------------------
-// Stanford Imagine (stream processor).
-// ---------------------------------------------------------------
-
-void
-registerImagine(MappingRegistry &r)
-{
-    const MachineId id = MachineId::Imagine;
-
-    r.add(id, KernelId::CornerTurn,
-          [](const StudyConfig &, const Workloads &work) {
-              RunResult result =
-                  cellResult(MachineId::Imagine, KernelId::CornerTurn);
-              host::PhaseSplit split;
-              imagine::ImagineMachine m;
-              kernels::WordMatrix dst;
-              split.startRun();
-              result.cycles =
-                  imagine::cornerTurnImagine(m, work.matrix, dst);
-              split.startReadback();
-              result.notes.emplace_back("imagine.memory_fraction",
-                                        m.memoryFraction());
-              result.validated =
-                  kernels::isTransposeOf(work.matrix, dst);
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-
-    r.add(id, KernelId::Cslc,
-          [](const StudyConfig &cfg, const Workloads &work) {
-              RunResult result =
-                  cellResult(MachineId::Imagine, KernelId::Cslc);
-              host::PhaseSplit split;
-              imagine::ImagineMachine m;
-              kernels::CslcOutput out;
-              split.startRun();
-              result.cycles = imagine::cslcImagine(
-                  m, cfg.cslc, work.cslcIn, work.weights, out);
-              split.startReadback();
-              result.validated = cslcOutputValid(
-                  cfg, work, out, kernels::FftAlgo::Mixed128);
-              result.notes.emplace_back("imagine.alu_utilization",
-                                        m.aluUtilization());
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-
-    r.add(id, KernelId::BeamSteering,
-          [](const StudyConfig &cfg, const Workloads &work) {
-              RunResult result = cellResult(MachineId::Imagine,
-                                            KernelId::BeamSteering);
-              host::PhaseSplit split;
-              imagine::ImagineMachine m;
-              std::vector<std::int32_t> out;
-              split.startRun();
-              result.cycles = imagine::beamSteeringImagine(
-                  m, cfg.beam, work.tables, out);
-              split.startReadback();
-              result.notes.emplace_back("imagine.memory_fraction",
-                                        m.memoryFraction());
-              result.validated = out == work.beamRef;
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-}
-
-// ---------------------------------------------------------------
-// MIT Raw (tiled processor).
-// ---------------------------------------------------------------
-
-void
-registerRaw(MappingRegistry &r)
-{
-    const MachineId id = MachineId::Raw;
-
-    r.add(id, KernelId::CornerTurn,
-          [](const StudyConfig &, const Workloads &work) {
-              RunResult result =
-                  cellResult(MachineId::Raw, KernelId::CornerTurn);
-              host::PhaseSplit split;
-              raw::RawMachine m;
-              kernels::WordMatrix dst;
-              split.startRun();
-              result.cycles = raw::cornerTurnRaw(m, work.matrix, dst);
-              split.startReadback();
-              result.notes.emplace_back(
-                  "raw.instr_per_cycle_per_tile",
-                  static_cast<double>(m.instructions())
-                      / result.cycles / m.config().tiles());
-              result.validated =
-                  kernels::isTransposeOf(work.matrix, dst);
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-
-    r.add(id, KernelId::Cslc,
-          [](const StudyConfig &cfg, const Workloads &work) {
-              RunResult result =
-                  cellResult(MachineId::Raw, KernelId::Cslc);
-              host::PhaseSplit split;
-              raw::RawMachine m;
-              kernels::CslcOutput out;
-              split.startRun();
-              auto r2 = raw::cslcRaw(m, cfg.cslc, work.cslcIn,
-                                     work.weights, out);
-              split.startReadback();
-              result.cycles = r2.balancedCycles;
-              result.measuredUnbalanced = r2.cycles;
-              result.validated = cslcOutputValid(
-                  cfg, work, out, kernels::FftAlgo::Radix2);
-              result.notes.emplace_back("raw.idle_fraction",
-                                        r2.idleFraction);
-              result.notes.emplace_back(
-                  "raw.cache_stall_fraction",
-                  static_cast<double>(m.cacheStallCycles())
-                      / (static_cast<double>(m.config().tiles())
-                         * r2.cycles));
-              result.notes.emplace_back(
-                  "raw.ldst_fraction",
-                  static_cast<double>(m.loadStores())
-                      / (static_cast<double>(m.config().tiles())
-                         * r2.cycles));
-              // result.cycles is the balanced extrapolation, not the
-              // measured wall clock: the account rescales.
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
-              return result;
-          });
-
-    r.add(id, KernelId::BeamSteering,
-          [](const StudyConfig &cfg, const Workloads &work) {
-              RunResult result =
-                  cellResult(MachineId::Raw, KernelId::BeamSteering);
-              host::PhaseSplit split;
-              raw::RawMachine m;
-              std::vector<std::int32_t> out;
-              split.startRun();
-              result.cycles =
-                  raw::beamSteeringRaw(m, cfg.beam, work.tables, out);
-              split.startReadback();
-              result.notes.emplace_back(
-                  "raw.loads_stores",
-                  static_cast<double>(m.loadStores()));
-              result.validated = out == work.beamRef;
+              if constexpr (std::is_same_v<std::decay_t<decltype(ran)>,
+                                           raw::RawCslcResult>) {
+                  // Report the paper's load-balance extrapolation;
+                  // the account rescales the measured wall clock.
+                  result.cycles = ran.balancedCycles;
+                  result.measuredUnbalanced = ran.cycles;
+              } else {
+                  result.cycles = ran;
+              }
+              result.notes = notes(m, ran);
+              if constexpr (Kernel == KernelId::CornerTurn)
+                  result.validated =
+                      kernels::isTransposeOf(work.matrix, out);
+              else if constexpr (Kernel == KernelId::Cslc)
+                  result.validated = cslcOutputValid(cfg, work, out, algo);
+              else
+                  result.validated = out == work.beamRef;
               result.breakdown = m.cycleBreakdown(result.cycles);
               split.record(m.hostTime());
               captureCell(m, result);
@@ -410,12 +136,166 @@ registerRaw(MappingRegistry &r)
 MappingRegistry
 buildBuiltin()
 {
+    using imagine::ImagineMachine;
+    using kernels::CslcOutput;
+    using kernels::WordMatrix;
+    using ppc::PpcMachine;
+    using raw::RawMachine;
+    using viram::ViramMachine;
+    using Beams = std::vector<std::int32_t>;
+    constexpr KernelId CT = KernelId::CornerTurn;
+    constexpr KernelId CSLC = KernelId::Cslc;
+    constexpr KernelId BS = KernelId::BeamSteering;
+
     MappingRegistry r;
-    registerPpc(r, MachineId::PpcScalar, false);
-    registerPpc(r, MachineId::PpcAltivec, true);
-    registerViram(r);
-    registerImagine(r);
-    registerRaw(r);
+
+    // PowerPC G4: scalar and AltiVec share the mapping bodies; the
+    // AltiVec flag selects the vectorized code paths.
+    for (const bool altivec : {false, true}) {
+        const MachineId id =
+            altivec ? MachineId::PpcAltivec : MachineId::PpcScalar;
+        cell<PpcMachine, CT>(
+            r, id,
+            [altivec](PpcMachine &m, const StudyConfig &,
+                      const Workloads &work, WordMatrix &dst) {
+                return ppc::cornerTurnPpc(m, work.matrix, dst, altivec);
+            },
+            [](const PpcMachine &m, Cycles cycles) {
+                return Notes{{"ppc.mem_stall_fraction",
+                              static_cast<double>(m.memStallCycles())
+                                  / cycles}};
+            });
+        cell<PpcMachine, CSLC>(
+            r, id,
+            [altivec](PpcMachine &m, const StudyConfig &cfg,
+                      const Workloads &work, CslcOutput &out) {
+                return ppc::cslcPpc(m, cfg.cslc, work.cslcIn,
+                                    work.weights, out, altivec);
+            },
+            noNotes);
+        cell<PpcMachine, BS>(
+            r, id,
+            [altivec](PpcMachine &m, const StudyConfig &cfg,
+                      const Workloads &work, Beams &out) {
+                return ppc::beamSteeringPpc(m, cfg.beam, work.tables,
+                                            out, altivec);
+            },
+            noNotes);
+    }
+
+    // Berkeley VIRAM (processor-in-memory vector machine).
+    cell<ViramMachine, CT>(
+        r, MachineId::Viram,
+        [](ViramMachine &m, const StudyConfig &, const Workloads &work,
+           WordMatrix &dst) {
+            return viram::cornerTurnViram(m, work.matrix, dst);
+        },
+        [](const ViramMachine &m, Cycles cycles) {
+            return Notes{{"viram.row_overhead_fraction",
+                          static_cast<double>(m.rowOverheadCycles())
+                              / cycles},
+                         {"viram.tlb_overhead_fraction",
+                          static_cast<double>(m.tlbOverheadCycles())
+                              / cycles}};
+        });
+    cell<ViramMachine, CSLC>(
+        r, MachineId::Viram,
+        [](ViramMachine &m, const StudyConfig &cfg, const Workloads &work,
+           CslcOutput &out) {
+            return viram::cslcViram(m, cfg.cslc, work.cslcIn,
+                                    work.weights, out);
+        },
+        [](const ViramMachine &m, Cycles) {
+            return Notes{{"viram.shuffle_fraction",
+                          static_cast<double>(m.permInstructions())
+                              / m.vectorInstructions()}};
+        });
+    cell<ViramMachine, BS>(
+        r, MachineId::Viram,
+        [](ViramMachine &m, const StudyConfig &cfg, const Workloads &work,
+           Beams &out) {
+            return viram::beamSteeringViram(m, cfg.beam, work.tables,
+                                            out);
+        },
+        [](const ViramMachine &m, Cycles cycles) {
+            const double compute =
+                static_cast<double>(m.vau0Busy() + m.vau1Busy()) / 2.0;
+            return Notes{{"viram.compute_bound_fraction",
+                          compute / cycles}};
+        });
+
+    // Stanford Imagine (stream processor).
+    const auto memoryFraction = [](const ImagineMachine &m, Cycles) {
+        return Notes{{"imagine.memory_fraction", m.memoryFraction()}};
+    };
+    cell<ImagineMachine, CT>(
+        r, MachineId::Imagine,
+        [](ImagineMachine &m, const StudyConfig &, const Workloads &work,
+           WordMatrix &dst) {
+            return imagine::cornerTurnImagine(m, work.matrix, dst);
+        },
+        memoryFraction);
+    cell<ImagineMachine, CSLC>(
+        r, MachineId::Imagine,
+        [](ImagineMachine &m, const StudyConfig &cfg,
+           const Workloads &work, CslcOutput &out) {
+            return imagine::cslcImagine(m, cfg.cslc, work.cslcIn,
+                                        work.weights, out);
+        },
+        [](const ImagineMachine &m, Cycles) {
+            return Notes{{"imagine.alu_utilization", m.aluUtilization()}};
+        },
+        kernels::FftAlgo::Mixed128);
+    cell<ImagineMachine, BS>(
+        r, MachineId::Imagine,
+        [](ImagineMachine &m, const StudyConfig &cfg,
+           const Workloads &work, Beams &out) {
+            return imagine::beamSteeringImagine(m, cfg.beam, work.tables,
+                                                out);
+        },
+        memoryFraction);
+
+    // MIT Raw (tiled processor).
+    cell<RawMachine, CT>(
+        r, MachineId::Raw,
+        [](RawMachine &m, const StudyConfig &, const Workloads &work,
+           WordMatrix &dst) {
+            return raw::cornerTurnRaw(m, work.matrix, dst);
+        },
+        [](const RawMachine &m, Cycles cycles) {
+            return Notes{{"raw.instr_per_cycle_per_tile",
+                          static_cast<double>(m.instructions()) / cycles
+                              / m.config().tiles()}};
+        });
+    cell<RawMachine, CSLC>(
+        r, MachineId::Raw,
+        [](RawMachine &m, const StudyConfig &cfg, const Workloads &work,
+           CslcOutput &out) {
+            return raw::cslcRaw(m, cfg.cslc, work.cslcIn, work.weights,
+                                out);
+        },
+        [](const RawMachine &m, const raw::RawCslcResult &r2) {
+            // Per tile-cycle of the measured (imbalanced) run.
+            const double tileCycles =
+                static_cast<double>(m.config().tiles()) * r2.cycles;
+            return Notes{
+                {"raw.idle_fraction", r2.idleFraction},
+                {"raw.cache_stall_fraction",
+                 static_cast<double>(m.cacheStallCycles()) / tileCycles},
+                {"raw.ldst_fraction",
+                 static_cast<double>(m.loadStores()) / tileCycles}};
+        });
+    cell<RawMachine, BS>(
+        r, MachineId::Raw,
+        [](RawMachine &m, const StudyConfig &cfg, const Workloads &work,
+           Beams &out) {
+            return raw::beamSteeringRaw(m, cfg.beam, work.tables, out);
+        },
+        [](const RawMachine &m, Cycles) {
+            return Notes{{"raw.loads_stores",
+                          static_cast<double>(m.loadStores())}};
+        });
+
     return r;
 }
 

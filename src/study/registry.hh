@@ -2,15 +2,15 @@
  * @file
  * Registry-based (machine, kernel) dispatch for the study. Each
  * architecture registers one KernelMapping functor per kernel; the
- * serial Runner and the ParallelRunner look mappings up here instead
- * of switching on MachineId, and an unregistered pair surfaces as a
- * typed MappingError rather than a silent fall-through.
+ * ParallelRunner looks mappings up here instead of switching on
+ * MachineId, and an unregistered pair is a fatal error naming the
+ * machine and kernel rather than a silent fall-through.
  *
  * A KernelMapping is a pure function of the (immutable) StudyConfig
  * and Workloads: it constructs a fresh machine model, runs the
  * kernel, validates the output against the golden reference, and
- * fills in the explanatory notes. Purity is what makes concurrent
- * execution bit-identical to serial execution.
+ * fills in the explanatory notes. Purity is what makes results
+ * bit-identical at any thread count.
  */
 
 #ifndef TRIARCH_STUDY_REGISTRY_HH
@@ -19,7 +19,6 @@
 #include <functional>
 #include <map>
 #include <utility>
-#include <vector>
 
 #include "study/experiment.hh"
 
@@ -39,17 +38,8 @@ class MappingRegistry
      *  duplicate registration. */
     void add(MachineId machine, KernelId kernel, KernelMapping mapping);
 
-    /** The mapping for a pair, or nullptr if none is registered. */
-    const KernelMapping *find(MachineId machine,
-                              KernelId kernel) const noexcept;
-
-    /** The typed error describing an unregistered pair. */
-    MappingError missing(MachineId machine, KernelId kernel) const;
-
-    /** Registered pairs in deterministic (machine, kernel) order. */
-    std::vector<std::pair<MachineId, KernelId>> registeredPairs() const;
-
-    std::size_t size() const { return mappings.size(); }
+    /** The mapping for a pair; fatal if none is registered. */
+    const KernelMapping &at(MachineId machine, KernelId kernel) const;
 
     /**
      * The registry holding all built-in mappings: every pair in

@@ -158,7 +158,8 @@ TEST(CycleTimeline, EmptyTimelineIsAllGap)
 
 TEST(BreakdownInvariant, CategoriesSumToTotalForEveryCell)
 {
-    Runner runner(smallConfig());
+    ParallelRunner runner(smallConfig(), 1, nullptr,
+                          ParallelRunner::noCache());
     const std::vector<RunResult> results = runner.runAll();
     ASSERT_EQ(results.size(), 15u);
     for (const RunResult &r : results) {
@@ -177,7 +178,8 @@ TEST(BreakdownInvariant, StreamModeHasNoCacheStalls)
     // Imagine has no caches: all memory time is stream transfers,
     // so cache_stall is structurally zero (the paper's stream-mode
     // argument, Section 4.1). VIRAM's on-chip DRAM likewise.
-    Runner runner(smallConfig());
+    ParallelRunner runner(smallConfig(), 1, nullptr,
+                          ParallelRunner::noCache());
     for (KernelId kernel : allKernels()) {
         const RunResult imagine =
             runner.run(MachineId::Imagine, kernel);
@@ -192,7 +194,8 @@ TEST(BreakdownInvariant, StreamModeHasNoCacheStalls)
 TEST(BreakdownInvariant, BitIdenticalAcrossThreadCounts)
 {
     const StudyConfig cfg = smallConfig();
-    Runner serial(cfg);
+    ParallelRunner serial(cfg, 1, nullptr,
+                          ParallelRunner::noCache());
     const std::vector<RunResult> expect = serial.runAll();
 
     for (unsigned threads : {1u, 2u, 8u}) {
@@ -218,7 +221,8 @@ smallReport()
 {
     static const BenchReport report = [] {
         const StudyConfig cfg = smallConfig();
-        Runner runner(cfg);
+        ParallelRunner runner(cfg, 1, nullptr,
+                              ParallelRunner::noCache());
         return buildBenchReport(cfg, runner.runAll());
     }();
     return report;

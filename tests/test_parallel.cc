@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the parallel experiment engine and the registry-based
- * dispatch behind it: bit-identical determinism of ParallelRunner
- * against the serial Runner at several thread counts, full coverage
- * of the built-in MappingRegistry, the typed unknown-pair error
- * path, result-cache behavior (reuse and the LRU bound), config
- * hashing, and the JSON result sink.
+ * Tests for the experiment engine and the registry-based dispatch
+ * behind it: bit-identical determinism of ParallelRunner at several
+ * thread counts against direct mapping calls, full coverage of the
+ * built-in MappingRegistry, the fatal unknown-pair path,
+ * result-cache behavior (reuse and the LRU bound), config hashing,
+ * and the JSON result sink.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "study/parallel.hh"
@@ -41,15 +42,19 @@ smallConfig()
 }
 
 // ---------------------------------------------------------------
-// Determinism: the tentpole guarantee. Parallel execution at any
-// thread count is bit-identical to the serial Runner.
+// Determinism: execution at any thread count is bit-identical to
+// calling each mapping directly — no runner, cache or thread.
 // ---------------------------------------------------------------
 
 TEST(ParallelDeterminism, BitIdenticalToSerialAtAnyThreadCount)
 {
     const StudyConfig cfg = smallConfig();
-    Runner serial(cfg);
-    const std::vector<RunResult> expect = serial.runAll();
+    const auto work = buildWorkloads(cfg);
+    std::vector<RunResult> expect;
+    for (const Cell &cell : allCells()) {
+        expect.push_back(MappingRegistry::builtin().at(
+            cell.machine, cell.kernel)(cfg, *work));
+    }
     ASSERT_EQ(expect.size(), 15u);
 
     for (unsigned threads : {1u, 2u, 8u}) {
@@ -129,63 +134,35 @@ TEST(ParallelRunner, WorkQueueOverlapsIndependentCells)
 
 // ---------------------------------------------------------------
 // Registry coverage: every (machine, kernel) pair of the study is
-// registered, and unknown pairs surface as typed errors.
+// registered, and an unknown pair is fatal on the calling thread.
 // ---------------------------------------------------------------
 
 TEST(MappingRegistryTest, BuiltinCoversEveryMachineKernelPair)
 {
     const MappingRegistry &reg = MappingRegistry::builtin();
-    EXPECT_EQ(reg.size(),
-              allMachines().size() * allKernels().size());
-    for (MachineId machine : allMachines()) {
-        for (KernelId kernel : allKernels()) {
-            EXPECT_NE(reg.find(machine, kernel), nullptr)
-                << machineName(machine) << " / " << kernelName(kernel);
-        }
+    for (const Cell &cell : allCells()) {
+        EXPECT_TRUE(static_cast<bool>(reg.at(cell.machine, cell.kernel)))
+            << machineName(cell.machine) << " / "
+            << kernelName(cell.kernel);
     }
-    EXPECT_EQ(reg.registeredPairs().size(), reg.size());
 }
 
-TEST(MappingRegistryTest, UnknownPairIsATypedError)
+TEST(MappingRegistryDeathTest, UnknownPairIsFatalOnTheCaller)
 {
     const MappingRegistry empty;
-    EXPECT_EQ(empty.find(MachineId::Viram, KernelId::Cslc), nullptr);
-
-    Runner runner(smallConfig(), &empty);
-    const RunOutcome outcome =
-        runner.tryRun(MachineId::Viram, KernelId::Cslc);
-    ASSERT_TRUE(std::holds_alternative<MappingError>(outcome));
-    const auto &err = std::get<MappingError>(outcome);
-    EXPECT_EQ(err.machine, MachineId::Viram);
-    EXPECT_EQ(err.kernel, KernelId::Cslc);
-    EXPECT_NE(err.message.find("no kernel mapping registered"),
-              std::string::npos);
-    EXPECT_NE(err.message.find(machineName(MachineId::Viram)),
-              std::string::npos);
-    EXPECT_NE(err.message.find(kernelName(KernelId::Cslc)),
-              std::string::npos);
-}
-
-TEST(MappingRegistryTest, PartialRegistryMixesResultsAndErrors)
-{
-    // One real mapping borrowed from the builtin table, the rest
-    // missing: tryRunCells must slot each outcome by request index.
-    MappingRegistry partial;
-    partial.add(MachineId::Viram, KernelId::BeamSteering,
-                *MappingRegistry::builtin().find(
-                    MachineId::Viram, KernelId::BeamSteering));
-
-    ParallelRunner par(smallConfig(), 2, &partial,
-                       ParallelRunner::noCache());
-    const auto outcomes = par.tryRunCells(
-        {{MachineId::Viram, KernelId::BeamSteering},
-         {MachineId::Raw, KernelId::Cslc}});
-    ASSERT_EQ(outcomes.size(), 2u);
-    ASSERT_TRUE(std::holds_alternative<RunResult>(outcomes[0]));
-    EXPECT_TRUE(std::get<RunResult>(outcomes[0]).validated);
-    ASSERT_TRUE(std::holds_alternative<MappingError>(outcomes[1]));
-    EXPECT_EQ(std::get<MappingError>(outcomes[1]).machine,
-              MachineId::Raw);
+    const std::string message = "no kernel mapping registered for "
+                                + machineName(MachineId::Viram) + " / "
+                                + kernelName(KernelId::Cslc);
+    EXPECT_EXIT((void)empty.at(MachineId::Viram, KernelId::Cslc),
+                ::testing::ExitedWithCode(1), message);
+    EXPECT_EXIT(
+        {
+            ParallelRunner par(smallConfig(), 2, &empty,
+                               ParallelRunner::noCache());
+            (void)par.runCells({{MachineId::Viram, KernelId::Cslc},
+                                {MachineId::Raw, KernelId::Cslc}});
+        },
+        ::testing::ExitedWithCode(1), message);
 }
 
 // ---------------------------------------------------------------
@@ -200,11 +177,10 @@ TEST(ResultCacheTest, SecondSweepIsServedFromCache)
     static std::atomic<unsigned> invocations{0};
     invocations = 0;
     MappingRegistry counting;
-    for (auto [machine, kernel] :
-         MappingRegistry::builtin().registeredPairs()) {
+    for (const Cell &cell : allCells()) {
         const KernelMapping inner =
-            *MappingRegistry::builtin().find(machine, kernel);
-        counting.add(machine, kernel,
+            MappingRegistry::builtin().at(cell.machine, cell.kernel);
+        counting.add(cell.machine, cell.kernel,
                      [inner](const StudyConfig &cfg,
                              const Workloads &work) {
                          ++invocations;

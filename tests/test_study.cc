@@ -10,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
+#include "sim/json.hh"
 #include "study/machine_info.hh"
+#include "study/parallel.hh"
 #include "study/perf_model.hh"
 #include "study/report.hh"
+#include "study/study_json.hh"
 
 namespace triarch::study
 {
@@ -131,7 +135,8 @@ smallConfig()
 
 TEST(RunnerSmall, EveryCellValidates)
 {
-    Runner runner(smallConfig());
+    ParallelRunner runner(smallConfig(), 1, nullptr,
+                          ParallelRunner::noCache());
     for (MachineId machine : allMachines()) {
         for (KernelId kernel : allKernels()) {
             auto r = runner.run(machine, kernel);
@@ -144,7 +149,8 @@ TEST(RunnerSmall, EveryCellValidates)
 
 TEST(RunnerSmall, RawCslcReportsBothNumbers)
 {
-    Runner runner(smallConfig());
+    ParallelRunner runner(smallConfig(), 1, nullptr,
+                          ParallelRunner::noCache());
     auto r = runner.run(MachineId::Raw, KernelId::Cslc);
     ASSERT_TRUE(r.measuredUnbalanced.has_value());
     // 8 sub-bands on 16 tiles: extrapolation halves the time.
@@ -153,7 +159,8 @@ TEST(RunnerSmall, RawCslcReportsBothNumbers)
 
 TEST(RunnerSmall, MillisecondsUseMachineClock)
 {
-    Runner runner(smallConfig());
+    ParallelRunner runner(smallConfig(), 1, nullptr,
+                          ParallelRunner::noCache());
     auto r = runner.run(MachineId::Viram, KernelId::BeamSteering);
     EXPECT_NEAR(r.milliseconds(),
                 static_cast<double>(r.cycles) / (200.0 * 1000.0),
@@ -171,7 +178,8 @@ class PaperShape : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        runner = new Runner();
+        runner = new ParallelRunner(StudyConfig{}, 1, nullptr,
+                                    ParallelRunner::noCache());
         results = new std::vector<RunResult>(runner->runAll());
     }
 
@@ -190,11 +198,11 @@ class PaperShape : public ::testing::Test
         return findResult(*results, machine, kernel).cycles;
     }
 
-    static Runner *runner;
+    static ParallelRunner *runner;
     static std::vector<RunResult> *results;
 };
 
-Runner *PaperShape::runner = nullptr;
+ParallelRunner *PaperShape::runner = nullptr;
 std::vector<RunResult> *PaperShape::results = nullptr;
 
 TEST_F(PaperShape, AllFifteenCellsValidate)
@@ -203,6 +211,33 @@ TEST_F(PaperShape, AllFifteenCellsValidate)
     for (const auto &r : *results)
         EXPECT_TRUE(r.validated)
             << machineName(r.machine) << " / " << kernelName(r.kernel);
+}
+
+TEST_F(PaperShape, MatchesPerfbenchExpectedFieldForField)
+{
+    // The benchmark's golden cells compare cycles and breakdowns
+    // only; this pins every field, the explanatory notes and their
+    // order included.
+    const std::string path =
+        std::string(TRIARCH_SOURCE_DIR) + "/perfbench/expected_table3.json";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "cannot read " << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string error;
+    const auto doc = json::parse(text.str(), &error);
+    ASSERT_TRUE(doc) << error;
+    const json::Value *cells = doc->field("cells");
+    ASSERT_TRUE(cells && cells->isArray());
+    ASSERT_EQ(cells->items.size(), results->size());
+    for (std::size_t i = 0; i < results->size(); ++i) {
+        RunResult expect;
+        ASSERT_TRUE(parseRunResult(cells->items[i], &expect, &error))
+            << error;
+        const RunResult &got = (*results)[i];
+        EXPECT_TRUE(got == expect) << machineName(got.machine) << " / "
+                                   << kernelName(got.kernel);
+    }
 }
 
 TEST_F(PaperShape, CornerTurnRankingMatchesTable3)
