@@ -14,22 +14,17 @@
  * --json instead emits a triarch.grid.v1 throughput summary
  * (cells/sec per machine row + total) that CI field-checks.
  *
- * Flags parse via the shared study::CliOptions (exit 2 on a bad
- * flag, like every other gate-style tool here).
+ * Flags parse in study::parseMicroHostArgs (exit 2 on a bad flag,
+ * like every other gate-style tool here). --machines and --kernels
+ * narrow the grid, so a Raw-ct-only A/B measures just that cell.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <limits>
-#include <sstream>
 
-#include "mem/mem_mode.hh"
-#include "raw/config.hh"
 #include "sim/host_clock.hh"
 #include "sim/json.hh"
 #include "study/bench_report.hh"
-#include "study/cli_options.hh"
 #include "study/host_measure.hh"
 #include "study/machine_info.hh"
 #include "study/parallel.hh"
@@ -40,147 +35,27 @@ using namespace triarch::study;
 int
 main(int argc, char **argv)
 {
-    std::uint64_t seed = 11;
-    unsigned warmup = 1;
-    unsigned reps = 5;
-    int pin = -1;
-    bool json = false;
-    bool gridOnly = false;
-    std::string machines;
-
-    CliOptions cli("Measure the host wall-clock cost of simulating "
-                   "each Table-3 cell");
-    cli.number("--seed", "N", "workload synthesis seed (default 11)",
-               std::numeric_limits<std::uint64_t>::max(),
-               [&](std::uint64_t n) {
-                   seed = n;
-                   return 0;
-               });
-    cli.number("--warmup", "N",
-               "unmeasured iterations per cell (default 1)",
-               std::numeric_limits<unsigned>::max(),
-               [&](std::uint64_t n) {
-                   warmup = static_cast<unsigned>(n);
-                   return 0;
-               });
-    cli.number("--reps", "N",
-               "measured iterations per cell (default 5; the "
-               "measurement contract wants 30+)",
-               std::numeric_limits<unsigned>::max(),
-               [&](std::uint64_t n) {
-                   reps = static_cast<unsigned>(n);
-                   return 0;
-               });
-    cli.number("--pin", "N", "pin the measurement to core N", 4095,
-               [&](std::uint64_t n) {
-                   pin = static_cast<int>(n);
-                   return 0;
-               });
-    cli.toggle("--json",
-               "emit a triarch.bench.v1 document with a host section "
-               "instead of the table",
-               [&]() {
-                   json = true;
-                   return 0;
-               });
-    cli.value("--machines", "LIST",
-              "comma-separated machine tokens to measure (default "
-              "all); e.g. --machines raw for the Raw host-time gate",
-              [&](const std::string &v) {
-                  machines = v;
-                  return 0;
-              });
-    cli.toggle("--grid",
-               "print only the one-line grid summary (median sum and "
-               "cells/sec) — the CI throughput check; with --json, a "
-               "triarch.grid.v1 document (per-machine rows + total) "
-               "instead of the one-liner",
-               [&]() {
-                   gridOnly = true;
-                   return 0;
-               });
-    cli.value("--mem-model", "MODE",
-              "PPC/VIRAM/Imagine memory walk: span (default, batched "
-              "D13 fast path) or reference (word-at-a-time baseline)",
-              [&](const std::string &v) {
-                  if (v == "span") {
-                      mem::setDefaultMemModel(mem::MemModel::Span);
-                  } else if (v == "reference") {
-                      mem::setDefaultMemModel(mem::MemModel::Reference);
-                  } else {
-                      std::fprintf(stderr,
-                                   "--mem-model wants span or "
-                                   "reference, got '%s'\n", v.c_str());
-                      return 2;
-                  }
-                  return 0;
-              });
-    cli.value("--raw-stepper", "MODE",
-              "Raw interpreter loop: event (default) or reference "
-              "(the cycle-at-a-time differential baseline)",
-              [&](const std::string &v) {
-                  if (v == "event") {
-                      raw::setDefaultRawStepper(raw::RawStepper::Event);
-                  } else if (v == "reference") {
-                      raw::setDefaultRawStepper(
-                          raw::RawStepper::Reference);
-                  } else {
-                      std::fprintf(stderr,
-                                   "--raw-stepper wants event or "
-                                   "reference, got '%s'\n", v.c_str());
-                      return 2;
-                  }
-                  return 0;
-              });
-    cli.logLevelFlag();
-    if (const auto rc = cli.parse(argc, argv))
+    MicroHostArgs args;
+    if (const auto rc = parseMicroHostArgs(argc, argv, &args))
         return *rc;
 
     StudyConfig cfg;
-    cfg.seed = seed;
+    cfg.seed = args.seed;
+    const HostSection host =
+        measureHostSection(cfg, args.cells, args.measure);
 
-    host::MeasureOptions mo;
-    mo.warmup = warmup;
-    mo.repetitions = reps;
-    mo.pinCpu = pin;
-
-    std::vector<Cell> cells = allCells();
-    if (!machines.empty()) {
-        std::vector<MachineId> keep;
-        std::istringstream tokens(machines);
-        std::string token;
-        while (std::getline(tokens, token, ',')) {
-            const auto id = parseMachineToken(token);
-            if (!id) {
-                std::fprintf(stderr, "unknown machine token '%s'\n",
-                             token.c_str());
-                return 2;
-            }
-            keep.push_back(*id);
-        }
-        std::erase_if(cells, [&](const Cell &cell) {
-            return std::find(keep.begin(), keep.end(), cell.machine)
-                   == keep.end();
-        });
-        if (cells.empty()) {
-            std::fprintf(stderr, "--machines matched no cells\n");
-            return 2;
-        }
-    }
-    const HostSection host = measureHostSection(cfg, cells, mo);
-
-    if (gridOnly) {
+    if (args.grid) {
         double sumNs = 0.0;
         for (const HostCellTiming &cell : host.cells)
             sumNs += cell.medianNs;
-        if (json) {
+        if (args.json) {
             // Machine-readable grid summary so CI can field-check
             // instead of grepping the one-line text. Rows follow
             // allMachines() order, restricted to what was measured.
             json::Writer w(std::cout);
             w.beginObject(json::Writer::Style::Pretty);
             w.member("schema", "triarch.grid.v1");
-            w.member("seed", seed);
+            w.member("seed", args.seed);
             w.member("cells",
                      static_cast<std::uint64_t>(host.cells.size()));
             w.key("rows").beginArray();
@@ -219,12 +94,13 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (json) {
+    if (args.json) {
         // One simulated run per cell for the cycle half of the
         // document (cache-backed; the host section above measured
         // uncached mapping executions).
         ParallelRunner runner(cfg, 1);
-        BenchReport report = buildBenchReport(cfg, runner.runCells(cells));
+        BenchReport report =
+            buildBenchReport(cfg, runner.runCells(args.cells));
         report.host = host;
         writeBenchReportJson(report, std::cout);
         return 0;
@@ -232,7 +108,7 @@ main(int argc, char **argv)
 
     std::printf("host time per simulated cell (seed %llu, %llu reps"
                 ", warmup %llu%s)\n",
-                static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(args.seed),
                 static_cast<unsigned long long>(host.repetitions),
                 static_cast<unsigned long long>(host.warmup),
                 host.pinned ? ", pinned" : "");

@@ -68,68 +68,6 @@ struct Instr
     std::int32_t imm = 0;
 };
 
-/**
- * Static per-opcode metadata. The interpreter used to re-derive an
- * instruction's source-register list with a switch on every step;
- * the table makes decode a single indexed load on the hot path and
- * keeps the operand roles in one place next to the opcode list.
- */
-struct OpInfo
-{
-    /** The instruction reads rs as an operand. */
-    std::uint8_t readsRs : 1;
-    /** The instruction reads rt as an operand. */
-    std::uint8_t readsRt : 1;
-    /**
-     * Writing rd == regCsto sends on the static route (and therefore
-     * blocks while the destination FIFO is full). Mirrors the
-     * interpreter's historical op set exactly: everything except
-     * Sw, the branches, Jump, Halt, and Nop.
-     */
-    std::uint8_t sendEligible : 1;
-};
-
-/** OpInfo for every opcode, indexed by static_cast<unsigned>(Op). */
-constexpr OpInfo opInfoTable[] = {
-    //                        rs rt send
-    /* Nop   */ OpInfo{0, 0, 0},
-    /* Add   */ OpInfo{1, 1, 1},
-    /* Addi  */ OpInfo{1, 0, 1},
-    /* Sub   */ OpInfo{1, 1, 1},
-    /* Mul   */ OpInfo{1, 1, 1},
-    /* Sll   */ OpInfo{1, 0, 1},
-    /* Sra   */ OpInfo{1, 0, 1},
-    /* Srl   */ OpInfo{1, 0, 1},
-    /* And   */ OpInfo{1, 1, 1},
-    /* Or    */ OpInfo{1, 1, 1},
-    /* Xor   */ OpInfo{1, 1, 1},
-    /* Li    */ OpInfo{0, 0, 1},
-    /* FAdd  */ OpInfo{1, 1, 1},
-    /* FSub  */ OpInfo{1, 1, 1},
-    /* FMul  */ OpInfo{1, 1, 1},
-    /* Lw    */ OpInfo{1, 0, 1},
-    /* Sw    */ OpInfo{1, 1, 0},
-    /* Beq   */ OpInfo{1, 1, 0},
-    /* Bne   */ OpInfo{1, 1, 0},
-    /* Blt   */ OpInfo{1, 1, 0},
-    /* Bge   */ OpInfo{1, 1, 0},
-    /* Jump  */ OpInfo{0, 0, 0},
-    /* Halt  */ OpInfo{0, 0, 0},
-    /* Dsend */ OpInfo{1, 1, 1},
-    /* Drecv */ OpInfo{0, 0, 1},
-};
-
-/** The metadata row for @p op. */
-constexpr OpInfo
-opInfo(Op op)
-{
-    return opInfoTable[static_cast<unsigned>(op)];
-}
-
-static_assert(sizeof(opInfoTable) / sizeof(opInfoTable[0])
-                  == static_cast<unsigned>(Op::Drecv) + 1,
-              "opInfoTable must cover every opcode");
-
 /** General registers 0..23 (r0 hardwired to zero). */
 constexpr unsigned numGeneralRegs = 24;
 /** Reading this register pops the network input FIFO (blocking). */

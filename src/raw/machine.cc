@@ -41,13 +41,84 @@ bitOf(unsigned i)
     return std::uint64_t{1} << i;
 }
 
+/** Die on a tile program fault (a wild access, a run off the end).
+ *  Out of line and taking plain values, so that the interpreter's hot
+ *  loops need not keep their operands addressable. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+tileFault(unsigned t, const char *what)
+{
+    triarch_panic("tile ", t, what);
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void
+tileFault(unsigned t, const char *what, std::uint64_t at)
+{
+    triarch_panic("tile ", t, what, at);
+}
+
+/** Latency classes of RawMachine::latency. */
+enum : std::uint8_t { kInt, kMul, kFp, kLoad };
+
+/** What decoding needs of an opcode: the operands it reads, whether
+ *  it has a result, whether it only ever issues through stepTile (the
+ *  dynamic-network ops and halt), and its result's latency class.
+ *  What the opcode computes lives in RawMachine::execute(). */
+struct Format
+{
+    bool rs, rt, rd, step;
+    std::uint8_t lat;
+};
+
+constexpr Format formats[] = {
+    //              rs rt rd step
+    /* Nop   */ {0, 0, 0, 0, kInt},
+    /* Add   */ {1, 1, 1, 0, kInt},
+    /* Addi  */ {1, 0, 1, 0, kInt},
+    /* Sub   */ {1, 1, 1, 0, kInt},
+    /* Mul   */ {1, 1, 1, 0, kMul},
+    /* Sll   */ {1, 0, 1, 0, kInt},
+    /* Sra   */ {1, 0, 1, 0, kInt},
+    /* Srl   */ {1, 0, 1, 0, kInt},
+    /* And   */ {1, 1, 1, 0, kInt},
+    /* Or    */ {1, 1, 1, 0, kInt},
+    /* Xor   */ {1, 1, 1, 0, kInt},
+    /* Li    */ {0, 0, 1, 0, kInt},
+    /* FAdd  */ {1, 1, 1, 0, kFp},
+    /* FSub  */ {1, 1, 1, 0, kFp},
+    /* FMul  */ {1, 1, 1, 0, kFp},
+    /* Lw    */ {1, 0, 1, 0, kLoad},
+    /* Sw    */ {1, 1, 0, 0, kInt},
+    /* Beq   */ {1, 1, 0, 0, kInt},
+    /* Bne   */ {1, 1, 0, 0, kInt},
+    /* Blt   */ {1, 1, 0, 0, kInt},
+    /* Bge   */ {1, 1, 0, 0, kInt},
+    /* Jump  */ {0, 0, 0, 0, kInt},
+    /* Halt  */ {0, 0, 0, 1, kInt},
+    /* Dsend */ {1, 1, 0, 1, kInt},
+    /* Drecv */ {0, 0, 1, 1, kInt},
+};
+static_assert(std::size(formats) == static_cast<unsigned>(Op::Drecv) + 1,
+              "formats must cover every opcode");
+
+/** The Uop latency field holds 8 bits. */
+std::uint8_t
+latencyByte(Cycles lat)
+{
+    if (lat > 255)
+        triarch_fatal("Raw latency ", lat, " exceeds 255 cycles");
+    return static_cast<std::uint8_t>(lat);
+}
+
 } // namespace
 
 RawMachine::RawMachine(const RawConfig &machine_config)
     : cfg(checkMeshSize(machine_config)), hot(cfg.tiles()),
       cold(cfg.tiles()),
       wake(cfg.tiles(), kNever), ports(cfg.tiles()),
-      global(cfg.globalBytes), group("raw")
+      global(cfg.globalBytes),
+      latency{latencyByte(cfg.intLatency), latencyByte(cfg.mulLatency),
+              latencyByte(cfg.fpLatency), latencyByte(cfg.loadLatency)},
+      sendAhead(cfg.portRowBytes / 4), group("raw")
 {
     if (isPowerOf2(cfg.portRowBytes))
         portRowShift = static_cast<int>(floorLog2(cfg.portRowBytes));
@@ -131,12 +202,50 @@ RawMachine::peekGlobalInto(Addr addr, std::span<Word> out) const
     std::memcpy(out.data(), global.data() + off, out.size() * 4);
 }
 
+inline std::uint32_t
+RawMachine::decode(const Instr &in) const
+{
+    triarch_assert(static_cast<unsigned>(in.op) < std::size(formats)
+                       && ((in.rd | in.rs | in.rt) & ~(numRegs - 1)) == 0,
+                   "malformed instruction");
+    // Branch-free: every instruction of every program is decoded,
+    // and a sweep-sized CSLC cell runs each one only ~15 times.
+    const Format f = formats[static_cast<unsigned>(in.op)];
+    const unsigned rs = in.rs & -unsigned{f.rs};
+    const unsigned rt = in.rt & -unsigned{f.rt};
+    const unsigned rd = in.rd & -unsigned{f.rd};
+    const unsigned popRs = rs == regCsti;
+    const unsigned popRt = rt == regCsti;
+    const unsigned send = rd == regCsto;
+    const unsigned sink = (rd == 0) | send;
+    const unsigned batch = !(popRs | popRt | f.step);
+    return static_cast<unsigned>(in.op) | popRs << 5 | popRt << 6
+           | send << 7 | (sink ? regSink : rd) << 8
+           | (popRs ? 0 : rs) << 13 | (popRt ? 0 : rt) << 18
+           | batch << 23 | unsigned{latency[f.lat]} << 24;
+}
+
+void
+RawMachine::logOp(unsigned t, Cycles now, Uop u)
+{
+    const auto reg = [](unsigned r) { return static_cast<std::uint8_t>(r); };
+    const Instr in{u.op(),
+                   reg(u.send() ? regCsto : u.rd() == regSink ? 0 : u.rd()),
+                   reg(u.popRs() ? regCsti : u.rs()),
+                   reg(u.popRt() ? regCsti : u.rt()), u.imm};
+    debugLog("raw tile ", t, " @", now, ": ", disassemble(in));
+}
+
 void
 RawMachine::setProgram(unsigned tile, std::vector<Instr> program)
 {
     triarch_assert(tile < cfg.tiles(), "tile out of range");
     TileCold &c = cold[tile];
     TileHot &h = hot[tile];
+    // Decode in place: a Uop is Instr-sized, so the op stream reuses
+    // the program's buffer, cache-hot and already paged in.
+    for (Instr &in : program)
+        in = std::bit_cast<Instr>(Uop{decode(in), in.imm});
     c.program = std::move(program);
     h.prog = c.program.data();
     h.progLen = static_cast<std::uint32_t>(c.program.size());
@@ -222,7 +331,7 @@ RawMachine::hops(unsigned a, unsigned b) const
     return static_cast<unsigned>(std::abs(ar - br) + std::abs(ac - bc));
 }
 
-void
+inline void
 RawMachine::noteFifoPush(unsigned t)
 {
     // If the tile went to sleep on $csti with too few queued words
@@ -234,12 +343,12 @@ RawMachine::noteFifoPush(unsigned t)
     }
 }
 
-void
+inline void
 RawMachine::send(unsigned t, Word value, Cycles now)
 {
     const unsigned route = hot[t].route;
-    triarch_assert(route != ~0u, "tile ", t,
-                   " writes $csto without a configured route");
+    if (route == ~0u)
+        tileFault(t, " writes $csto without a configured route");
     if (route >= 1000) {
         // Peripheral port: one hop from the attached tile.
         ports[route - 1000].arrivals.emplace_back(
@@ -300,65 +409,46 @@ RawMachine::stepTile(unsigned t, Cycles now)
         wake[t] = tile.stallUntil;
         return;
     }
-    triarch_assert(tile.pc < tile.progLen,
-                   "tile ", t, " ran off its program");
-    const Instr &in = tile.prog[tile.pc];
-    const OpInfo info = opInfo(in.op);
+    if (tile.pc >= tile.progLen)
+        tileFault(t, " ran off its program at pc ", tile.pc);
+    const Uop u = tile.op(tile.pc);
 
-    // Source operands: each $csti source pops one network word; the
-    // others are scoreboarded register reads.
-    unsigned pops = 0;
-    Cycles rdy = 0;
-    if (info.readsRs) {
-        if (in.rs == regCsti)
-            ++pops;
-        else if (in.rs != 0)
-            rdy = std::max(rdy, tile.ready[in.rs]);
-    }
-    if (info.readsRt) {
-        if (in.rt == regCsti)
-            ++pops;
-        else if (in.rt != 0)
-            rdy = std::max(rdy, tile.ready[in.rt]);
-    }
-
-    // Network-input availability.
-    if (pops > 0) {
-        if (tile.inFifo.size() < pops
-            || tile.inFifo[pops - 1].first > now) {
-            ++_netStalls;
-            tile.stallKind =
-                tile.dmaFed ? TileStall::Dma : TileStall::Net;
-            tallyStall(tile.stallKind, now);
-            tile.stallUntil = now + 1;
-            if (tile.inFifo.size() >= pops) {
-                wake[t] = tile.inFifo[pops - 1].first;
-            } else {
-                tile.waitPops = static_cast<std::uint8_t>(pops);
-                wake[t] = kNever;
-            }
-            return;
+    // Network-input availability: each $csti operand pops one word.
+    const unsigned pops = u.popRs() + u.popRt();
+    if (pops > 0
+        && (tile.inFifo.size() < pops
+            || tile.inFifo[pops - 1].first > now)) {
+        ++_netStalls;
+        tile.stallKind = tile.dmaFed ? TileStall::Dma : TileStall::Net;
+        tallyStall(tile.stallKind, now);
+        tile.stallUntil = now + 1;
+        if (tile.inFifo.size() >= pops) {
+            wake[t] = tile.inFifo[pops - 1].first;
+        } else {
+            tile.waitPops = static_cast<std::uint8_t>(pops);
+            wake[t] = kNever;
         }
+        return;
     }
 
     // Dynamic-network receive availability.
-    if (in.op == Op::Drecv) {
-        if (tile.dynFifo.empty() || tile.dynFifo.front().first > now) {
-            ++_netStalls;
-            tile.stallKind = TileStall::Net;
-            tallyStall(tile.stallKind, now);
-            tile.stallUntil = now + 1;
-            if (!tile.dynFifo.empty()) {
-                wake[t] = tile.dynFifo.front().first;
-            } else {
-                tile.waitDyn = true;
-                wake[t] = kNever;
-            }
-            return;
+    if (u.op() == Op::Drecv
+        && (tile.dynFifo.empty() || tile.dynFifo.front().first > now)) {
+        ++_netStalls;
+        tile.stallKind = TileStall::Net;
+        tallyStall(tile.stallKind, now);
+        tile.stallUntil = now + 1;
+        if (!tile.dynFifo.empty()) {
+            wake[t] = tile.dynFifo.front().first;
+        } else {
+            tile.waitDyn = true;
+            wake[t] = kNever;
         }
+        return;
     }
 
     // Operand readiness (scoreboarded latencies).
+    const Cycles rdy = std::max(tile.ready[u.rs()], tile.ready[u.rt()]);
     if (rdy > now) {
         ++_depStalls;
         tile.stallKind = TileStall::Dep;
@@ -371,7 +461,7 @@ RawMachine::stepTile(unsigned t, Cycles now)
     // If this instruction sends to a tile whose FIFO is full, block.
     // No wake cycle is knowable (the consumer frees a slot whenever
     // it happens to pop), so re-poll every cycle like the reference.
-    if (info.sendEligible && in.rd == regCsto && tile.route < 1000
+    if (u.send() && tile.route < 1000
         && hot[tile.route].inFifo.size() >= cfg.fifoCapacity) {
         ++_netStalls;
         tile.stallKind = TileStall::Net;
@@ -381,230 +471,22 @@ RawMachine::stepTile(unsigned t, Cycles now)
         return;
     }
 
-    auto readReg = [&](unsigned r) -> std::uint32_t {
-        if (r == regCsti) {
-            // Availability was checked above, so arrival <= now; the
-            // difference is the word's FIFO residency.
-            fifoWordCycles += now - tile.inFifo.front().first;
-            const Word v = tile.inFifo.front().second;
-            tile.inFifo.pop_front();
-            return v;
-        }
-        return r == 0 ? 0 : tile.regs[r];
-    };
-
-    auto writeReg = [&](unsigned rd, std::uint32_t v, Cycles lat) {
-        if (rd == regCsto) {
-            send(t, v, now);
-        } else if (rd != 0) {
-            tile.regs[rd] = v;
-            tile.ready[rd] = now + lat;
-        }
-    };
-
-    bool branched = false;
-    switch (in.op) {
-      case Op::Nop:
-        break;
-      case Op::Add:
-        writeReg(in.rd, readReg(in.rs) + readReg(in.rt),
-                 cfg.intLatency);
-        break;
-      case Op::Addi:
-        writeReg(in.rd, readReg(in.rs)
-                 + static_cast<std::uint32_t>(in.imm), cfg.intLatency);
-        break;
-      case Op::Sub:
-        writeReg(in.rd, readReg(in.rs) - readReg(in.rt),
-                 cfg.intLatency);
-        break;
-      case Op::Mul:
-        writeReg(in.rd, readReg(in.rs) * readReg(in.rt),
-                 cfg.mulLatency);
-        break;
-      case Op::Sll:
-        writeReg(in.rd, readReg(in.rs) << (in.imm & 31),
-                 cfg.intLatency);
-        break;
-      case Op::Sra:
-        writeReg(in.rd, static_cast<std::uint32_t>(
-                     static_cast<std::int32_t>(readReg(in.rs))
-                     >> (in.imm & 31)), cfg.intLatency);
-        break;
-      case Op::Srl:
-        writeReg(in.rd, readReg(in.rs) >> (in.imm & 31),
-                 cfg.intLatency);
-        break;
-      case Op::And:
-        writeReg(in.rd, readReg(in.rs) & readReg(in.rt),
-                 cfg.intLatency);
-        break;
-      case Op::Or:
-        writeReg(in.rd, readReg(in.rs) | readReg(in.rt),
-                 cfg.intLatency);
-        break;
-      case Op::Xor:
-        writeReg(in.rd, readReg(in.rs) ^ readReg(in.rt),
-                 cfg.intLatency);
-        break;
-      case Op::Li:
-        writeReg(in.rd, static_cast<std::uint32_t>(in.imm),
-                 cfg.intLatency);
-        break;
-      case Op::FAdd:
-        writeReg(in.rd, floatToWord(wordToFloat(readReg(in.rs))
-                                    + wordToFloat(readReg(in.rt))),
-                 cfg.fpLatency);
-        ++_fpops;
-        break;
-      case Op::FSub:
-        writeReg(in.rd, floatToWord(wordToFloat(readReg(in.rs))
-                                    - wordToFloat(readReg(in.rt))),
-                 cfg.fpLatency);
-        ++_fpops;
-        break;
-      case Op::FMul:
-        writeReg(in.rd, floatToWord(wordToFloat(readReg(in.rs))
-                                    * wordToFloat(readReg(in.rt))),
-                 cfg.fpLatency);
-        ++_fpops;
-        break;
-      case Op::Lw: {
-        const Addr addr =
-            readReg(in.rs) + static_cast<std::uint32_t>(in.imm);
-        Word value = 0;
-        Cycles extra = 0;
-        if (addr >= globalBase) {
-            const Addr off = addr - globalBase;
-            triarch_assert(off + 4 <= global.size(),
-                           "tile ", t, " lw outside global DRAM");
-            std::memcpy(&value, global.data() + off, 4);
-            // Way-predicted hit fast path (D13): exact by
-            // construction, so no mode gate — a matching memo is a
-            // proof of residency and a hit charges nothing extra.
-            if (!tile.cache->accessFast(addr, false)) {
-                auto res = tile.cache->access(addr, false);
-                if (!res.hit) {
-                    extra = cfg.cacheMissPenalty;
-                    if (res.writebackAddr)
-                        extra += cfg.writebackPenalty;
-                    _cacheStalls += extra;
-                }
-            }
-        } else {
-            triarch_assert(addr + 4 <= cfg.sramBytes,
-                           "tile ", t, " lw outside SRAM @", addr);
-            std::memcpy(&value, tile.sram + addr, 4);
-        }
-        writeReg(in.rd, value, extra + cfg.loadLatency);
-        if (extra > 0) {
-            tile.stallKind = TileStall::Cache;
-            tile.stallUntil = now + 1 + extra;
-        }
-        ++_ldst;
-        break;
-      }
-      case Op::Sw: {
-        const Addr addr =
-            readReg(in.rs) + static_cast<std::uint32_t>(in.imm);
-        const Word value = readReg(in.rt);
-        if (addr >= globalBase) {
-            const Addr off = addr - globalBase;
-            triarch_assert(off + 4 <= global.size(),
-                           "tile ", t, " sw outside global DRAM");
-            std::memcpy(global.data() + off, &value, 4);
-            // Way-predicted hit fast path (D13): exact, no mode
-            // gate — a store hit stalls nothing.
-            if (!tile.cache->accessFast(addr, true)) {
-                auto res = tile.cache->access(addr, true);
-                if (!res.hit) {
-                    Cycles extra = cfg.cacheMissPenalty;
-                    if (res.writebackAddr)
-                        extra += cfg.writebackPenalty;
-                    _cacheStalls += extra;
-                    tile.stallKind = TileStall::Cache;
-                    tile.stallUntil = now + 1 + extra;
-                }
-            }
-        } else {
-            triarch_assert(addr + 4 <= cfg.sramBytes,
-                           "tile ", t, " sw outside SRAM @", addr);
-            std::memcpy(tile.sram + addr, &value, 4);
-        }
-        ++_ldst;
-        break;
-      }
-      case Op::Dsend: {
-        const unsigned dest = readReg(in.rs);
-        const Word value = readReg(in.rt);
-        triarch_assert(dest < cfg.tiles(),
-                       "tile ", t, " dsend to bad tile ", dest);
-        const Cycles arrival =
-            now + cfg.dynBaseLatency + std::max(1u, hops(t, dest));
-        hot[dest].dynFifo.emplace_back(arrival, value);
-        if (hot[dest].waitDyn) {
-            hot[dest].waitDyn = false;
-            wake[dest] = arrival;
-        }
-        // The packet (header + data) occupies the injection port.
-        tile.stallKind = TileStall::Net;
-        tile.stallUntil = now + cfg.dynSendOccupancy;
-        break;
-      }
-      case Op::Drecv:
-        writeReg(in.rd, tile.dynFifo.front().second, cfg.intLatency);
-        tile.dynFifo.pop_front();
-        break;
-      case Op::Beq:
-        branched = readReg(in.rs) == readReg(in.rt);
-        break;
-      case Op::Bne:
-        branched = readReg(in.rs) != readReg(in.rt);
-        break;
-      case Op::Blt:
-        branched = static_cast<std::int32_t>(readReg(in.rs))
-                   < static_cast<std::int32_t>(readReg(in.rt));
-        break;
-      case Op::Bge:
-        branched = static_cast<std::int32_t>(readReg(in.rs))
-                   >= static_cast<std::int32_t>(readReg(in.rt));
-        break;
-      case Op::Jump:
-        branched = true;
-        break;
-      case Op::Halt:
-        tile.halted = true;
-        cold[t].haltCycle = now;
-        liveTileMask &= ~bitOf(t);
-        break;
-    }
-
-    if (branched)
-        tile.pc = static_cast<unsigned>(in.imm);
-    else if (!tile.halted)
-        ++tile.pc;
-
+    OpCounts counts;
+    tile.pc = execute<false>(t, tile, u, tile.pc, now, counts);
     ++tile.instrs;
+    _fpops += counts.fp;
+    _ldst += counts.ldst;
 
-    if (debugTrace) [[unlikely]] {
-        debugLog("raw tile ", t, " @", now, ": ",
-                 disassemble(in));
-    }
+    if (debugTrace) [[unlikely]]
+        logOp(t, now, u);
 
-    // A retire with no pending stall window can keep going: as long
-    // as the following instructions touch only tile-private state,
-    // nothing else in the machine can observe the difference, so the
-    // whole run executes in one call (event stepper only). The first
-    // instruction's break test runs inline so streaming code (whose
-    // every instruction touches the network) skips the call.
+    // A retire with no pending stall window can keep going in a
+    // batch (event stepper only). The first op's test runs inline so
+    // streaming code, which mostly cannot batch, skips the call.
     if (batching && !tile.halted && tile.stallUntil <= now + 1
         && tile.pc < tile.progLen) {
-        const Instr &nx = tile.prog[tile.pc];
-        const OpInfo ni = opInfo(nx.op);
-        if (nx.op != Op::Dsend && nx.op != Op::Drecv
-            && !(ni.readsRs && nx.rs == regCsti)
-            && !(ni.readsRt && nx.rt == regCsti)
-            && !(ni.sendEligible && nx.rd == regCsto)) {
+        const Uop next = tile.op(tile.pc);
+        if (canBatch(tile, next) && !reachesGlobal(tile, next)) {
             batchTile(t, now + 1);
             return;
         }
@@ -615,197 +497,281 @@ RawMachine::stepTile(unsigned t, Cycles now)
     wake[t] = tile.halted ? kNever : std::max(now + 1, tile.stallUntil);
 }
 
+template <bool Batch>
+inline unsigned
+RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
+                    Cycles now, OpCounts &counts)
+{
+    // A $csti operand pops its word, rs before rt. The caller saw it
+    // arrive, so now - arrival is the word's FIFO residency.
+    const auto pop = [&]() -> Word {
+        fifoWordCycles += now - tile.inFifo.front().first;
+        const Word v = tile.inFifo.front().second;
+        tile.inFifo.pop_front();
+        return v;
+    };
+    const Word a = !Batch && u.popRs() ? pop() : tile.regs[u.rs()];
+    const Word b = !Batch && u.popRt() ? pop() : tile.regs[u.rt()];
+    const auto imm = static_cast<std::uint32_t>(u.imm);
+
+    // Way-predicted hit fast path first (D13): exact by construction,
+    // so a matching memo proves residency and a hit costs nothing. A
+    // miss stalls the tile; returns the extra load latency.
+    const auto billCache = [&](Addr addr, bool store) -> Cycles {
+        if (tile.cache->accessFast(addr, store))
+            return 0;
+        const auto res = tile.cache->access(addr, store);
+        if (res.hit)
+            return 0;
+        Cycles extra = cfg.cacheMissPenalty;
+        if (res.writebackAddr)
+            extra += cfg.writebackPenalty;
+        _cacheStalls += extra;
+        tile.stallKind = TileStall::Cache;
+        tile.stallUntil = now + 1 + extra;
+        return extra;
+    };
+
+    Word v = 0;
+    Cycles lat = u.lat();
+    unsigned next = pc + 1;
+    switch (u.op()) {
+      case Op::Nop:
+        break;
+      case Op::Add:
+        v = a + b;
+        break;
+      case Op::Addi:
+        v = a + imm;
+        break;
+      case Op::Sub:
+        v = a - b;
+        break;
+      case Op::Mul:
+        v = a * b;
+        break;
+      case Op::Sll:
+        v = a << (imm & 31);
+        break;
+      case Op::Sra:
+        v = static_cast<Word>(static_cast<std::int32_t>(a) >> (imm & 31));
+        break;
+      case Op::Srl:
+        v = a >> (imm & 31);
+        break;
+      case Op::And:
+        v = a & b;
+        break;
+      case Op::Or:
+        v = a | b;
+        break;
+      case Op::Xor:
+        v = a ^ b;
+        break;
+      case Op::Li:
+        v = imm;
+        break;
+      case Op::FAdd:
+        v = floatToWord(wordToFloat(a) + wordToFloat(b));
+        ++counts.fp;
+        break;
+      case Op::FSub:
+        v = floatToWord(wordToFloat(a) - wordToFloat(b));
+        ++counts.fp;
+        break;
+      case Op::FMul:
+        v = floatToWord(wordToFloat(a) * wordToFloat(b));
+        ++counts.fp;
+        break;
+      case Op::Lw: {
+        // Global DRAM is shared with the other tiles and the ports,
+        // and the cache bills it, so a batch declines it untouched.
+        const Addr addr = a + imm;
+        if (addr >= globalBase) {
+            if constexpr (Batch)
+                return kDeclined;
+            const Addr off = addr - globalBase;
+            if (off + 4 > global.size())
+                tileFault(t, " lw outside global DRAM @", addr);
+            std::memcpy(&v, global.data() + off, 4);
+            lat += billCache(addr, false);
+        } else {
+            if (addr + 4 > cfg.sramBytes)
+                tileFault(t, " lw outside SRAM @", addr);
+            std::memcpy(&v, tile.sram + addr, 4);
+        }
+        ++counts.ldst;
+        break;
+      }
+      case Op::Sw: {
+        const Addr addr = a + imm;
+        if (addr >= globalBase) {
+            if constexpr (Batch)
+                return kDeclined;
+            const Addr off = addr - globalBase;
+            if (off + 4 > global.size())
+                tileFault(t, " sw outside global DRAM @", addr);
+            std::memcpy(global.data() + off, &b, 4);
+            billCache(addr, true);
+        } else {
+            if (addr + 4 > cfg.sramBytes)
+                tileFault(t, " sw outside SRAM @", addr);
+            std::memcpy(tile.sram + addr, &b, 4);
+        }
+        ++counts.ldst;
+        break;
+      }
+      case Op::Beq:
+        if (a == b)
+            next = imm;
+        break;
+      case Op::Bne:
+        if (a != b)
+            next = imm;
+        break;
+      case Op::Blt:
+        if (static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b))
+            next = imm;
+        break;
+      case Op::Bge:
+        if (static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b))
+            next = imm;
+        break;
+      case Op::Jump:
+        next = imm;
+        break;
+      case Op::Halt:
+        tile.halted = true;
+        cold[t].haltCycle = now;
+        liveTileMask &= ~bitOf(t);
+        next = pc;
+        break;
+      case Op::Dsend: {
+        const unsigned dest = a;
+        if (dest >= cfg.tiles())
+            tileFault(t, " dsend to bad tile ", dest);
+        const Cycles arrival =
+            now + cfg.dynBaseLatency + std::max(1u, hops(t, dest));
+        hot[dest].dynFifo.emplace_back(arrival, b);
+        if (hot[dest].waitDyn) {
+            hot[dest].waitDyn = false;
+            wake[dest] = arrival;
+        }
+        // The packet (header + data) occupies the injection port.
+        tile.stallKind = TileStall::Net;
+        tile.stallUntil = now + cfg.dynSendOccupancy;
+        break;
+      }
+      case Op::Drecv:
+        v = tile.dynFifo.front().second;
+        tile.dynFifo.pop_front();
+        break;
+    }
+
+    if (u.send()) {
+        send(t, v, now);
+    } else {
+        tile.regs[u.rd()] = v;
+        tile.ready[u.rd()] = now + lat;
+    }
+    return next;
+}
+
+inline bool
+RawMachine::canBatch(const TileHot &tile, const Uop u) const
+{
+    return u.batch() && (!u.send() || tile.soloPort != nullptr);
+}
+
+inline bool
+RawMachine::reachesGlobal(const TileHot &tile, const Uop u) const
+{
+    // No one else writes the tile's registers, so the base register
+    // already holds the address the op will use.
+    return (u.op() == Op::Lw || u.op() == Op::Sw)
+           && Addr{tile.regs[u.rs()] + static_cast<Word>(u.imm)}
+                  >= globalBase;
+}
+
 /**
- * Execute a run of tile-local instructions — register/SRAM compute,
- * branches, halt — in one call, advancing a private cycle cursor.
+ * Execute a run of ops in one call, advancing a private cycle cursor
+ * ahead of the event loop's `now`.
  *
- * Soundness: while a tile executes only local operations, no other
- * actor reads its private state (FIFO pushes append without looking
- * at registers or SRAM), and the tile reads nothing another actor
- * writes. The batch therefore commutes with the rest of the cycle
- * interleaving and every counter lands on exactly the value the
+ * Soundness: the batch runs tile-local ops (register and SRAM
+ * compute, branches) and $csto sends to a port the tile alone feeds.
+ * No other actor reads the tile's private state (FIFO pushes append
+ * without looking at registers or SRAM), and the tile reads nothing
+ * another actor writes. A send to a DRAM port never blocks, and the
+ * port drains its arrival queue front first, each word no earlier
+ * than its arrival cycle. One sender enqueues in cycle order, so a
+ * word queued early is drained exactly when the reference drains it.
+ * A second sender's words would land behind batched words with later
+ * arrival cycles and drain out of order, which is why run() grants
+ * port sends to single senders only; sendAhead bounds how far ahead
+ * the queue may grow. The batch therefore commutes with the rest of
+ * the cycle interleaving, and every counter lands on the value the
  * cycle-at-a-time reference accrues: busy cycles are the retired
- * instruction count, operand-latency gaps add to tcDep in bulk with
- * one dep_stalls event each, exactly like the reference's stall
- * entry plus its per-cycle stallUntil re-polls.
+ * instruction count, and operand-latency gaps add to tcDep in bulk
+ * with one dep_stalls event each, like the reference's stall entry
+ * plus its per-cycle stallUntil re-polls.
  *
- * The batch breaks BEFORE any externally-visible instruction:
- * $csti/$csto traffic, dynamic network ops, and loads/stores that
- * reach global DRAM (other tiles and DMA ports share it, and the
- * cache model bills those accesses); the instruction re-runs through
- * the normal stepTile path at the cursor cycle.
+ * The batch breaks BEFORE any other externally visible op: $csti
+ * pops, sends to tiles or shared ports, dynamic-network ops, halt,
+ * and loads/stores that reach global DRAM. That op issues through
+ * stepTile at the cursor cycle, so tiles leave the live set only at
+ * the event loop's `now`.
  */
 void
 RawMachine::batchTile(unsigned t, Cycles cur)
 {
     TileHot &tile = hot[t];
+    // The loop state lives in locals: SRAM stores go through a byte
+    // pointer, which would otherwise force every op to reload it.
+    const Instr *const prog = tile.prog;
+    const std::uint32_t len = tile.progLen;
+    const Port *const port = tile.soloPort;
     const Cycles limit = cfg.maxCycles;
-    while (cur <= limit) {
-        triarch_assert(tile.pc < tile.progLen,
-                       "tile ", t, " ran off its program");
-        const Instr &in = tile.prog[tile.pc];
-        const OpInfo info = opInfo(in.op);
-        if (in.op == Op::Dsend || in.op == Op::Drecv)
+    unsigned pc = tile.pc;
+    std::uint64_t retired = 0, depCycles = 0, depEvents = 0;
+    OpCounts counts;
+    for (; cur <= limit; ++cur) {
+        if (pc >= len)
+            tileFault(t, " ran off its program at pc ", pc);
+        const Uop u = std::bit_cast<Uop>(prog[pc]);
+        if (!canBatch(tile, u))
             break;
-        if ((info.readsRs && in.rs == regCsti)
-            || (info.readsRt && in.rt == regCsti))
-            break;
-        if (info.sendEligible && in.rd == regCsto)
-            break;
-
-        Cycles rdy = 0;
-        if (info.readsRs && in.rs != 0)
-            rdy = std::max(rdy, tile.ready[in.rs]);
-        if (info.readsRt && in.rt != 0)
-            rdy = std::max(rdy, tile.ready[in.rt]);
+        // The scoreboard is the first stall test such an op meets, so
+        // its operand wait is tile-private and accrues here even when
+        // the op itself must then issue through stepTile.
+        const Cycles rdy = std::max(tile.ready[u.rs()], tile.ready[u.rt()]);
         if (rdy > cur) {
-            tcDep += rdy - cur;
+            depCycles += rdy - cur;
+            ++depEvents;
             hwSamp.addRange(0, cur, rdy);
-            ++_depStalls;
             cur = rdy;
         }
-
-        const auto rs = [&]() -> std::uint32_t {
-            return in.rs == 0 ? 0 : tile.regs[in.rs];
-        };
-        const auto rt = [&]() -> std::uint32_t {
-            return in.rt == 0 ? 0 : tile.regs[in.rt];
-        };
-        const auto wr = [&](std::uint32_t v, Cycles lat) {
-            if (in.rd != 0) {
-                tile.regs[in.rd] = v;
-                tile.ready[in.rd] = cur + lat;
-            }
-        };
-
-        bool branched = false;
-        switch (in.op) {
-          case Op::Nop:
+        if (u.send() && port->arrivals.size() >= sendAhead)
             break;
-          case Op::Add:
-            wr(rs() + rt(), cfg.intLatency);
+        const unsigned next = execute<true>(t, tile, u, pc, cur, counts);
+        if (next == kDeclined)
             break;
-          case Op::Addi:
-            wr(rs() + static_cast<std::uint32_t>(in.imm),
-               cfg.intLatency);
-            break;
-          case Op::Sub:
-            wr(rs() - rt(), cfg.intLatency);
-            break;
-          case Op::Mul:
-            wr(rs() * rt(), cfg.mulLatency);
-            break;
-          case Op::Sll:
-            wr(rs() << (in.imm & 31), cfg.intLatency);
-            break;
-          case Op::Sra:
-            wr(static_cast<std::uint32_t>(
-                   static_cast<std::int32_t>(rs()) >> (in.imm & 31)),
-               cfg.intLatency);
-            break;
-          case Op::Srl:
-            wr(rs() >> (in.imm & 31), cfg.intLatency);
-            break;
-          case Op::And:
-            wr(rs() & rt(), cfg.intLatency);
-            break;
-          case Op::Or:
-            wr(rs() | rt(), cfg.intLatency);
-            break;
-          case Op::Xor:
-            wr(rs() ^ rt(), cfg.intLatency);
-            break;
-          case Op::Li:
-            wr(static_cast<std::uint32_t>(in.imm), cfg.intLatency);
-            break;
-          case Op::FAdd:
-            wr(floatToWord(wordToFloat(rs()) + wordToFloat(rt())),
-               cfg.fpLatency);
-            ++_fpops;
-            break;
-          case Op::FSub:
-            wr(floatToWord(wordToFloat(rs()) - wordToFloat(rt())),
-               cfg.fpLatency);
-            ++_fpops;
-            break;
-          case Op::FMul:
-            wr(floatToWord(wordToFloat(rs()) * wordToFloat(rt())),
-               cfg.fpLatency);
-            ++_fpops;
-            break;
-          case Op::Lw: {
-            const Addr addr =
-                rs() + static_cast<std::uint32_t>(in.imm);
-            if (addr >= globalBase)
-                goto out;       // cached access: slow path bills it
-            triarch_assert(addr + 4 <= cfg.sramBytes,
-                           "tile ", t, " lw outside SRAM @", addr);
-            Word value = 0;
-            std::memcpy(&value, tile.sram + addr, 4);
-            wr(value, cfg.loadLatency);
-            ++_ldst;
-            break;
-          }
-          case Op::Sw: {
-            const Addr addr =
-                rs() + static_cast<std::uint32_t>(in.imm);
-            if (addr >= globalBase)
-                goto out;
-            triarch_assert(addr + 4 <= cfg.sramBytes,
-                           "tile ", t, " sw outside SRAM @", addr);
-            const Word value = rt();
-            std::memcpy(tile.sram + addr, &value, 4);
-            ++_ldst;
-            break;
-          }
-          case Op::Beq:
-            branched = rs() == rt();
-            break;
-          case Op::Bne:
-            branched = rs() != rt();
-            break;
-          case Op::Blt:
-            branched = static_cast<std::int32_t>(rs())
-                       < static_cast<std::int32_t>(rt());
-            break;
-          case Op::Bge:
-            branched = static_cast<std::int32_t>(rs())
-                       >= static_cast<std::int32_t>(rt());
-            break;
-          case Op::Jump:
-            branched = true;
-            break;
-          case Op::Halt:
-            tile.halted = true;
-            cold[t].haltCycle = cur;
-            liveTileMask &= ~bitOf(t);
-            ++tile.instrs;
-            tile.talliedThrough = cur + 1;
-            wake[t] = kNever;
-            if (cur + 1 > batchedHaltEnd)
-                batchedHaltEnd = cur + 1;
-            return;
-          case Op::Dsend:
-          case Op::Drecv:
-            triarch_panic("network op reached the local batch");
-        }
-
-        if (branched)
-            tile.pc = static_cast<unsigned>(in.imm);
-        else
-            ++tile.pc;
-        ++tile.instrs;
-        ++cur;
+        pc = next;
+        ++retired;
     }
-out:
-    // The instruction at `pc` issues at `cur` through the normal
-    // path; every cycle below `cur` is accounted (busy via the
-    // per-tile retire count, waits via tcDep).
+    tile.pc = pc;
+    tile.instrs += retired;
+    tcDep += depCycles;
+    _depStalls += depEvents;
+    _fpops += counts.fp;
+    _ldst += counts.ldst;
+    // The op at `pc` issues at `cur` through the normal path; every
+    // cycle below `cur` is accounted (busy via the per-tile retire
+    // count, waits via tcDep).
     tile.talliedThrough = cur;
     wake[t] = cur;
 }
 
-void
+inline void
 RawMachine::stepPort(Port &port, Cycles now)
 {
     std::uint8_t *const dram = global.data();
@@ -861,7 +827,7 @@ RawMachine::stepPort(Port &port, Cycles now)
     }
 }
 
-void
+inline void
 RawMachine::stepPorts(Cycles now)
 {
     // Ports with no queued segment cannot act (arrivals wait for an
@@ -934,7 +900,7 @@ RawMachine::creditSleep(unsigned t, Cycles now)
                     from, now);
 }
 
-Cycles
+inline Cycles
 RawMachine::nextEventCycle(Cycles from) const
 {
     // Halted tiles always sleep at kNever, so only live ones count.
@@ -999,7 +965,6 @@ RawMachine::runEvent()
         hot[t].waitDyn = false;
         wake[t] = hot[t].halted ? kNever : 0;
     }
-    batchedHaltEnd = 0;
 
     Cycles now = 0;
     while (liveTileMask != 0 || portWork != 0) {
@@ -1033,18 +998,6 @@ RawMachine::runEvent()
         now = next;
     }
 
-    // The loop cursor can exit behind a halt that executed inside a
-    // batch: the reference loop's allDone() only releases the run
-    // once every tile's halt cycle has passed, and its maxCycles
-    // check fires on the way there.
-    if (batchedHaltEnd > now) {
-        now = batchedHaltEnd;
-        if (now > cfg.maxCycles) {
-            triarch_fatal("Raw simulation exceeded ", cfg.maxCycles,
-                          " cycles — deadlock or runaway program");
-        }
-    }
-
     // Settle the books: cycles [talliedThrough, now) of every tile
     // were slept through (all remaining tiles are halted), so the
     // per-tile tally count reaches exactly `now`, the same partition
@@ -1065,6 +1018,19 @@ RawMachine::run()
     // interleave across tiles (never their content), so tracing runs
     // stay cycle-at-a-time.
     batching = mode == RawStepper::Event && !debugTrace;
+    // Routes are program properties and may change between runs, so
+    // single senders are found afresh: a port fed by two tiles takes
+    // their words in arrival order, which only stepping preserves.
+    std::array<unsigned, 64> senders{};
+    for (const TileHot &h : hot) {
+        if (h.route - 1000 < ports.size())
+            ++senders[h.route - 1000];
+    }
+    for (TileHot &h : hot) {
+        const unsigned p = h.route - 1000;
+        h.soloPort = p < ports.size() && senders[p] == 1 ? &ports[p]
+                                                         : nullptr;
+    }
     const Cycles now = mode == RawStepper::Reference ? runReference()
                                                      : runEvent();
     _cycles.set(now);

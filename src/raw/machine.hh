@@ -25,6 +25,7 @@
 #define TRIARCH_RAW_MACHINE_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -211,6 +212,51 @@ class RawMachine
     static constexpr Cycles kNever = ~Cycles{0};
 
     /**
+     * One predecoded instruction, 8 bytes like the Instr it replaces
+     * in place. setProgram() resolves once what the interpreter would
+     * otherwise re-derive every step. The low byte of `bits` is the
+     * handler id: the opcode plus the operand-kind bits (pop $csti for
+     * rs / rt, send the result on $csto). Above it sit the register
+     * fields, the batch bit and the result latency. An operand the
+     * opcode does not read decodes to r0, and a result with no
+     * register home decodes to regSink, so operand reads and the
+     * scoreboard check are plain array loads: nothing ever writes
+     * regs[0] or ready[0].
+     */
+    struct Uop
+    {
+        std::uint32_t bits;
+        std::int32_t imm;
+
+        Op op() const { return static_cast<Op>(bits & 31); }
+        bool popRs() const { return bits >> 5 & 1; }
+        bool popRt() const { return bits >> 6 & 1; }
+        /** The result is written to $csto. */
+        bool send() const { return bits >> 7 & 1; }
+        unsigned rd() const { return bits >> 8 & 31; }
+        unsigned rs() const { return bits >> 13 & 31; }
+        unsigned rt() const { return bits >> 18 & 31; }
+        /** No $csti pop, no dynamic-network op, no halt: a batch
+         *  may run it (a $csto send only to a single-sender port). */
+        bool batch() const { return bits >> 23 & 1; }
+        Cycles lat() const { return bits >> 24; }
+    };
+    static_assert(sizeof(Uop) == sizeof(Instr));
+
+    /** Where results with no register home land: $csti's slot,
+     *  never read, because a $csti operand decodes to a pop. */
+    static constexpr unsigned regSink = regCsti;
+
+    /** Uop::bits for @p in (the immediate carries over as is). */
+    std::uint32_t decode(const Instr &in) const;
+    /** Debug-log @p u, executed by tile @p t at @p now, as the
+     *  instruction it was decoded from. Out of line: tracing is
+     *  rare and the stepper is hot. */
+    [[gnu::noinline]] static void logOp(unsigned t, Cycles now, Uop u);
+
+    struct Port;
+
+    /**
      * Per-tile state the interpreter touches every step, laid out
      * contiguously (one vector element per tile). Cold bulk — the
      * program and SRAM backing stores, the cache object, halt
@@ -221,7 +267,9 @@ class RawMachine
     {
         unsigned pc = 0;
         std::uint32_t progLen = 0;
+        /** The decoded program: each Instr-sized slot holds a Uop. */
         const Instr *prog = nullptr;
+        Uop op(unsigned at) const { return std::bit_cast<Uop>(prog[at]); }
         Cycles stallUntil = 0;
         TileStall stallKind = TileStall::None;
         bool halted = false;
@@ -232,6 +280,9 @@ class RawMachine
         /** Event stepper: blocked on an empty dynamic-network FIFO. */
         bool waitDyn = false;
         unsigned route = ~0u;
+        /** The port this tile alone routes $csto to, set by run();
+         *  null when the route is a tile or a shared port. */
+        Port *soloPort = nullptr;
         /** Event stepper: stall tallies cover cycles
          *  [0, talliedThrough); the gap up to `now` is credited in
          *  bulk before the tile steps again. */
@@ -247,6 +298,7 @@ class RawMachine
 
     struct TileCold
     {
+        /** Owns the op stream behind TileHot::prog. */
         std::vector<Instr> program;
         std::vector<std::uint8_t> sram;
         std::unique_ptr<mem::SetAssocCache> cache;
@@ -269,17 +321,50 @@ class RawMachine
     void stepTile(unsigned t, Cycles now);
     void batchTile(unsigned t, Cycles cur);
 
+    /** fp_ops and loads_stores of the ops one stepTile or batch
+     *  executed: kept in registers, added to the stats on exit. */
+    struct OpCounts
+    {
+        std::uint64_t fp = 0;
+        std::uint64_t ldst = 0;
+    };
+
+    /**
+     * Execute @p u, the op at @p pc of tile @p t, at cycle @p now:
+     * the one place that holds the opcode semantics. The caller has
+     * checked that the op's operands and network resources are ready,
+     * and it advances the tile's pc and retire count. Returns the
+     * next pc. A Batch call declines (returns kDeclined, no side
+     * effect) a load or store that reaches global DRAM.
+     */
+    template <bool Batch>
+    [[gnu::always_inline]] unsigned execute(unsigned t, TileHot &tile,
+                                            Uop u, unsigned pc,
+                                            Cycles now,
+                                            OpCounts &counts);
+    static constexpr unsigned kDeclined = ~0u;
+
+    /** A batch may reach @p u: it has the batch bit and sends only
+     *  to a port the tile alone feeds. */
+    bool canBatch(const TileHot &tile, Uop u) const;
+
+    /** @p u loads or stores global DRAM, which a batch never runs.
+     *  stepTile tests it to skip a batch that would stop at once; a
+     *  running batch absorbs the op's operand wait first, and then
+     *  execute() declines it. */
+    bool reachesGlobal(const TileHot &tile, Uop u) const;
+
     /** Account one cycle of @p kind for a tile at cycle @p now. */
     void tallyStall(TileStall kind, Cycles now);
 
     /** Advance DMA engines for one cycle. */
-    void stepPorts(Cycles now);
+    [[gnu::always_inline]] void stepPorts(Cycles now);
 
     /** Advance one DMA engine for one cycle. */
-    void stepPort(Port &port, Cycles now);
+    [[gnu::always_inline]] void stepPort(Port &port, Cycles now);
 
     /** Deliver a $csto write from tile @p t. */
-    void send(unsigned t, Word value, Cycles now);
+    [[gnu::always_inline]] void send(unsigned t, Word value, Cycles now);
 
     /** XY-hop count between two tiles. */
     unsigned hops(unsigned a, unsigned b) const;
@@ -290,11 +375,11 @@ class RawMachine
 
     /** Event stepper: earliest cycle >= @p from where any tile wakes
      *  or any DMA port can act; kNever when nothing is pending. */
-    Cycles nextEventCycle(Cycles from) const;
+    [[gnu::always_inline]] Cycles nextEventCycle(Cycles from) const;
 
     /** Event stepper: a word was pushed into tile @p t's input FIFO
      *  — wake the tile if it was waiting for the push. */
-    void noteFifoPush(unsigned t);
+    [[gnu::always_inline]] void noteFifoPush(unsigned t);
 
     /** The original cycle-at-a-time loop (kept as the differential
      *  reference for the event stepper). */
@@ -329,9 +414,11 @@ class RawMachine
     /** Event-stepper runs may execute tile-local instruction runs in
      *  one stepTile call; always false for the reference stepper. */
     bool batching = false;
-    /** Latest halt-cycle + 1 executed inside a batch this run; the
-     *  event loop's cursor can exit behind it. */
-    Cycles batchedHaltEnd = 0;
+    /** Result latency by class (int, mul, fp, load), for decode(). */
+    std::array<std::uint8_t, 4> latency;
+    /** Run-ahead bound of batched port sends: a batch stops sending
+     *  while this many words (one DRAM row) wait at the port. */
+    std::size_t sendAhead = 0;
     /** Bit t set while tile t has a program and has not halted
      *  (the constructor caps tiles() at 64). The event loop steps
      *  and wake-scans only these tiles; with portWork it is the

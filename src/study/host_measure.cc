@@ -1,7 +1,13 @@
 #include "host_measure.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 
+#include "mem/mem_mode.hh"
+#include "raw/config.hh"
+#include "study/cli_options.hh"
+#include "study/machine_info.hh"
 #include "study/registry.hh"
 
 namespace triarch::study
@@ -50,6 +56,143 @@ measureHostSection(const StudyConfig &cfg,
             / medianSumNs;
     }
     return section;
+}
+
+namespace
+{
+
+/**
+ * Keep the cells whose id, read by @p key, is in the comma list
+ * @p list of @p what tokens; returns 2 on an unknown token.
+ */
+template <typename Id>
+int
+keepListed(const std::string &list, const char *what,
+           std::optional<Id> (*parse)(const std::string &),
+           Id Cell::*key, std::vector<Cell> &cells)
+{
+    std::vector<Id> keep;
+    for (const std::string &token : splitList(list)) {
+        const auto id = parse(token);
+        if (!id) {
+            std::fprintf(stderr, "unknown %s token '%s'\n", what,
+                         token.c_str());
+            return 2;
+        }
+        keep.push_back(*id);
+    }
+    std::erase_if(cells, [&](const Cell &cell) {
+        return std::find(keep.begin(), keep.end(), cell.*key)
+               == keep.end();
+    });
+    return 0;
+}
+
+} // namespace
+
+std::optional<int>
+parseMicroHostArgs(int argc, char **argv, MicroHostArgs *args)
+{
+    CliOptions cli("Measure the host wall-clock cost of simulating "
+                   "each Table-3 cell",
+                   "micro_host");
+    cli.number("--seed", "N", "workload synthesis seed (default 11)",
+               std::numeric_limits<std::uint64_t>::max(),
+               [args](std::uint64_t n) {
+                   args->seed = n;
+                   return 0;
+               });
+    cli.number("--warmup", "N",
+               "unmeasured iterations per cell (default 1)",
+               std::numeric_limits<unsigned>::max(),
+               [args](std::uint64_t n) {
+                   args->measure.warmup = static_cast<unsigned>(n);
+                   return 0;
+               });
+    cli.number("--reps", "N",
+               "measured iterations per cell (default 5; the "
+               "measurement contract wants 30+)",
+               std::numeric_limits<unsigned>::max(),
+               [args](std::uint64_t n) {
+                   args->measure.repetitions = static_cast<unsigned>(n);
+                   return 0;
+               });
+    cli.number("--pin", "N", "pin the measurement to core N", 4095,
+               [args](std::uint64_t n) {
+                   args->measure.pinCpu = static_cast<int>(n);
+                   return 0;
+               });
+    cli.toggle("--json",
+               "emit a triarch.bench.v1 document with a host section "
+               "instead of the table",
+               [args]() {
+                   args->json = true;
+                   return 0;
+               });
+    cli.value("--machines", "LIST",
+              "comma-separated machine tokens to measure (default "
+              "all); e.g. --machines raw for the Raw host-time gate",
+              [args](const std::string &v) {
+                  return keepListed(v, "machine", &parseMachineToken,
+                                    &Cell::machine, args->cells);
+              });
+    cli.value("--kernels", "LIST",
+              "comma-separated kernel tokens to measure (ct, cslc, "
+              "bs; default all); e.g. --machines raw --kernels ct",
+              [args](const std::string &v) {
+                  return keepListed(v, "kernel", &parseKernelToken,
+                                    &Cell::kernel, args->cells);
+              });
+    cli.toggle("--grid",
+               "print only the one-line grid summary (median sum and "
+               "cells/sec) — the CI throughput check; with --json, a "
+               "triarch.grid.v1 document (per-machine rows + total) "
+               "instead of the one-liner",
+               [args]() {
+                   args->grid = true;
+                   return 0;
+               });
+    cli.value("--mem-model", "MODE",
+              "PPC/VIRAM/Imagine memory walk: span (default, batched "
+              "D13 fast path) or reference (word-at-a-time baseline)",
+              [](const std::string &v) {
+                  if (v == "span") {
+                      mem::setDefaultMemModel(mem::MemModel::Span);
+                  } else if (v == "reference") {
+                      mem::setDefaultMemModel(mem::MemModel::Reference);
+                  } else {
+                      std::fprintf(stderr,
+                                   "--mem-model wants span or "
+                                   "reference, got '%s'\n", v.c_str());
+                      return 2;
+                  }
+                  return 0;
+              });
+    cli.value("--raw-stepper", "MODE",
+              "Raw interpreter loop: event (default) or reference "
+              "(the cycle-at-a-time differential baseline)",
+              [](const std::string &v) {
+                  if (v == "event") {
+                      raw::setDefaultRawStepper(raw::RawStepper::Event);
+                  } else if (v == "reference") {
+                      raw::setDefaultRawStepper(
+                          raw::RawStepper::Reference);
+                  } else {
+                      std::fprintf(stderr,
+                                   "--raw-stepper wants event or "
+                                   "reference, got '%s'\n", v.c_str());
+                      return 2;
+                  }
+                  return 0;
+              });
+    cli.logLevelFlag();
+    if (const auto rc = cli.parse(argc, argv))
+        return rc;
+    if (args->cells.empty()) {
+        std::fprintf(stderr, "--machines/--kernels matched no cells\n");
+        return 2;
+    }
+    return std::nullopt;
 }
 
 } // namespace triarch::study

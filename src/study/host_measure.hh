@@ -4,12 +4,15 @@
  * under the repeated-measurement contract (host_clock.hh) and fold
  * the per-cell statistics into the optional "host" section of a
  * triarch.bench.v1 document. Library code so perf_report, micro_host
- * and the tests share one measurement path.
+ * and the tests share one measurement path, and micro_host's command
+ * line parses here so the tests can pin it.
  */
 
 #ifndef TRIARCH_STUDY_HOST_MEASURE_HH
 #define TRIARCH_STUDY_HOST_MEASURE_HH
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/host_clock.hh"
@@ -29,6 +32,28 @@ namespace triarch::study
 HostSection measureHostSection(const StudyConfig &cfg,
                                const std::vector<Cell> &cells,
                                const host::MeasureOptions &opts);
+
+/** micro_host's command line. */
+struct MicroHostArgs
+{
+    std::uint64_t seed = 11;
+    host::MeasureOptions measure{1, 5, -1};
+    bool json = false;
+    bool grid = false;
+    /** The grid cells that --machines and --kernels leave. */
+    std::vector<Cell> cells = allCells();
+};
+
+/**
+ * Parse micro_host's argv with CliOptions. --machines and --kernels
+ * each keep the cells whose machine (kernel) is listed; --mem-model
+ * and --raw-stepper set the process-wide defaults. Returns an exit
+ * code when the tool should stop (0 after --help; 2 on an unknown
+ * flag, machine or kernel, or a selection that leaves no cell), or
+ * nullopt to proceed.
+ */
+std::optional<int> parseMicroHostArgs(int argc, char **argv,
+                                      MicroHostArgs *args);
 
 } // namespace triarch::study
 

@@ -7,7 +7,7 @@
  * '--flag=value' form, unknown-option and --help return codes, the
  * generated usage text, and the exit(2) paths for malformed values.
  * It also drives bench_diff's flag set, so a malformed gate knob can
- * never silently disable a check.
+ * never silently disable a check, and micro_host's cell selection.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "study/bench_report.hh"
 #include "study/cli_options.hh"
+#include "study/host_measure.hh"
 
 namespace
 {
@@ -247,6 +248,78 @@ TEST(BenchDiffCliDeath, MalformedNumbersExitWithStatusTwo)
                               &args),
                 testing::ExitedWithCode(2),
                 "--threads needs a non-negative number");
+}
+
+/** parseMicroHostArgs over a brace-list of arguments. */
+std::optional<int>
+parseHostArgs(std::vector<std::string> args,
+              triarch::study::MicroHostArgs *out)
+{
+    args.insert(args.begin(), "micro_host");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return triarch::study::parseMicroHostArgs(
+        static_cast<int>(argv.size()), argv.data(), out);
+}
+
+TEST(MicroHostCli, KernelsNarrowTheGridLikeMachines)
+{
+    using triarch::study::Cell;
+    using triarch::study::KernelId;
+    using triarch::study::MachineId;
+    using triarch::study::MicroHostArgs;
+
+    MicroHostArgs all;
+    EXPECT_FALSE(parseHostArgs({}, &all).has_value());
+    EXPECT_EQ(all.cells, triarch::study::allCells());
+
+    MicroHostArgs rawCt;
+    EXPECT_FALSE(parseHostArgs({"--machines", "raw", "--kernels=ct",
+                                "--reps", "30", "--pin", "2"},
+                               &rawCt)
+                     .has_value());
+    EXPECT_EQ(rawCt.cells, (std::vector<Cell>{
+                               {MachineId::Raw, KernelId::CornerTurn}}));
+    EXPECT_EQ(rawCt.measure.repetitions, 30u);
+    EXPECT_EQ(rawCt.measure.pinCpu, 2);
+
+    MicroHostArgs twoKernels;
+    EXPECT_FALSE(
+        parseHostArgs({"--kernels", "cslc,bs"}, &twoKernels).has_value());
+    EXPECT_EQ(twoKernels.cells.size(), 10u);
+    for (const Cell &cell : twoKernels.cells)
+        EXPECT_NE(cell.kernel, KernelId::CornerTurn);
+}
+
+TEST(MicroHostCli, UnknownKernelOrEmptySelectionReturnsTwo)
+{
+    testing::internal::CaptureStderr();
+    triarch::study::MicroHostArgs args;
+    EXPECT_EQ(parseHostArgs({"--kernels", "fft"}, &args), 2);
+    EXPECT_EQ(parseHostArgs({"--machines", "cray"}, &args), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown kernel token 'fft'"), std::string::npos);
+    EXPECT_NE(err.find("unknown machine token 'cray'"), std::string::npos);
+
+    testing::internal::CaptureStderr();
+    triarch::study::MicroHostArgs none;
+    EXPECT_EQ(parseHostArgs({"--machines", "raw", "--kernels", ","},
+                            &none),
+              2);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "matched no cells"),
+              std::string::npos);
+}
+
+TEST(MicroHostCli, HelpListsKernels)
+{
+    testing::internal::CaptureStdout();
+    triarch::study::MicroHostArgs args;
+    EXPECT_EQ(parseHostArgs({"--help"}, &args), 0);
+    const std::string help = testing::internal::GetCapturedStdout();
+    EXPECT_NE(help.find("--kernels LIST"), std::string::npos);
+    EXPECT_NE(help.find("--machines LIST"), std::string::npos);
 }
 
 TEST(CliHelpers, SplitListDropsEmptiesAndLoweredLowercases)

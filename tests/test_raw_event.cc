@@ -19,6 +19,7 @@
 #include "raw/kernels_raw.hh"
 #include "raw/machine.hh"
 #include "sim/bitutil.hh"
+#include "sim/rng.hh"
 #include "study/fuzz.hh"
 #include "study/parallel.hh"
 
@@ -342,6 +343,105 @@ TEST(RawEventDifferential, DmaChainBesideCachedGlobalReader)
     EXPECT_EQ(readback(evt), expect);
 }
 
+/** A tile program that sends the words first .. first + count - 1 on
+ *  $csto, one per cycle (unrolled li $csto). */
+std::vector<Instr>
+senderProgram(std::int32_t first, std::int32_t count)
+{
+    Assembler as;
+    for (std::int32_t i = 0; i < count; ++i)
+        as.li(regCsto, first + i);
+    as.halt();
+    return as.finish();
+}
+
+TEST(RawEventDifferential, TwoTilesSharingOnePortKeepWordOrder)
+{
+    // Two tiles interleave $csto sends into port 0, which writes the
+    // words to DRAM in arrival order. A batch that ran either sender
+    // ahead would queue its words behind the other's later ones. Two
+    // words arrive per cycle and the port drains one, so the cycle
+    // count is the same either way: only the DRAM words show it.
+    constexpr std::int32_t words = 256;
+    Addr out = 0;
+    const auto setup = [&](RawMachine &m) {
+        out = m.allocGlobal(2 * words * 4, "out");
+        m.dmaOut(0, out, 2 * words);
+        for (const unsigned t : {0u, 1u}) {
+            m.setRoute(t, portEndpoint(0));
+            m.setProgram(t, senderProgram(static_cast<std::int32_t>(
+                                              t * 1000),
+                                          words));
+        }
+    };
+    const auto readback = [&](const RawMachine &m) {
+        return m.peekGlobal(out, 2 * words);
+    };
+    expectSteppersAgree(setup, RawConfig{}, readback);
+
+    RawConfig evtCfg;
+    evtCfg.stepper = RawStepper::Event;
+    RawMachine evt(evtCfg);
+    setup(evt);
+    evt.run();
+    const std::vector<Word> got = readback(evt);
+    ASSERT_EQ(got.size(), 2u * words);
+    // The senders run in lockstep, so their words alternate.
+    for (unsigned i = 0; i < 2 * words; ++i)
+        EXPECT_EQ(got[i], (i % 2) * 1000 + i / 2) << "word " << i;
+}
+
+TEST(RawEventDifferential, DecodedStateFollowsProgramAndRouteChanges)
+{
+    // One machine, two runs. Before the first, tile 0 gets a program
+    // and then its replacement; only the replacement may run. Between
+    // the runs tile 1 is rerouted onto tile 0's port, which goes from
+    // one sender (batched sends) to two (stepped sends).
+    constexpr std::int32_t words = 128;
+    Addr first = 0, second = 0;
+    std::vector<Cycles> runCycles;
+    const Drive drive = [&](RawMachine &m) {
+        first = m.allocGlobal(words * 4, "first");
+        second = m.allocGlobal(2 * words * 4, "second");
+        m.setRoute(0, portEndpoint(0));
+        m.setRoute(1, portEndpoint(1));
+        m.setProgram(0, senderProgram(7000, words));
+        m.setProgram(0, senderProgram(100, words));
+        m.dmaOut(0, first, words);
+        const Cycles a = m.run();
+
+        m.setRoute(1, portEndpoint(0));
+        m.setProgram(0, senderProgram(200, words));
+        m.setProgram(1, senderProgram(300, words));
+        m.dmaOut(0, second, 2 * words);
+        const Cycles b = m.run();
+        runCycles.push_back(a);
+        runCycles.push_back(b);
+        return a + b;
+    };
+    std::vector<std::vector<Word>> outs;
+    const Readback readback = [&](const RawMachine &m) {
+        std::vector<Word> words1 = m.peekGlobal(first, words);
+        const std::vector<Word> words2 = m.peekGlobal(second, 2 * words);
+        words1.insert(words1.end(), words2.begin(), words2.end());
+        outs.push_back(words1);
+        return words1;
+    };
+    expectRunsAgree(drive, RawConfig{}, readback);
+
+    ASSERT_EQ(runCycles.size(), 4u);
+    EXPECT_EQ(runCycles[0], runCycles[2]);
+    EXPECT_EQ(runCycles[1], runCycles[3]);
+    ASSERT_EQ(outs.size(), 2u);
+    const std::vector<Word> &got = outs[1];
+    for (unsigned i = 0; i < words; ++i)
+        EXPECT_EQ(got[i], 100 + i) << "first run, word " << i;
+    for (unsigned i = 0; i < 2 * words; ++i) {
+        EXPECT_EQ(got[words + i], (i % 2 ? 300 : 200) + i / 2)
+            << "second run, word " << i;
+    }
+}
+
 TEST(RawEventDifferential, DynamicNetworkGather)
 {
     // dsend/drecv with unknown receiver wake times and send
@@ -512,15 +612,40 @@ class StepperOverride
     raw::RawStepper saved;
 };
 
-TEST(RawEventDifferential, BoundaryConfigsAcrossThreadCounts)
+/** The three Raw cells of @p cfg agree bit for bit between the
+ *  reference stepper at one thread and the event stepper at
+ *  @p threads. */
+void
+expectRawCellsAgree(const StudyConfig &cfg,
+                    std::initializer_list<unsigned> threads)
 {
-    FuzzOptions opts;
-    opts.randomConfigs = 0;     // the hand-written boundary set only
     const std::vector<Cell> rawCells = {
         {MachineId::Raw, KernelId::CornerTurn},
         {MachineId::Raw, KernelId::Cslc},
         {MachineId::Raw, KernelId::BeamSteering},
     };
+    std::vector<RunResult> expect;
+    {
+        StepperOverride guard(raw::RawStepper::Reference);
+        ParallelRunner runner(cfg, 1, nullptr, ParallelRunner::noCache());
+        expect = runner.runCells(rawCells);
+    }
+    StepperOverride guard(raw::RawStepper::Event);
+    for (const unsigned n : threads) {
+        ParallelRunner runner(cfg, n, nullptr, ParallelRunner::noCache());
+        const std::vector<RunResult> got = runner.runCells(rawCells);
+        ASSERT_EQ(got.size(), expect.size());
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+            EXPECT_EQ(got[i], expect[i]) << n << " threads, cell " << i;
+            EXPECT_TRUE(got[i].validated) << "cell " << i;
+        }
+    }
+}
+
+TEST(RawEventDifferential, BoundaryConfigsAcrossThreadCounts)
+{
+    FuzzOptions opts;
+    opts.randomConfigs = 0;     // the hand-written boundary set only
 
     unsigned checked = 0;
     for (const StudyConfig &cfg : enumerateFuzzConfigs(opts)) {
@@ -530,28 +655,42 @@ TEST(RawEventDifferential, BoundaryConfigsAcrossThreadCounts)
             break;              // keep the suite seconds-fast
         ++checked;
         SCOPED_TRACE(describeConfig(cfg));
-
-        std::vector<RunResult> expect;
-        {
-            StepperOverride guard(raw::RawStepper::Reference);
-            ParallelRunner runner(cfg, 1, nullptr,
-                                  ParallelRunner::noCache());
-            expect = runner.runCells(rawCells);
-        }
-        StepperOverride guard(raw::RawStepper::Event);
-        for (const unsigned threads : {1u, 2u, 8u}) {
-            ParallelRunner runner(cfg, threads, nullptr,
-                                  ParallelRunner::noCache());
-            const std::vector<RunResult> got =
-                runner.runCells(rawCells);
-            ASSERT_EQ(got.size(), expect.size());
-            for (std::size_t i = 0; i < expect.size(); ++i) {
-                EXPECT_EQ(got[i], expect[i])
-                    << threads << " threads, cell " << i;
-            }
-        }
+        expectRawCellsAgree(cfg, {1u, 2u, 8u});
     }
     EXPECT_GE(checked, 4u) << "boundary set shrank unexpectedly";
+}
+
+TEST(RawEventDifferential, SeededSweepShapesAcrossSteppers)
+{
+    // Seeded shapes from the ranges perfbench's sweep draws from:
+    // matrix 64..256, 1..8 sub-bands, four strides, beam 16..400
+    // elements over 1..2 dwells. Small matrices leave 1-4 tiles and
+    // ports live, which is where single-sender port batching and the
+    // few-live-tile masks matter most.
+    Rng rng(0x5eed);
+    static const unsigned strides[] = {64, 96, 112, 128};
+    unsigned checked = 0;
+    for (unsigned i = 0; i < 6; ++i) {
+        StudyConfig cfg;
+        cfg.matrixSize = 64 * (1 + static_cast<unsigned>(rng.nextBelow(4)));
+        cfg.cslc.subBands = 1 + static_cast<unsigned>(rng.nextBelow(8));
+        cfg.cslc.subBandStride = strides[rng.nextBelow(4)];
+        cfg.cslc.samples = (cfg.cslc.subBands - 1)
+                               * cfg.cslc.subBandStride
+                           + cfg.cslc.subBandLen;
+        for (unsigned &bin : cfg.jammerBins) {
+            bin = static_cast<unsigned>(rng.nextBelow(cfg.cslc.samples));
+        }
+        cfg.beam.elements = 16 + static_cast<unsigned>(rng.nextBelow(385));
+        cfg.beam.dwells = 1 + static_cast<unsigned>(rng.nextBelow(2));
+        cfg.seed = rng.next();
+        if (validateConfig(cfg))
+            continue;
+        ++checked;
+        SCOPED_TRACE(describeConfig(cfg));
+        expectRawCellsAgree(cfg, {1u, 2u});
+    }
+    EXPECT_GE(checked, 4u) << "too few sweep shapes were valid";
 }
 
 } // namespace
