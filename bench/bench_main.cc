@@ -324,6 +324,20 @@ benchMain(int argc, char **argv, const char *description,
         BenchContext ctx(opts);
         rc = body(ctx);
 
+        // A document flag on a body that ran no cell would write an
+        // empty document and exit 0: a usage error instead.
+        const auto noCells = [&](const char *flag) {
+            std::cerr << prog << ": " << flag
+                      << " has nothing to write: this bench records "
+                         "no cells\n";
+            rc = 2;
+        };
+        if (rc == 0 && !opts.jsonPath.empty() && ctx.sink().size() == 0)
+            noCells("--json");
+        if (rc == 0 && !opts.hwPath.empty()
+            && hw::HwRegistry::global().size() == 0)
+            noCells("--hw");
+
         if (rc == 0 && !opts.jsonPath.empty()) {
             ctx.sink().metadata("bench", prog);
             ctx.sink().metadata("threads",

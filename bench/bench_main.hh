@@ -13,10 +13,12 @@
  *   --threads N         worker threads (0 = hardware concurrency)
  *   --seed N            workload synthesis seed (default 11)
  *   --json PATH         write a triarch.results.v1 JSON document
+ *                       (exit 2 if the bench recorded no cell)
  *   --csv               machine-readable table output where supported
  *   --trace PATH        write a Chrome trace-event JSON timeline
  *   --stats PATH        write a triarch.stats.v1 counters document
  *   --hw PATH           write a triarch.hw.v1 utilization report
+ *                       (exit 2 if no cell ran)
  *   --mem-model MODE    span (default) or reference memory walk
  *   --raw-stepper MODE  event (default) or reference Raw stepper
  *   --host-stats        record host-time histograms into --stats

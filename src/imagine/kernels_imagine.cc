@@ -553,7 +553,7 @@ Cycles
 beamSteeringImagine(ImagineMachine &machine,
                     const kernels::BeamConfig &cfg,
                     const kernels::BeamTables &tables,
-                    std::vector<std::int32_t> &out)
+                    std::vector<std::int32_t> &out, bool tablesResident)
 {
     const Addr coarseBase =
         machine.allocMem(cfg.elements * 4ULL, "bs coarse");
@@ -585,16 +585,22 @@ beamSteeringImagine(ImagineMachine &machine,
     steer.pipelineDepth = 16;
     steer.usefulFlops = 0;  // integer kernel
 
+    StreamRef coarse, fine;
+    const auto loadTables = [&] {
+        coarse = machine.allocStream(cfg.elements, "coarse");
+        fine = machine.allocStream(cfg.elements, "fine");
+        machine.loadStream(
+            coarse, MemPattern::sequential(coarseBase, cfg.elements));
+        machine.loadStream(
+            fine, MemPattern::sequential(fineBase, cfg.elements));
+    };
+    if (tablesResident)
+        loadTables();
+
     for (unsigned dw = 0; dw < cfg.dwells; ++dw) {
         for (unsigned dir = 0; dir < cfg.directions; ++dir) {
-            StreamRef coarse =
-                machine.allocStream(cfg.elements, "coarse");
-            StreamRef fine = machine.allocStream(cfg.elements, "fine");
-            machine.loadStream(
-                coarse, MemPattern::sequential(coarseBase,
-                                               cfg.elements));
-            machine.loadStream(
-                fine, MemPattern::sequential(fineBase, cfg.elements));
+            if (!tablesResident)
+                loadTables();
 
             StreamRef result =
                 machine.allocStream(cfg.elements, "result");
@@ -623,8 +629,10 @@ beamSteeringImagine(ImagineMachine &machine,
                                + dir) * cfg.elements * 4,
                     cfg.elements));
 
-            machine.freeStream(coarse);
-            machine.freeStream(fine);
+            if (!tablesResident) {
+                machine.freeStream(coarse);
+                machine.freeStream(fine);
+            }
             machine.freeStream(result);
         }
     }

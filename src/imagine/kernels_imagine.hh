@@ -59,11 +59,18 @@ Cycles cslcImagineIndependent(ImagineMachine &machine,
                               const kernels::CslcWeights &weights,
                               kernels::CslcOutput &out);
 
-/** Beam steering on Imagine (table streams + arithmetic kernel). */
+/**
+ * Beam steering on Imagine (table streams + arithmetic kernel). The
+ * paper's mapping re-streams the calibration tables from DRAM for
+ * every (dwell, direction); @p tablesResident loads them into the SRF
+ * once, as a stage of a streaming pipeline would keep them — the
+ * placement Section 4.4 estimates at about 2x.
+ */
 Cycles beamSteeringImagine(ImagineMachine &machine,
                            const kernels::BeamConfig &cfg,
                            const kernels::BeamTables &tables,
-                           std::vector<std::int32_t> &out);
+                           std::vector<std::int32_t> &out,
+                           bool tablesResident = false);
 
 } // namespace triarch::imagine
 

@@ -5,20 +5,26 @@
  * truncating values instead of silently wrapping; value-less flags
  * reject inline values; the trace file is written even when the
  * bench body fails; --machines/--kernels either narrow the work or,
- * where a bench needs the whole grid, exit 2; and out-of-range KernelId/MachineId lookups
- * panic with the numeric value instead of reading past the static
- * name arrays.
+ * where a bench needs the whole grid, exit 2; --json/--hw on a bench
+ * that ran no cell exit 2 instead of writing an empty document; the
+ * claims driver shows only rows its selection covers and exits 2 on
+ * a selection that matches none; and out-of-range KernelId/MachineId
+ * lookups panic with the numeric value instead of reading past the
+ * static name arrays.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_main.hh"
+#include "sim/hw_report.hh"
+#include "study/claims.hh"
 #include "study/experiment.hh"
 #include "study/machine_info.hh"
 #include "study/report.hh"
@@ -197,6 +203,74 @@ TEST(BenchSelection, Table3RunsAndShowsOnlySelectedCells)
                            return narrow ? 0 : 9;
                        }),
               0);
+}
+
+// ---------------------------------------------------------------
+// Document flags on a bench that runs no cell.
+// ---------------------------------------------------------------
+
+TEST(BenchDocuments, JsonAndHwNeedABenchThatRunsCells)
+{
+    // Table 1/2 and Figures 1-3 print machine configs and run no
+    // cell; an empty document with exit 0 would hide that.
+    hw::HwRegistry::global().clear();
+    const std::string dir = testing::TempDir();
+    for (const char *flag : {"--json", "--hw"}) {
+        const std::string path = dir + "/triarch_no_cells.json";
+        std::remove(path.c_str());
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(runBench({flag, path}), 2) << flag;
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find(std::string(flag) + " has nothing to write"),
+                  std::string::npos)
+            << err;
+        EXPECT_FALSE(std::ifstream(path).good()) << flag;
+    }
+}
+
+// ---------------------------------------------------------------
+// The claims driver honours --machines/--kernels.
+// ---------------------------------------------------------------
+
+int
+claimsBody(bench::BenchContext &ctx)
+{
+    return study::runClaims(ctx.runner(), ctx.options().machines,
+                            ctx.options().kernels, ctx.options().csv,
+                            ctx.sink(), std::cout);
+}
+
+TEST(BenchSelection, ClaimsShowOnlyRowsTheSelectionCovers)
+{
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(runBench({"--machines", "imagine", "--kernels", "bs",
+                        "--csv"},
+                       claimsBody),
+              0);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("imagine.bs.srf_resident_gain"),
+              std::string::npos);
+    // Rows with no Table-3 kernel follow the machine selection.
+    EXPECT_NE(out.find("imagine.media.alu_utilization"),
+              std::string::npos);
+    EXPECT_EQ(out.find("imagine.cslc."), std::string::npos);
+    EXPECT_EQ(out.find("raw."), std::string::npos);
+}
+
+TEST(BenchSelection, ClaimsSelectionMatchingNoRowExits2)
+{
+    // VIRAM's rows are all corner-turn rows; no row runs VIRAM on
+    // beam steering, and the AltiVec gains need both G4 machines.
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runBench({"--machines", "viram", "--kernels", "bs"},
+                       claimsBody),
+              2);
+    EXPECT_EQ(runBench({"--machines", "altivec", "--kernels", "cslc"},
+                       claimsBody),
+              2);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "no claim row"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------
