@@ -5,11 +5,13 @@
  * paper's Table 3, and exits non-zero on drift. Cycles and every
  * cycle-account category must match the baseline exactly.
  *
- * By default the tool re-measures the full grid itself; pass
- * --report to diff a previously captured perf_report document
- * instead. This binary does not use the shared bench_main harness:
- * its flags (--baseline, --report, --paper-factor, ...) are gate
- * controls, not cell selectors. They are declared in
+ * Both sides are triarch.results.v2 documents. By default the tool
+ * re-measures the full grid itself; pass --report to diff a
+ * previously captured one (table3_kernel_cycles --json PATH, or
+ * micro_host --json for a document with a host block) instead.
+ * This binary does not use the shared bench_main harness: its flags
+ * (--baseline, --report, --paper-factor, ...) are gate controls, not
+ * cell selectors. They are declared in
  * parseBenchDiffArgs() on study::CliOptions, so a misspelled flag or
  * a malformed number is a usage error, never a silently skipped
  * check.
@@ -55,17 +57,15 @@ main(int argc, char **argv)
         return *rc;
 
     std::string error;
-    const auto baseline =
-        loadBenchReportFile(opts.baselinePath, &error);
+    const auto baseline = loadResultsFile(opts.baselinePath, &error);
     if (!baseline) {
         std::cerr << argv[0] << ": " << error << "\n";
         return 2;
     }
 
-    BenchReport fresh;
+    ResultsDocument fresh;
     if (!opts.reportPath.empty()) {
-        const auto loaded =
-            loadBenchReportFile(opts.reportPath, &error);
+        const auto loaded = loadResultsFile(opts.reportPath, &error);
         if (!loaded) {
             std::cerr << argv[0] << ": " << error << "\n";
             return 2;
@@ -75,8 +75,10 @@ main(int argc, char **argv)
         StudyConfig cfg;
         cfg.seed = opts.seed;
         ParallelRunner runner(cfg, opts.threads);
-        fresh = buildBenchReport(cfg, runner.runAll());
-        std::cout << "measured " << fresh.cells.size()
+        ResultSink sink(cfg);
+        sink.add(runner.runAll());
+        fresh = sink.document();
+        std::cout << "measured " << fresh.results.size()
                   << " cells (seed " << cfg.seed << ")\n";
     }
 

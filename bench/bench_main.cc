@@ -5,8 +5,6 @@
 #include <fstream>
 #include <iostream>
 
-#include "mem/mem_mode.hh"
-#include "raw/config.hh"
 #include "sim/host_clock.hh"
 #include "sim/hw_report.hh"
 #include "sim/metrics.hh"
@@ -195,7 +193,8 @@ benchMain(int argc, char **argv, const char *description,
                    opts.seed = n;
                    return 0;
                });
-    cli.value("--json", "PATH", "write structured results JSON",
+    cli.value("--json", "PATH",
+              "write a triarch.results.v2 results document",
               [&](const std::string &v) {
                   opts.jsonPath = v;
                   return 0;
@@ -226,74 +225,12 @@ benchMain(int argc, char **argv, const char *description,
                   opts.hwPath = v;
                   return 0;
               });
-    cli.value("--mem-model", "MODE",
-              "PPC/VIRAM/Imagine memory walk: span (default, batched "
-              "D13 fast path) or reference (word-at-a-time baseline)",
-              [&](const std::string &v) {
-                  if (v == "span") {
-                      mem::setDefaultMemModel(mem::MemModel::Span);
-                  } else if (v == "reference") {
-                      mem::setDefaultMemModel(
-                          mem::MemModel::Reference);
-                  } else {
-                      std::cerr << cli.prog()
-                                << ": --mem-model wants span or "
-                                   "reference, got '"
-                                << v << "'\n";
-                      return 2;
-                  }
-                  return 0;
-              });
-    cli.value("--raw-stepper", "MODE",
-              "Raw interpreter loop: event (default) or reference "
-              "(the cycle-at-a-time differential baseline)",
-              [&](const std::string &v) {
-                  if (v == "event") {
-                      raw::setDefaultRawStepper(raw::RawStepper::Event);
-                  } else if (v == "reference") {
-                      raw::setDefaultRawStepper(
-                          raw::RawStepper::Reference);
-                  } else {
-                      std::cerr << cli.prog()
-                                << ": --raw-stepper wants event or "
-                                   "reference, got '"
-                                << v << "'\n";
-                      return 2;
-                  }
-                  return 0;
-              });
+    cli.modelFlags();
     cli.toggle("--host-stats",
                "record host-time histograms (wall clock) into the "
                "--stats document",
                [&]() {
                    opts.hostStats = true;
-                   return 0;
-               });
-    cli.toggle("--host",
-               "measure host time per cell and emit a bench host "
-               "section where supported",
-               [&]() {
-                   opts.hostSection = true;
-                   return 0;
-               });
-    cli.number("--host-warmup", "N",
-               "unmeasured host iterations per cell (default 1)",
-               std::numeric_limits<unsigned>::max(),
-               [&](std::uint64_t n) {
-                   opts.hostWarmup = static_cast<unsigned>(n);
-                   return 0;
-               });
-    cli.number("--host-reps", "N",
-               "measured host iterations per cell (default 5; the "
-               "measurement contract wants 30+)",
-               std::numeric_limits<unsigned>::max(),
-               [&](std::uint64_t n) {
-                   opts.hostReps = static_cast<unsigned>(n);
-                   return 0;
-               });
-    cli.number("--pin", "N", "pin host measurement to core N", 4095,
-               [&](std::uint64_t n) {
-                   opts.pinCpu = static_cast<int>(n);
                    return 0;
                });
     cli.logLevelFlag();

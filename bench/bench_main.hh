@@ -12,7 +12,7 @@
  *   --kernels a,b,...   restrict to these kernels (ct, cslc, bs)
  *   --threads N         worker threads (0 = hardware concurrency)
  *   --seed N            workload synthesis seed (default 11)
- *   --json PATH         write a triarch.results.v1 JSON document
+ *   --json PATH         write a triarch.results.v2 JSON document
  *                       (exit 2 if the bench recorded no cell)
  *   --csv               machine-readable table output where supported
  *   --trace PATH        write a Chrome trace-event JSON timeline
@@ -22,10 +22,6 @@
  *   --mem-model MODE    span (default) or reference memory walk
  *   --raw-stepper MODE  event (default) or reference Raw stepper
  *   --host-stats        record host-time histograms into --stats
- *   --host              emit a bench host section where supported
- *   --host-warmup N     unmeasured host iterations per cell
- *   --host-reps N       measured host iterations per cell
- *   --pin N             pin host measurement to core N
  *   --log-level LEVEL   quiet, warn, inform, or debug
  *   --help              usage
  *
@@ -60,12 +56,6 @@ struct BenchOptions
 
     /** --host-stats: gate host-time histograms on process-wide. */
     bool hostStats = false;
-    /** --host: measure and emit a bench host section (perf_report,
-     *  micro_host); off by default so documents stay byte-identical. */
-    bool hostSection = false;
-    unsigned hostWarmup = 1;    //!< --host-warmup (CI-friendly default)
-    unsigned hostReps = 5;      //!< --host-reps (contract wants 30+)
-    int pinCpu = -1;            //!< --pin; < 0 = no pinning
     std::string prog = "bench"; //!< program name for usage errors
 };
 

@@ -12,10 +12,15 @@
  *
  * --seed steers the random half of the sweep, --threads the
  * parallel half of each comparison, and --machines/--kernels
- * restrict the cells compared.
+ * restrict the cells compared. --hw and --stats exit 2 before
+ * anything runs: those documents label a cell by machine and kernel
+ * alone and carry one config hash, so a sweep over many configs
+ * would write the last config's counters under the paper config's
+ * label.
  */
 
 #include <iostream>
+#include <utility>
 
 #include "bench_main.hh"
 #include "study/fuzz.hh"
@@ -30,6 +35,18 @@ namespace
 int
 run(bench::BenchContext &ctx)
 {
+    const bench::BenchOptions &given = ctx.options();
+    for (const auto &[flag, path] : {std::pair{"--hw", given.hwPath},
+                                     {"--stats", given.statsPath}}) {
+        if (!path.empty()) {
+            std::cerr << given.prog << ": " << flag
+                      << " is not supported: the sweep runs many "
+                         "configs per cell and the document labels "
+                         "cells by machine and kernel only\n";
+            return 2;
+        }
+    }
+
     FuzzOptions opts;
     opts.seed = ctx.options().seed;
     opts.threads = ctx.options().threads;

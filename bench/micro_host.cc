@@ -8,11 +8,10 @@
  * Every cell's mapping runs under the repeated-measurement contract
  * (sim/host_clock.hh): --warmup unmeasured iterations, --reps
  * measured ones, optional --pin core pinning, robust statistics.
- * Default output is a human-readable table; --json emits the full
- * triarch.bench.v1 document (simulated cycles + host section) on
- * stdout, the same shape perf_report --host writes. With --grid,
- * --json instead emits a triarch.grid.v1 throughput summary
- * (cells/sec per machine row + total) that CI field-checks.
+ * Default output is a human-readable table; --grid prints only the
+ * one-line grid summary, and --json emits the full
+ * triarch.results.v2 document (simulated cells + host block) on
+ * stdout instead of either.
  *
  * Flags parse in study::parseMicroHostArgs (exit 2 on a bad flag,
  * like every other gate-style tool here). --machines and --kernels
@@ -23,8 +22,6 @@
 #include <iostream>
 
 #include "sim/host_clock.hh"
-#include "sim/json.hh"
-#include "study/bench_report.hh"
 #include "study/host_measure.hh"
 #include "study/machine_info.hh"
 #include "study/parallel.hh"
@@ -44,65 +41,26 @@ main(int argc, char **argv)
     const HostSection host =
         measureHostSection(cfg, args.cells, args.measure);
 
+    if (args.json) {
+        // One simulated run per cell for the cycle half of the
+        // document (cache-backed; the host block above measured
+        // uncached mapping executions).
+        ParallelRunner runner(cfg, 1);
+        ResultSink sink(cfg);
+        sink.metadata("bench", "micro_host");
+        sink.add(runner.runCells(args.cells));
+        sink.host(host);
+        sink.writeJson(std::cout);
+        return 0;
+    }
+
     if (args.grid) {
         double sumNs = 0.0;
         for (const HostCellTiming &cell : host.cells)
             sumNs += cell.medianNs;
-        if (args.json) {
-            // Machine-readable grid summary so CI can field-check
-            // instead of grepping the one-line text. Rows follow
-            // allMachines() order, restricted to what was measured.
-            json::Writer w(std::cout);
-            w.beginObject(json::Writer::Style::Pretty);
-            w.member("schema", "triarch.grid.v1");
-            w.member("seed", args.seed);
-            w.member("cells",
-                     static_cast<std::uint64_t>(host.cells.size()));
-            w.key("rows").beginArray();
-            for (MachineId machine : allMachines()) {
-                double rowNs = 0.0;
-                std::uint64_t rowCells = 0;
-                for (const HostCellTiming &cell : host.cells) {
-                    if (cell.machine != machine)
-                        continue;
-                    rowNs += cell.medianNs;
-                    ++rowCells;
-                }
-                if (rowCells == 0)
-                    continue;
-                w.beginObject();
-                w.member("machine", machineToken(machine));
-                w.member("cells", rowCells);
-                w.member("median_sum_ms", rowNs / 1e6);
-                w.member("cells_per_sec",
-                         rowNs > 0.0 ? static_cast<double>(rowCells)
-                                           / (rowNs / 1e9)
-                                     : 0.0);
-                w.endObject();
-            }
-            w.endArray();
-            w.member("median_sum_ms", sumNs / 1e6);
-            w.member("cells_per_sec", host.cellsPerSec);
-            w.endObject();
-            w.finish();
-            std::cout << "\n";
-            return 0;
-        }
         std::printf("grid %zu cells, median sum %.1f ms, "
                     "%.2f cells/sec\n",
                     host.cells.size(), sumNs / 1e6, host.cellsPerSec);
-        return 0;
-    }
-
-    if (args.json) {
-        // One simulated run per cell for the cycle half of the
-        // document (cache-backed; the host section above measured
-        // uncached mapping executions).
-        ParallelRunner runner(cfg, 1);
-        BenchReport report =
-            buildBenchReport(cfg, runner.runCells(args.cells));
-        report.host = host;
-        writeBenchReportJson(report, std::cout);
         return 0;
     }
 

@@ -203,8 +203,8 @@ class CycleTimeline
  * The account's StatGroup face: one "account_<category>" scalar per
  * category plus "account_total", registered once at machine
  * construction and filled in when the machine finalizes its
- * breakdown. This is what `stats_dump`, the `--stats` document, and
- * the captured per-cell snapshots all see.
+ * breakdown. This is what the `--stats` document and the captured
+ * per-cell snapshots both see.
  */
 class BreakdownStats
 {

@@ -1,12 +1,12 @@
 /**
  * @file
  * The one JSON serializer (and matching minimal reader) behind every
- * versioned document this repo emits: "triarch.results.v1"
- * (result_sink.cc), "triarch.stats.v1" (metrics.cc),
- * "triarch.bench.v1" (bench_report.cc) and "triarch.hw.v1"
- * (hw_report.cc). Before this file each emitter carried its own copy
- * of string escaping and double formatting; now the escaping rules
- * and the deterministic number format exist exactly once.
+ * versioned document this repo emits: "triarch.results.v2"
+ * (result_sink.cc), "triarch.stats.v1" (metrics.cc) and
+ * "triarch.hw.v1" (hw_report.cc). Before this file each emitter
+ * carried its own copy of string escaping and double formatting; now
+ * the escaping rules and the deterministic number format exist
+ * exactly once.
  *
  * Writer: a streaming serializer with explicit begin/end calls,
  * automatic comma and ": " separator management, and a per-container

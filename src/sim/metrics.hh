@@ -5,8 +5,8 @@
  * result cache) registered live, short-lived groups (the per-cell
  * machine models, destroyed when their mapping returns) captured as
  * snapshots — and serializes them all as one versioned
- * "triarch.stats.v1" JSON document next to the existing
- * "triarch.results.v1".
+ * "triarch.stats.v1" JSON document next to the per-cell
+ * "triarch.results.v2".
  *
  * Unlike trace.hh, this document is fully deterministic: it carries
  * only simulated counts, never wall-clock, so the same study config

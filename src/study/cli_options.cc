@@ -7,6 +7,8 @@
 #include <iostream>
 #include <sstream>
 
+#include "mem/mem_mode.hh"
+#include "raw/config.hh"
 #include "sim/logging.hh"
 
 namespace triarch::study
@@ -130,6 +132,45 @@ CliOptions::logLevelFlag()
               } else {
                   std::cerr << prog() << ": unknown log level '" << v
                             << "' (quiet, warn, inform, debug)\n";
+                  return 2;
+              }
+              return 0;
+          });
+}
+
+void
+CliOptions::modelFlags()
+{
+    value("--mem-model", "MODE",
+          "PPC/VIRAM/Imagine memory walk: span (default, batched "
+          "D13 fast path) or reference (word-at-a-time baseline)",
+          [this](const std::string &v) {
+              if (v == "span") {
+                  mem::setDefaultMemModel(mem::MemModel::Span);
+              } else if (v == "reference") {
+                  mem::setDefaultMemModel(mem::MemModel::Reference);
+              } else {
+                  std::cerr << prog()
+                            << ": --mem-model wants span or reference, "
+                               "got '"
+                            << v << "'\n";
+                  return 2;
+              }
+              return 0;
+          });
+    value("--raw-stepper", "MODE",
+          "Raw interpreter loop: event (default) or reference "
+          "(the cycle-at-a-time differential baseline)",
+          [this](const std::string &v) {
+              if (v == "event") {
+                  raw::setDefaultRawStepper(raw::RawStepper::Event);
+              } else if (v == "reference") {
+                  raw::setDefaultRawStepper(raw::RawStepper::Reference);
+              } else {
+                  std::cerr << prog()
+                            << ": --raw-stepper wants event or "
+                               "reference, got '"
+                            << v << "'\n";
                   return 2;
               }
               return 0;

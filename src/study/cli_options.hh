@@ -87,6 +87,11 @@ class CliOptions
      *  debug), wired to sim/logging's global level. */
     void logLevelFlag();
 
+    /** Install --mem-model (span/reference) and --raw-stepper
+     *  (event/reference), wired to the process-wide simulator
+     *  defaults in mem/mem_mode.hh and raw/config.hh. */
+    void modelFlags();
+
     /**
      * Parse argv. Returns an exit code when the program should stop
      * (0 after --help, 2 on a usage error), or nullopt to proceed.

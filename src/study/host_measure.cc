@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "mem/mem_mode.hh"
-#include "raw/config.hh"
 #include "study/cli_options.hh"
 #include "study/machine_info.hh"
 #include "study/registry.hh"
@@ -123,8 +121,8 @@ parseMicroHostArgs(int argc, char **argv, MicroHostArgs *args)
                    return 0;
                });
     cli.toggle("--json",
-               "emit a triarch.bench.v1 document with a host section "
-               "instead of the table",
+               "emit a triarch.results.v2 document with a host block "
+               "on stdout instead of the table",
                [args]() {
                    args->json = true;
                    return 0;
@@ -145,46 +143,12 @@ parseMicroHostArgs(int argc, char **argv, MicroHostArgs *args)
               });
     cli.toggle("--grid",
                "print only the one-line grid summary (median sum and "
-               "cells/sec) — the CI throughput check; with --json, a "
-               "triarch.grid.v1 document (per-machine rows + total) "
-               "instead of the one-liner",
+               "cells/sec) instead of the table",
                [args]() {
                    args->grid = true;
                    return 0;
                });
-    cli.value("--mem-model", "MODE",
-              "PPC/VIRAM/Imagine memory walk: span (default, batched "
-              "D13 fast path) or reference (word-at-a-time baseline)",
-              [](const std::string &v) {
-                  if (v == "span") {
-                      mem::setDefaultMemModel(mem::MemModel::Span);
-                  } else if (v == "reference") {
-                      mem::setDefaultMemModel(mem::MemModel::Reference);
-                  } else {
-                      std::fprintf(stderr,
-                                   "--mem-model wants span or "
-                                   "reference, got '%s'\n", v.c_str());
-                      return 2;
-                  }
-                  return 0;
-              });
-    cli.value("--raw-stepper", "MODE",
-              "Raw interpreter loop: event (default) or reference "
-              "(the cycle-at-a-time differential baseline)",
-              [](const std::string &v) {
-                  if (v == "event") {
-                      raw::setDefaultRawStepper(raw::RawStepper::Event);
-                  } else if (v == "reference") {
-                      raw::setDefaultRawStepper(
-                          raw::RawStepper::Reference);
-                  } else {
-                      std::fprintf(stderr,
-                                   "--raw-stepper wants event or "
-                                   "reference, got '%s'\n", v.c_str());
-                      return 2;
-                  }
-                  return 0;
-              });
+    cli.modelFlags();
     cli.logLevelFlag();
     if (const auto rc = cli.parse(argc, argv))
         return rc;

@@ -2,10 +2,10 @@
  * @file
  * Host-time measurement of the Table-3 grid: run each cell's mapping
  * under the repeated-measurement contract (host_clock.hh) and fold
- * the per-cell statistics into the optional "host" section of a
- * triarch.bench.v1 document. Library code so perf_report, micro_host
- * and the tests share one measurement path, and micro_host's command
- * line parses here so the tests can pin it.
+ * the per-cell statistics into the optional "host" block of a
+ * triarch.results.v2 document. Library code so micro_host and the
+ * tests share one measurement path, and micro_host's command line
+ * parses here so the tests can pin it.
  */
 
 #ifndef TRIARCH_STUDY_HOST_MEASURE_HH
@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "sim/host_clock.hh"
-#include "study/bench_report.hh"
 #include "study/parallel.hh"
+#include "study/result_sink.hh"
 
 namespace triarch::study
 {

@@ -2,8 +2,8 @@
  * @file
  * JSON projections of the study layer's core value types — the
  * StudyConfig block and the per-cell RunResult — shared by every
- * document that carries them: the triarch.results.v1 sink, the
- * triarch.bench.v1 report and perfbench's per-pass result records.
+ * document that carries them: the triarch.results.v2 document
+ * (result_sink.hh) and perfbench's per-pass result records.
  * One writer per type, plus one RunResult parser, so a result
  * written and read back round-trips bit-identically (doubles are
  * rendered with json::formatDouble's round-trip precision, notes keep
@@ -39,8 +39,8 @@ void writeCycleBreakdown(json::Writer &w,
 /**
  * Emit one RunResult with machine-readable tokens only: machine,
  * kernel, cycles, validated, measured_unbalanced (when present),
- * breakdown, notes. This is the machine form; display emitters
- * (ResultSink) add their own derived fields on top.
+ * breakdown, notes: the per-cell record of triarch.results.v2 and
+ * of perfbench's pass records.
  */
 void writeRunResult(json::Writer &w, const RunResult &result);
 

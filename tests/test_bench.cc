@@ -6,7 +6,9 @@
  * reject inline values; the trace file is written even when the
  * bench body fails; --machines/--kernels either narrow the work or,
  * where a bench needs the whole grid, exit 2; --json/--hw on a bench
- * that ran no cell exit 2 instead of writing an empty document; the
+ * that ran no cell exit 2 instead of writing an empty document;
+ * fuzz_sweep refuses --hw/--stats, whose cell labels cannot tell its
+ * many configs apart; the
  * claims driver shows only rows its selection covers and exits 2 on
  * a selection that matches none; and out-of-range KernelId/MachineId
  * lookups panic with the numeric value instead of reading past the
@@ -15,7 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -226,6 +231,32 @@ TEST(BenchDocuments, JsonAndHwNeedABenchThatRunsCells)
             << err;
         EXPECT_FALSE(std::ifstream(path).good()) << flag;
     }
+}
+
+TEST(BenchDocuments, FuzzSweepRefusesHwAndStats)
+{
+    // The registry documents label a cell machine.kernel under one
+    // config hash; the sweep runs ~90 configs per cell, so it must
+    // refuse them up front rather than write mislabelled counters.
+    const std::string dir = testing::TempDir();
+    const std::string path = dir + "/triarch_fuzz_doc.json";
+    const std::string errPath = dir + "/triarch_fuzz_err.txt";
+    for (const char *flag : {"--hw", "--stats"}) {
+        std::remove(path.c_str());
+        const std::string cmd = std::string(TRIARCH_FUZZ_SWEEP)
+                                + " --seed 11 " + flag + " " + path
+                                + " > /dev/null 2> " + errPath;
+        const int status = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << flag;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flag;
+        std::stringstream err;
+        err << std::ifstream(errPath).rdbuf();
+        EXPECT_NE(err.str().find(std::string(flag) + " is not supported"),
+                  std::string::npos)
+            << err.str();
+        EXPECT_FALSE(std::ifstream(path).good()) << flag;
+    }
+    std::remove(errPath.c_str());
 }
 
 // ---------------------------------------------------------------

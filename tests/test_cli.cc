@@ -7,7 +7,9 @@
  * '--flag=value' form, unknown-option and --help return codes, the
  * generated usage text, and the exit(2) paths for malformed values.
  * It also drives bench_diff's flag set, so a malformed gate knob can
- * never silently disable a check, and micro_host's cell selection.
+ * never silently disable a check, micro_host's cell selection, and
+ * the one --mem-model/--raw-stepper parser through both the bench
+ * harness and micro_host.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,9 @@
 #include <sstream>
 #include <vector>
 
+#include "bench_main.hh"
+#include "mem/mem_mode.hh"
+#include "raw/config.hh"
 #include "study/bench_report.hh"
 #include "study/cli_options.hh"
 #include "study/host_measure.hh"
@@ -320,6 +325,73 @@ TEST(MicroHostCli, HelpListsKernels)
     const std::string help = testing::internal::GetCapturedStdout();
     EXPECT_NE(help.find("--kernels LIST"), std::string::npos);
     EXPECT_NE(help.find("--machines LIST"), std::string::npos);
+}
+
+/** benchMain over a brace-list of arguments with a no-op body. */
+int
+runHarness(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return triarch::bench::benchMain(
+        static_cast<int>(argv.size()), argv.data(), "test bench",
+        [](triarch::bench::BenchContext &) { return 0; });
+}
+
+TEST(ModelFlags, BadValueReturnsTwoInHarnessAndMicroHost)
+{
+    for (const char *flag : {"--mem-model", "--raw-stepper"}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(runHarness({flag, "fast"}), 2) << flag;
+        triarch::study::MicroHostArgs args;
+        EXPECT_EQ(parseHostArgs({std::string(flag) + "=fast"}, &args), 2)
+            << flag;
+        const std::string err = testing::internal::GetCapturedStderr();
+        const std::string want = std::string(flag) + " wants ";
+        EXPECT_NE(err.find("bench: " + want), std::string::npos) << err;
+        EXPECT_NE(err.find("micro_host: " + want), std::string::npos)
+            << err;
+    }
+}
+
+TEST(ModelFlags, AcceptedValuesSetTheProcessDefaults)
+{
+    using triarch::mem::MemModel;
+    using triarch::raw::RawStepper;
+
+    triarch::study::MicroHostArgs args;
+    EXPECT_FALSE(parseHostArgs({"--mem-model", "reference",
+                                "--raw-stepper", "reference"},
+                               &args)
+                     .has_value());
+    EXPECT_EQ(triarch::mem::defaultMemModel(), MemModel::Reference);
+    EXPECT_EQ(triarch::raw::defaultRawStepper(), RawStepper::Reference);
+
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(runHarness({"--mem-model=span", "--raw-stepper=event"}), 0);
+    testing::internal::GetCapturedStdout();
+    EXPECT_EQ(triarch::mem::defaultMemModel(), MemModel::Span);
+    EXPECT_EQ(triarch::raw::defaultRawStepper(), RawStepper::Event);
+
+    // Both parsers print the same help line for each flag.
+    for (const char *flag : {"--mem-model MODE", "--raw-stepper MODE"}) {
+        testing::internal::CaptureStdout();
+        EXPECT_EQ(runHarness({"--help"}), 0);
+        const std::string harness = testing::internal::GetCapturedStdout();
+        testing::internal::CaptureStdout();
+        EXPECT_EQ(parseHostArgs({"--help"}, &args), 0);
+        const std::string host = testing::internal::GetCapturedStdout();
+        const auto line = [flag](const std::string &help) {
+            const std::size_t at = help.find(flag);
+            return at == std::string::npos
+                       ? std::string()
+                       : help.substr(at, help.find('\n', at) - at);
+        };
+        EXPECT_FALSE(line(harness).empty()) << flag;
+        EXPECT_EQ(line(harness), line(host)) << flag;
+    }
 }
 
 TEST(CliHelpers, SplitListDropsEmptiesAndLoweredLowercases)

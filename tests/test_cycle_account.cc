@@ -5,12 +5,16 @@
  * CycleTimeline, the per-cell breakdowns of every machine x kernel
  * mapping (categories sum exactly to the cell's cycles), their
  * bit-identical determinism across thread counts, and the
- * triarch.bench.v1 report round-trip plus bench-diff pass/fail
- * decisions on perturbed baselines.
+ * triarch.results.v2 document round-trip, its parser's rejections,
+ * the committed baselines, and bench-diff pass/fail decisions on
+ * perturbed baselines.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "raw/assembler.hh"
@@ -18,6 +22,8 @@
 #include "sim/cycle_account.hh"
 #include "study/bench_report.hh"
 #include "study/parallel.hh"
+#include "study/result_sink.hh"
+#include "study/study_json.hh"
 
 namespace triarch::study
 {
@@ -211,76 +217,199 @@ TEST(BreakdownInvariant, BitIdenticalAcrossThreadCounts)
 }
 
 // ---------------------------------------------------------------
-// The triarch.bench.v1 report: build, write, parse round-trip.
+// The triarch.results.v2 document: write, parse round-trip.
 // ---------------------------------------------------------------
 
-/** Report for the small config, computed once (the suite's cells
+/** The small config's 15 cells, computed once (the suite's cells
  *  are deterministic, so sharing is safe). */
-const BenchReport &
+const std::vector<RunResult> &
+smallResults()
+{
+    static const std::vector<RunResult> results = [] {
+        ParallelRunner runner(smallConfig(), 1, nullptr,
+                              ParallelRunner::noCache());
+        return runner.runAll();
+    }();
+    return results;
+}
+
+/** The small config's results written and read back by a sink. */
+ResultsDocument
 smallReport()
 {
-    static const BenchReport report = [] {
-        const StudyConfig cfg = smallConfig();
-        ParallelRunner runner(cfg, 1, nullptr,
-                              ParallelRunner::noCache());
-        return buildBenchReport(cfg, runner.runAll());
-    }();
-    return report;
+    ResultSink sink(smallConfig());
+    sink.add(smallResults());
+    return sink.document();
 }
+
+/** Render @p results (and an optional host block) as a document. */
+std::string
+writeDocument(const std::vector<RunResult> &results,
+              const std::optional<HostSection> &host = std::nullopt)
+{
+    ResultSink sink(smallConfig());
+    sink.add(results);
+    if (host)
+        sink.host(*host);
+    std::ostringstream os;
+    sink.writeJson(os);
+    return os.str();
+}
+
+/** A v2 document around a results array and extra top-level text. */
+std::string
+documentWith(const std::string &results, const std::string &extra = "")
+{
+    return R"({"schema": "triarch.results.v2",
+               "config": {"seed": 1, "hash": "x"},
+               "metadata": {}, "results": [)"
+           + results + "]" + extra + "}";
+}
+
+/** One well-formed PPC corner-turn cell. */
+const char *const kCell =
+    R"({"machine": "ppc", "kernel": "ct", "cycles": 100,
+        "validated": true,
+        "breakdown": {"compute": 60, "cache_stall": 40,
+                      "dram_dma": 0, "network_sync": 0,
+                      "setup_readback": 0},
+        "notes": {"ppc.mem_stall_fraction": 0.4}})";
 
 TEST(BenchReport, RoundTripsThroughJson)
 {
-    const BenchReport &report = smallReport();
-    EXPECT_EQ(report.schema, benchSchema());
-    EXPECT_EQ(report.cells.size(), 15u);
+    const std::vector<RunResult> &results = smallResults();
+    ASSERT_EQ(results.size(), 15u);
+    // The round trip must carry the notes, not just the cycles.
+    EXPECT_TRUE(std::ranges::any_of(
+        results, [](const RunResult &r) { return !r.notes.empty(); }));
 
-    std::ostringstream os;
-    writeBenchReportJson(report, os);
     std::string error;
-    const auto parsed = parseBenchReportJson(os.str(), &error);
+    const auto parsed = parseResultsJson(writeDocument(results), &error);
     ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(*parsed, report);
+    EXPECT_EQ(*parsed, smallReport());
+    EXPECT_EQ(parsed->results, results);
+    EXPECT_EQ(parsed->configHash, studyConfigHashHex(smallConfig()));
+    EXPECT_EQ(parsed->seed, smallConfig().seed);
+
+    // The hand-written fixture parses too, notes included.
+    const auto fixture = parseResultsJson(documentWith(kCell), &error);
+    ASSERT_TRUE(fixture.has_value()) << error;
+    ASSERT_EQ(fixture->results.size(), 1u);
+    EXPECT_EQ(fixture->results[0].notes,
+              (std::vector<std::pair<std::string, double>>{
+                  {"ppc.mem_stall_fraction", 0.4}}));
 }
 
 TEST(BenchReport, ParserRejectsMalformedDocuments)
 {
+    const auto rejects = [](const std::string &doc,
+                            const std::string &substr) {
+        std::string error;
+        EXPECT_FALSE(parseResultsJson(doc, &error)) << doc;
+        EXPECT_NE(error.find(substr), std::string::npos)
+            << "error was: " << error;
+    };
     std::string error;
-    EXPECT_FALSE(parseBenchReportJson("", &error));
-    EXPECT_FALSE(parseBenchReportJson("{]", &error));
-    EXPECT_FALSE(parseBenchReportJson("{}", &error));
+    EXPECT_FALSE(parseResultsJson("", &error));
+    EXPECT_FALSE(parseResultsJson("{]", &error));
+    rejects("{}", "schema");
+    rejects("[]", "not an object");
 
-    // Wrong schema.
-    EXPECT_FALSE(parseBenchReportJson(
-        R"({"schema": "triarch.bench.v0", "config_hash": "x",
-            "seed": 1, "cells": []})",
-        &error));
-    EXPECT_NE(error.find("schema"), std::string::npos) << error;
+    // Unknown schemas, including the retired per-cell documents.
+    for (const char *schema : {"triarch.bench.v1", "triarch.results.v1",
+                               "triarch.results.v3"}) {
+        std::string doc = documentWith(kCell);
+        doc.replace(doc.find("triarch.results.v2"), 18, schema);
+        rejects(doc, "unsupported schema '" + std::string(schema) + "'");
+    }
+
+    // The config block must identify the run.
+    rejects(R"({"schema": "triarch.results.v2", "results": []})",
+            "config");
+    rejects(R"({"schema": "triarch.results.v2",
+                "config": {"seed": 1}, "results": []})",
+            "hash");
+    rejects(R"({"schema": "triarch.results.v2",
+                "config": {"hash": "x", "seed": -1}, "results": []})",
+            "seed");
+    rejects(R"({"schema": "triarch.results.v2",
+                "config": {"hash": "x", "seed": 1}})",
+            "results");
+
+    // A cell may appear once.
+    rejects(documentWith(std::string(kCell) + ", " + kCell),
+            "duplicate cell ppc/ct");
 
     // A breakdown that does not sum to the cycle count must be
     // rejected at the parse boundary: it violates the document's
     // core invariant.
-    EXPECT_FALSE(parseBenchReportJson(
-        R"({"schema": "triarch.bench.v1", "config_hash": "x",
-            "seed": 1, "cells": [
-              {"machine": "ppc", "kernel": "ct", "cycles": 100,
-               "validated": true,
-               "breakdown": {"compute": 50, "cache_stall": 0,
-                             "dram_dma": 0, "network_sync": 0,
-                             "setup_readback": 0}}]})",
-        &error));
-    EXPECT_NE(error.find("sums to 50"), std::string::npos) << error;
+    rejects(documentWith(
+                R"({"machine": "ppc", "kernel": "ct", "cycles": 100,
+                    "validated": true,
+                    "breakdown": {"compute": 50, "cache_stall": 0,
+                                  "dram_dma": 0, "network_sync": 0,
+                                  "setup_readback": 0}})"),
+            "sums to 50");
 
     // Unknown machine token.
-    EXPECT_FALSE(parseBenchReportJson(
-        R"({"schema": "triarch.bench.v1", "config_hash": "x",
-            "seed": 1, "cells": [
-              {"machine": "cray", "kernel": "ct", "cycles": 1,
-               "validated": true,
-               "breakdown": {"compute": 1, "cache_stall": 0,
-                             "dram_dma": 0, "network_sync": 0,
-                             "setup_readback": 0}}]})",
-        &error));
-    EXPECT_NE(error.find("cray"), std::string::npos) << error;
+    rejects(documentWith(
+                R"({"machine": "cray", "kernel": "ct", "cycles": 1,
+                    "validated": true,
+                    "breakdown": {"compute": 1, "cache_stall": 0,
+                                  "dram_dma": 0, "network_sync": 0,
+                                  "setup_readback": 0}})"),
+            "cray");
+}
+
+// ---------------------------------------------------------------
+// The committed baselines: each is a v2 document whose cells match
+// the benchmark's expected Table-3 cells.
+// ---------------------------------------------------------------
+
+TEST(BenchBaselines, ParseAndMatchPerfbenchExpectedCells)
+{
+    const std::filesystem::path root = TRIARCH_SOURCE_DIR;
+    std::stringstream text;
+    text << std::ifstream(root / "perfbench/expected_table3.json")
+                .rdbuf();
+    std::string error;
+    const auto expectedDoc = json::parse(text.str(), &error);
+    ASSERT_TRUE(expectedDoc.has_value()) << error;
+    const json::Value *cells = expectedDoc->field("cells");
+    ASSERT_NE(cells, nullptr);
+    std::vector<RunResult> expected;
+    for (const json::Value &entry : cells->items) {
+        RunResult r;
+        ASSERT_TRUE(parseRunResult(entry, &r, &error)) << error;
+        expected.push_back(r);
+    }
+    ASSERT_EQ(expected.size(), 15u);
+
+    std::size_t files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(root / "bench/baselines")) {
+        const std::string path = entry.path().string();
+        const auto doc = loadResultsFile(path, &error);
+        ASSERT_TRUE(doc.has_value()) << error;
+        ++files;
+        EXPECT_FALSE(doc->results.empty()) << path;
+        EXPECT_EQ(doc->configHash, studyConfigHashHex(StudyConfig{}))
+            << path;
+        for (const RunResult &cell : doc->results) {
+            const auto want = std::ranges::find_if(
+                expected, [&cell](const RunResult &r) {
+                    return r.machine == cell.machine
+                           && r.kernel == cell.kernel;
+                });
+            ASSERT_NE(want, expected.end()) << path;
+            EXPECT_EQ(cell.cycles, want->cycles) << path;
+            EXPECT_EQ(cell.breakdown, want->breakdown) << path;
+            EXPECT_EQ(cell.validated, want->validated) << path;
+            EXPECT_EQ(cell.measuredUnbalanced, want->measuredUnbalanced)
+                << path;
+        }
+    }
+    EXPECT_EQ(files, 3u);
 }
 
 // ---------------------------------------------------------------
@@ -290,7 +419,7 @@ TEST(BenchReport, ParserRejectsMalformedDocuments)
 
 TEST(BenchDiff, IdenticalReportsPass)
 {
-    const BenchReport &report = smallReport();
+    const ResultsDocument report = smallReport();
     const BenchDiffResult diff = diffBenchReports(report, report);
     EXPECT_TRUE(diff.ok());
     EXPECT_EQ(diff.cellsCompared, 15u);
@@ -298,12 +427,12 @@ TEST(BenchDiff, IdenticalReportsPass)
 
 TEST(BenchDiff, PerturbedTotalFails)
 {
-    const BenchReport &fresh = smallReport();
-    BenchReport baseline = fresh;
+    const ResultsDocument fresh = smallReport();
+    ResultsDocument baseline = fresh;
     // Drift one cell by 10%.
     // The breakdown moves with the total so the perturbed document
     // still satisfies the partition invariant.
-    BenchCell &cell = baseline.cells[0];
+    RunResult &cell = baseline.results[0];
     const std::uint64_t delta = cell.cycles / 10;
     ASSERT_GT(delta, 0u);
     cell.cycles += delta;
@@ -321,9 +450,9 @@ TEST(BenchDiff, OneCycleDriftFails)
 {
     // Simulation is deterministic, so the gate allows no drift: a
     // single cycle on one cell is a failure.
-    const BenchReport &fresh = smallReport();
-    BenchReport baseline = fresh;
-    BenchCell &cell = baseline.cells[0];
+    const ResultsDocument fresh = smallReport();
+    ResultsDocument baseline = fresh;
+    RunResult &cell = baseline.results[0];
     cell.cycles += 1;
     cell.breakdown.total += 1;
     cell.breakdown.cycles[0] += 1;
@@ -340,9 +469,9 @@ TEST(BenchDiff, CategoryShiftAtConstantTotalFails)
 {
     // The profiler's whole point: moving cycles between categories
     // is a regression even when the total is unchanged.
-    const BenchReport &fresh = smallReport();
-    BenchReport baseline = fresh;
-    BenchCell &cell = baseline.cells[0];
+    const ResultsDocument fresh = smallReport();
+    ResultsDocument baseline = fresh;
+    RunResult &cell = baseline.results[0];
     const std::uint64_t shift = cell.cycles / 10;
     ASSERT_GE(cell.breakdown.cycles[0], shift);
     cell.breakdown.cycles[0] -= shift;
@@ -354,8 +483,8 @@ TEST(BenchDiff, CategoryShiftAtConstantTotalFails)
 
 TEST(BenchDiff, ConfigHashMismatchFails)
 {
-    const BenchReport &fresh = smallReport();
-    BenchReport baseline = fresh;
+    const ResultsDocument fresh = smallReport();
+    ResultsDocument baseline = fresh;
     baseline.configHash = "deadbeef";
     const BenchDiffResult diff = diffBenchReports(baseline, fresh);
     ASSERT_FALSE(diff.ok());
@@ -364,9 +493,9 @@ TEST(BenchDiff, ConfigHashMismatchFails)
 
 TEST(BenchDiff, MissingCellFails)
 {
-    const BenchReport &fresh = smallReport();
-    BenchReport truncated = fresh;
-    truncated.cells.pop_back();
+    const ResultsDocument fresh = smallReport();
+    ResultsDocument truncated = fresh;
+    truncated.results.pop_back();
 
     // Fresh report lost a cell the baseline has.
     EXPECT_FALSE(diffBenchReports(fresh, truncated).ok());
@@ -376,9 +505,9 @@ TEST(BenchDiff, MissingCellFails)
 
 TEST(BenchDiff, InvalidatedCellFails)
 {
-    const BenchReport &baseline = smallReport();
-    BenchReport fresh = baseline;
-    fresh.cells[3].validated = false;
+    const ResultsDocument baseline = smallReport();
+    ResultsDocument fresh = baseline;
+    fresh.results[3].validated = false;
     const BenchDiffResult diff = diffBenchReports(baseline, fresh);
     ASSERT_FALSE(diff.ok());
     EXPECT_NE(diff.failures[0].find("validate"), std::string::npos);
@@ -388,9 +517,8 @@ TEST(BenchDiff, PaperTargetBandCatchesGrossDrift)
 {
     // The small config is NOT the paper's workload, so judge the
     // band logic on synthetic data anchored at the paper's values.
-    BenchReport report;
-    report.schema = benchSchema();
-    BenchCell cell;
+    ResultsDocument report;
+    RunResult cell;
     cell.machine = MachineId::Viram;
     cell.kernel = KernelId::Cslc;
     cell.validated = true;
@@ -398,21 +526,21 @@ TEST(BenchDiff, PaperTargetBandCatchesGrossDrift)
         paperTable3Kcycles(cell.machine, cell.kernel) * 1000.0);
     cell.breakdown.total = cell.cycles;
     cell.breakdown.cycles[0] = cell.cycles;
-    report.cells.push_back(cell);
+    report.results.push_back(cell);
     EXPECT_TRUE(checkPaperTargets(report, 2.0).ok());
 
-    report.cells[0].cycles *= 3;
-    report.cells[0].breakdown.total = report.cells[0].cycles;
-    report.cells[0].breakdown.cycles[0] = report.cells[0].cycles;
+    report.results[0].cycles *= 3;
+    report.results[0].breakdown.total = report.results[0].cycles;
+    report.results[0].breakdown.cycles[0] = report.results[0].cycles;
     EXPECT_FALSE(checkPaperTargets(report, 2.0).ok());
 }
 
 // ---------------------------------------------------------------
-// The optional host section: round-trip, absence is byte-identical,
+// The optional host block: round-trip, absence is byte-identical,
 // and the advisory/gated host-time comparison.
 // ---------------------------------------------------------------
 
-/** A small synthetic host section over two cells. */
+/** A small synthetic host block over two cells. */
 HostSection
 fakeHostSection()
 {
@@ -432,18 +560,20 @@ fakeHostSection()
 
 TEST(BenchReportHost, SectionRoundTripsAndAbsenceIsByteIdentical)
 {
-    const BenchReport &bare = smallReport();
-    std::ostringstream withoutHost;
-    writeBenchReportJson(bare, withoutHost);
-    EXPECT_EQ(withoutHost.str().find("\"host\""), std::string::npos)
-        << "no host flags, no host key";
+    const std::string withoutHost = writeDocument(smallResults());
+    EXPECT_EQ(withoutHost.find("\"host\""), std::string::npos)
+        << "no host measurement, no host key";
 
-    BenchReport report = bare;
+    ResultsDocument report = smallReport();
     report.host = fakeHostSection();
-    std::ostringstream os;
-    writeBenchReportJson(report, os);
+    const std::string withHost =
+        writeDocument(smallResults(), fakeHostSection());
+    // The host block is appended; the cells before it are untouched.
+    EXPECT_EQ(withHost.compare(0, withoutHost.size() - 3, withoutHost,
+                               0, withoutHost.size() - 3),
+              0);
     std::string error;
-    const auto parsed = parseBenchReportJson(os.str(), &error);
+    const auto parsed = parseResultsJson(withHost, &error);
     ASSERT_TRUE(parsed.has_value()) << error;
     EXPECT_EQ(*parsed, report);
     ASSERT_TRUE(parsed->host.has_value());
@@ -460,11 +590,9 @@ TEST(BenchReportHost, ParserRejectsMalformedHostSections)
     const auto rejects = [](const std::string &hostJson,
                             const std::string &substr) {
         const std::string doc =
-            R"({"schema": "triarch.bench.v1", "config_hash": "x",
-                "seed": 1, "cells": [], "host": )"
-            + hostJson + "}";
+            documentWith(kCell, R"(, "host": )" + hostJson);
         std::string error;
-        EXPECT_FALSE(parseBenchReportJson(doc, &error)) << hostJson;
+        EXPECT_FALSE(parseResultsJson(doc, &error)) << hostJson;
         EXPECT_NE(error.find(substr), std::string::npos)
             << "error was: " << error;
     };
@@ -481,12 +609,19 @@ TEST(BenchReportHost, ParserRejectsMalformedHostSections)
                   {"machine": "viram", "kernel": "ct",
                    "p95_ns": 1, "min_ns": 1, "stddev_ns": 0}]})",
             "timing");
+    rejects(R"({"warmup": 1, "repetitions": 5, "pinned": false,
+                "cells_per_sec": 1.0, "cells": [
+                  {"machine": "viram", "kernel": "ct", "median_ns": 1,
+                   "p95_ns": 1, "min_ns": 1, "stddev_ns": 0},
+                  {"machine": "viram", "kernel": "ct", "median_ns": 1,
+                   "p95_ns": 1, "min_ns": 1, "stddev_ns": 0}]})",
+            "duplicate");
 }
 
 TEST(BenchDiffHost, AdvisoryModeNeverFails)
 {
-    BenchReport baseline = smallReport();
-    BenchReport fresh = baseline;
+    ResultsDocument baseline = smallReport();
+    ResultsDocument fresh = baseline;
     baseline.host = fakeHostSection();
     // Fresh host time 10x the baseline: advisory mode reports it but
     // stays OK; only --host-gate turns it into a failure.
@@ -503,11 +638,11 @@ TEST(BenchDiffHost, AdvisoryModeNeverFails)
 
 TEST(BenchDiffHost, GateFailsOnRegressionAndPassesWithin)
 {
-    BenchReport baseline = smallReport();
+    ResultsDocument baseline = smallReport();
     baseline.host = fakeHostSection();
-    BenchReport fresh = baseline;
+    ResultsDocument fresh = baseline;
 
-    // Identical host sections pass any gate.
+    // Identical host blocks pass any gate.
     EXPECT_TRUE(diffHostSections(baseline, fresh, 1.5).ok());
 
     // 2x slower medians fail a 1.5x gate but pass a 3x gate.
@@ -519,7 +654,7 @@ TEST(BenchDiffHost, GateFailsOnRegressionAndPassesWithin)
     EXPECT_FALSE(tight.failures.empty());
     EXPECT_TRUE(diffHostSections(baseline, fresh, 3.0).ok());
 
-    // A gated run with no fresh host section is a failure, not a
+    // A gated run with no fresh host block is a failure, not a
     // silent pass.
     fresh.host.reset();
     EXPECT_FALSE(diffHostSections(baseline, fresh, 1.5).ok());

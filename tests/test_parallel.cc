@@ -16,9 +16,11 @@
 #include <string>
 #include <thread>
 
+#include "sim/json.hh"
 #include "study/parallel.hh"
 #include "study/registry.hh"
 #include "study/result_sink.hh"
+#include "study/study_json.hh"
 
 namespace triarch::study
 {
@@ -339,21 +341,37 @@ TEST(ResultSinkTest, EmitsWellFormedDocument)
     ParallelRunner par(cfg, 2, nullptr, ParallelRunner::noCache());
 
     ResultSink sink(cfg);
-    sink.add(par.runCells({{MachineId::Raw, KernelId::Cslc},
-                           {MachineId::Viram, KernelId::CornerTurn}}));
+    const std::vector<RunResult> results =
+        par.runCells({{MachineId::Raw, KernelId::Cslc},
+                      {MachineId::Viram, KernelId::CornerTurn}});
+    sink.add(results);
     sink.metadata("threads", "2");
     EXPECT_EQ(sink.size(), 2u);
 
     std::ostringstream os;
     sink.writeJson(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("\"schema\": \"triarch.results.v1\""),
-              std::string::npos);
-    EXPECT_NE(s.find("\"machine\": \"Raw\""), std::string::npos);
-    EXPECT_NE(s.find("\"kernel_id\": \"ct\""), std::string::npos);
-    EXPECT_NE(s.find("\"threads\": \"2\""), std::string::npos);
-    EXPECT_NE(s.find("\"measured_unbalanced\""), std::string::npos);
-    EXPECT_NE(s.find("\"validated\": true"), std::string::npos);
+    std::string error;
+    const auto doc = parseResultsJson(os.str(), &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    EXPECT_EQ(*doc, sink.document());
+    EXPECT_EQ(doc->results, results);
+    EXPECT_EQ(doc->configHash, studyConfigHashHex(cfg));
+    EXPECT_EQ(doc->seed, cfg.seed);
+    EXPECT_FALSE(doc->host.has_value());
+    const RunResult *rawCslc = doc->find(MachineId::Raw, KernelId::Cslc);
+    ASSERT_NE(rawCslc, nullptr);
+    EXPECT_TRUE(rawCslc->measuredUnbalanced.has_value());
+    EXPECT_TRUE(rawCslc->validated);
+
+    // Metadata is free-form, so the document parser skips it; read
+    // it back through the JSON reader.
+    const auto root = json::parse(os.str(), &error);
+    ASSERT_TRUE(root.has_value()) << error;
+    const json::Value *meta = root->field("metadata");
+    ASSERT_NE(meta, nullptr);
+    const json::Value *threads = meta->field("threads");
+    ASSERT_NE(threads, nullptr);
+    EXPECT_EQ(threads->text, "2");
 }
 
 } // namespace
