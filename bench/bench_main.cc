@@ -225,7 +225,6 @@ benchMain(int argc, char **argv, const char *description,
                   opts.hwPath = v;
                   return 0;
               });
-    cli.modelFlags();
     cli.toggle("--host-stats",
                "record host-time histograms (wall clock) into the "
                "--stats document",
@@ -271,9 +270,11 @@ benchMain(int argc, char **argv, const char *description,
         };
         if (rc == 0 && !opts.jsonPath.empty() && ctx.sink().size() == 0)
             noCells("--json");
-        if (rc == 0 && !opts.hwPath.empty()
-            && hw::HwRegistry::global().size() == 0)
+        const bool ranCells = hw::HwRegistry::global().size() != 0;
+        if (rc == 0 && !opts.hwPath.empty() && !ranCells)
             noCells("--hw");
+        if (rc == 0 && !opts.statsPath.empty() && !ranCells)
+            noCells("--stats");
 
         if (rc == 0 && !opts.jsonPath.empty()) {
             ctx.sink().metadata("bench", prog);

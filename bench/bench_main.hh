@@ -17,15 +17,16 @@
  *   --csv               machine-readable table output where supported
  *   --trace PATH        write a Chrome trace-event JSON timeline
  *   --stats PATH        write a triarch.stats.v1 counters document
+ *                       (exit 2 if no cell ran)
  *   --hw PATH           write a triarch.hw.v1 utilization report
  *                       (exit 2 if no cell ran)
- *   --mem-model MODE    span (default) or reference memory walk
- *   --raw-stepper MODE  event (default) or reference Raw stepper
  *   --host-stats        record host-time histograms into --stats
  *   --log-level LEVEL   quiet, warn, inform, or debug
  *   --help              usage
  *
- * Flags accept both "--flag value" and "--flag=value".
+ * Flags accept both "--flag value" and "--flag=value". The memory
+ * model and Raw stepper are not harness flags: every bench runs the
+ * production paths, and micro_host alone selects the references.
  */
 
 #ifndef TRIARCH_BENCH_BENCH_MAIN_HH

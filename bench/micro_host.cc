@@ -7,7 +7,8 @@
  *
  * Every cell's mapping runs under the repeated-measurement contract
  * (sim/host_clock.hh): --warmup unmeasured iterations, --reps
- * measured ones, optional --pin core pinning, robust statistics.
+ * measured ones, optional --pin core pinning (exit 2 when the pin
+ * fails), robust statistics.
  * Default output is a human-readable table; --grid prints only the
  * one-line grid summary, and --json emits the full
  * triarch.results.v2 document (simulated cells + host block) on
@@ -35,6 +36,13 @@ main(int argc, char **argv)
     MicroHostArgs args;
     if (const auto rc = parseMicroHostArgs(argc, argv, &args))
         return *rc;
+    // An unpinned run under --pin would report numbers the caller
+    // believes pinned; refuse before measuring anything.
+    if (args.measure.pinCpu >= 0 && !host::pinToCpu(args.measure.pinCpu)) {
+        std::fprintf(stderr, "micro_host: cannot pin to CPU %d\n",
+                     args.measure.pinCpu);
+        return 2;
+    }
 
     StudyConfig cfg;
     cfg.seed = args.seed;

@@ -22,7 +22,6 @@
 #define TRIARCH_IMAGINE_CONFIG_HH
 
 #include "mem/dram.hh"
-#include "mem/mem_mode.hh"
 #include "sim/types.hh"
 
 namespace triarch::imagine
@@ -49,14 +48,6 @@ struct ImagineConfig
     // cycle each, each with its own SDRAM channel.
     unsigned memEngines = 2;
     std::uint64_t memBytes = 64 * 1024 * 1024;
-
-    /**
-     * Memory-timing walk selection (D13): Span collapses same-row
-     * record runs in stream transfers to closed-form accounting,
-     * Reference keeps the per-record DRAM walk. Both produce
-     * bit-identical cycles, counters, and documents.
-     */
-    mem::MemModel memModel = mem::MemModel::Default;
 
     /** Cycles the host processor needs to issue one stream/kernel op. */
     Cycles hostIssueCycles = 24;

@@ -13,8 +13,6 @@ namespace triarch::imagine
 
 ImagineMachine::ImagineMachine(const ImagineConfig &machine_config)
     : cfg(machine_config),
-      spanMem(mem::resolveMemModel(cfg.memModel)
-              != mem::MemModel::Reference),
       dram(cfg.memBytes),
       srf(cfg.srfBytes / 4, 0),
       allocator(cfg.srfBytes, cfg.srfBlockBytes),
@@ -182,17 +180,10 @@ ImagineMachine::loadStream(const StreamRef &ref,
     const Cycles start = std::max(issued, engineFree[e]);
 
     mem::AccessWindow window{start, start};
-    if (spanMem && pattern.records > 0) {
-        window = channels[e]->accessPattern(pattern.base,
-                                            pattern.strideBytes,
-                                            pattern.records,
-                                            pattern.recordWords, start);
-    } else {
-        for (unsigned r = 0; r < pattern.records; ++r) {
-            window = channels[e]->access(
-                pattern.base + r * pattern.strideBytes,
-                pattern.recordWords, start);
-        }
+    for (unsigned r = 0; r < pattern.records; ++r) {
+        window = channels[e]->access(
+            pattern.base + r * pattern.strideBytes, pattern.recordWords,
+            start);
     }
     // The engine itself moves at most one word per cycle.
     const Cycles engineTime = start + pattern.totalWords();
@@ -242,17 +233,10 @@ ImagineMachine::storeStream(const StreamRef &ref,
         std::max({issued, engineFree[e], streamReady(ref)});
 
     mem::AccessWindow window{start, start};
-    if (spanMem && pattern.records > 0) {
-        window = channels[e]->accessPattern(pattern.base,
-                                            pattern.strideBytes,
-                                            pattern.records,
-                                            pattern.recordWords, start);
-    } else {
-        for (unsigned r = 0; r < pattern.records; ++r) {
-            window = channels[e]->access(
-                pattern.base + r * pattern.strideBytes,
-                pattern.recordWords, start);
-        }
+    for (unsigned r = 0; r < pattern.records; ++r) {
+        window = channels[e]->access(
+            pattern.base + r * pattern.strideBytes, pattern.recordWords,
+            start);
     }
     const Cycles engineTime = start + pattern.totalWords();
     const Cycles finish = std::max(window.finish, engineTime);

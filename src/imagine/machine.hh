@@ -196,7 +196,6 @@ class ImagineMachine
     void setStreamReady(const StreamRef &ref, Cycles when);
 
     ImagineConfig cfg;
-    bool spanMem;
 
     // Functional state.
     ZeroBuffer dram;
@@ -217,9 +216,7 @@ class ImagineMachine
     stats::CycleTimeline timeline;
 
     /** Epoch channels sampled over the cluster-array and
-     *  stream-engine busy windows. The transfer windows come from
-     *  DramModel, whose span path is bit-identical to the reference
-     *  walk (D13), so the timeline is mode-identical. */
+     *  stream-engine busy windows. */
     hw::EpochSampler hwSamp{{"cluster_busy", "mem_busy"}};
 
     // Statistics.

@@ -107,103 +107,6 @@ DramModel::access(Addr addr, unsigned nwords, Cycles earliest)
     return window;
 }
 
-AccessWindow
-DramModel::accessStrided(Addr addr, Addr strideBytes, unsigned count,
-                         unsigned wordsEach, Cycles earliest)
-{
-    triarch_assert(count > 0, "zero-count strided access");
-
-    AccessWindow window{0, 0};
-    for (unsigned i = 0; i < count; ++i) {
-        AccessWindow w =
-            access(addr + static_cast<Addr>(i) * strideBytes, wordsEach,
-                   earliest);
-        if (i == 0)
-            window.start = w.start;
-        window.finish = w.finish;
-    }
-    return window;
-}
-
-AccessWindow
-DramModel::accessPattern(Addr base, Addr strideBytes,
-                         unsigned records, unsigned recordWords,
-                         Cycles earliest)
-{
-    triarch_assert(records > 0, "zero-record DRAM pattern");
-    const Addr recordBytes = static_cast<Addr>(recordWords) * 4;
-    const Cycles transfer =
-        ceilDiv(recordWords, cfg.timing.busWordsPerCycle);
-    const Cycles tCas = cfg.timing.tCas;
-    // Steady-state recurrence for same-open-row records (derived
-    // from access() with a constant earliest): once a record's bus
-    // start is pinned by the previous record's state, every next
-    // same-row record starts exactly max(tCas, transfer) later, and
-    // pays (tCas - transfer) of exposed row overhead only when CAS
-    // outruns the transfer.
-    const Cycles step = std::max(tCas, transfer);
-    const Cycles exposed = tCas > transfer ? tCas - transfer : 0;
-    // access() splits bursts at raw-address rowBytes boundaries while
-    // open-row identity lives in the per-bank reconstructed space;
-    // the two agree (and a record inside the region below is exactly
-    // one row segment) only when one granularity divides the other.
-    const bool rowAligned =
-        cfg.bankInterleaveBytes % cfg.rowBytes == 0
-        || cfg.rowBytes % cfg.bankInterleaveBytes == 0;
-
-    AccessWindow window{0, 0};
-    unsigned r = 0;
-    while (r < records) {
-        const Addr addr = base + static_cast<Addr>(r) * strideBytes;
-        window = access(addr, recordWords, earliest);
-        ++r;
-        if (!rowAligned || strideBytes == 0
-            || recordBytes > strideBytes)
-            continue;
-
-        // How far this (bank, row) extends past addr in address
-        // space: to the next bank-interleave boundary and to the
-        // next row boundary of the bank's reconstructed row space
-        // (within a chunk, the per-bank position tracks the address
-        // with a constant offset).
-        const Addr chunk = addr / cfg.bankInterleaveBytes;
-        const Addr chunkEnd = (chunk + 1) * cfg.bankInterleaveBytes;
-        const Addr perBankDelta =
-            (chunk / cfg.banks) * cfg.bankInterleaveBytes
-            - chunk * cfg.bankInterleaveBytes;
-        const Addr perBankPos = addr + perBankDelta;
-        const Addr rowEnd =
-            roundUp(perBankPos + 1, cfg.rowBytes) - perBankDelta;
-        const Addr regionEnd = std::min(chunkEnd, rowEnd);
-
-        // Records r.. that start and end inside the region hit the
-        // row access() just opened and form a closed-form run.
-        if (addr + recordBytes > regionEnd)
-            continue;
-        const Addr lastStart = regionEnd - recordBytes;
-        const Addr cur = addr + strideBytes;
-        std::uint64_t run = 0;
-        if (cur <= lastStart) {
-            run = (lastStart - cur) / strideBytes + 1;
-            run = std::min<std::uint64_t>(run, records - r);
-        }
-        if (run == 0)
-            continue;
-
-        Bank &bank = bankState[bankOf(addr)];
-        _accesses += run;
-        _rowHits += run;
-        _transferCycles += run * transfer;
-        _overheadCycles += run * exposed;
-        const Cycles lastBusStart = window.start + run * step;
-        window = {lastBusStart, lastBusStart + transfer};
-        busNextFree = window.finish;
-        bank.nextFree = lastBusStart;
-        r += static_cast<unsigned>(run);
-    }
-    return window;
-}
-
 void
 DramModel::resetState()
 {

@@ -1,18 +1,15 @@
 /**
  * @file
- * A bank/row-granularity DRAM timing model shared by all four machine
- * models.
+ * A bank/row-granularity DRAM timing model: the off-chip SDRAM
+ * channels behind Imagine's two stream engines, 2 words/cycle in
+ * aggregate.
  *
- * The model captures what the paper's results hinge on: sequential
- * (open-row) accesses stream at the data-bus width, while strided or
- * random accesses pay precharge + activate + CAS per row switch and
- * serialize on banks. It is parameterized per machine:
- *
- *  - VIRAM: on-chip DRAM, 2 wings x 4 banks, wide 8-words/cycle bus;
- *  - Imagine: off-chip SDRAM behind 2 address generators, 2 words/cycle
- *    aggregate, with access reordering improving row locality;
- *  - Raw: 16 peripheral port DRAMs, 1 word/cycle each;
- *  - PowerPC G4: a single far DRAM behind a slow front-side bus.
+ * The model captures what the paper's Imagine results hinge on:
+ * sequential (open-row) accesses stream at the data-bus width, while
+ * strided or random accesses pay precharge + activate + CAS per row
+ * switch and serialize on banks. The other machines model their
+ * memories inside their own machine models (VIRAM's on-chip banks,
+ * Raw's peripheral ports, the G4's front-side bus).
  */
 
 #ifndef TRIARCH_MEM_DRAM_HH
@@ -84,31 +81,6 @@ class DramModel
      * @return busy window on the data bus
      */
     AccessWindow access(Addr addr, unsigned nwords, Cycles earliest);
-
-    /**
-     * Time @p count accesses of @p wordsEach words with byte stride
-     * @p strideBytes between their start addresses. Convenience
-     * wrapper used by strided vector loads and block writes.
-     */
-    AccessWindow accessStrided(Addr addr, Addr strideBytes,
-                               unsigned count, unsigned wordsEach,
-                               Cycles earliest);
-
-    /**
-     * Time a record pattern: @p records bursts of @p recordWords
-     * words, record r starting at @p base + r * @p strideBytes, each
-     * allowed to start no earlier than the same @p earliest cycle.
-     *
-     * State, counters, and the returned window (the last record's
-     * busy window) are bit-identical to the equivalent loop of
-     * access() calls — the Imagine memory-stream contract (D13) —
-     * but runs of records that stay within one open row advance by a
-     * fixed recurrence and are credited in closed form, so the cost
-     * is O(rows touched), not O(records).
-     */
-    AccessWindow accessPattern(Addr base, Addr strideBytes,
-                               unsigned records, unsigned recordWords,
-                               Cycles earliest);
 
     /** First cycle at which the data bus is free. */
     Cycles busFreeAt() const { return busNextFree; }

@@ -18,7 +18,6 @@
 #ifndef TRIARCH_PPC_CONFIG_HH
 #define TRIARCH_PPC_CONFIG_HH
 
-#include "mem/mem_mode.hh"
 #include "sim/types.hh"
 
 namespace triarch::ppc
@@ -70,10 +69,6 @@ struct PpcConfig
      * front-side bus lag behind execution before stores throttle.
      */
     Cycles storeQueueSlack = 300;
-
-    /** Memory-model walk selection (D13); Default follows the
-     *  process-wide mem::defaultMemModel(). */
-    mem::MemModel memModel = mem::MemModel::Default;
 };
 
 } // namespace triarch::ppc

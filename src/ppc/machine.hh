@@ -190,7 +190,7 @@ class PpcMachine
     void memAccess(Addr addr, bool write, bool charge_hit);
 
     PpcConfig cfg;
-    /** Resolved cfg.memModel != Reference, fixed at construction. */
+    /** mem::defaultMemModel() is Span, fixed at construction. */
     bool spanMem;
     mem::SetAssocCache l1;
     mem::SetAssocCache l2;

@@ -41,7 +41,6 @@ constexpr Addr globalBase = 0x10000000;
  */
 enum class RawStepper : std::uint8_t
 {
-    Default,    //!< follow the process-wide defaultRawStepper()
     Event,      //!< event-driven: jump to the minimum pending wake
     Reference,  //!< cycle-at-a-time reference loop
 };
@@ -51,7 +50,7 @@ namespace detail
 inline std::atomic<RawStepper> rawStepperDefault{RawStepper::Event};
 } // namespace detail
 
-/** The stepper a default-constructed RawConfig resolves to. */
+/** The stepper a default-constructed RawConfig takes. */
 inline RawStepper
 defaultRawStepper()
 {
@@ -60,8 +59,9 @@ defaultRawStepper()
 
 /**
  * Override the process-wide default stepper (differential tests and
- * micro_host --raw-stepper; mappings build machines with a default
- * RawConfig, so this is the hook that reaches them).
+ * micro_host --raw-stepper; mappings build their machines with a
+ * default RawConfig inside the caller's override, so this is the
+ * hook that reaches them).
  */
 inline void
 setDefaultRawStepper(RawStepper s)
@@ -110,8 +110,9 @@ struct RawConfig
     /** Hard cap on simulated cycles (deadlock guard). */
     Cycles maxCycles = 200'000'000;
 
-    /** Interpreter loop selection (Default = process-wide setting). */
-    RawStepper stepper = RawStepper::Default;
+    /** Interpreter loop; the process-wide setting when the config
+     *  is constructed. */
+    RawStepper stepper = defaultRawStepper();
 };
 
 } // namespace triarch::raw

@@ -1011,13 +1011,10 @@ Cycles
 RawMachine::run()
 {
     debugTrace = logLevel() >= LogLevel::Debug;
-    const RawStepper mode = cfg.stepper == RawStepper::Default
-                                ? defaultRawStepper()
-                                : cfg.stepper;
     // Batched execution changes the order debug-trace lines
     // interleave across tiles (never their content), so tracing runs
     // stay cycle-at-a-time.
-    batching = mode == RawStepper::Event && !debugTrace;
+    batching = cfg.stepper == RawStepper::Event && !debugTrace;
     // Routes are program properties and may change between runs, so
     // single senders are found afresh: a port fed by two tiles takes
     // their words in arrival order, which only stepping preserves.
@@ -1031,8 +1028,9 @@ RawMachine::run()
         h.soloPort = p < ports.size() && senders[p] == 1 ? &ports[p]
                                                          : nullptr;
     }
-    const Cycles now = mode == RawStepper::Reference ? runReference()
-                                                     : runEvent();
+    const Cycles now = cfg.stepper == RawStepper::Reference
+                           ? runReference()
+                           : runEvent();
     _cycles.set(now);
 
     // Close the FIFO-residency integral: words still queued at the

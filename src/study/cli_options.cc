@@ -142,8 +142,8 @@ void
 CliOptions::modelFlags()
 {
     value("--mem-model", "MODE",
-          "PPC/VIRAM/Imagine memory walk: span (default, batched "
-          "D13 fast path) or reference (word-at-a-time baseline)",
+          "PPC/VIRAM memory walk: span (default, batched D13 fast "
+          "path) or reference (word-at-a-time baseline)",
           [this](const std::string &v) {
               if (v == "span") {
                   mem::setDefaultMemModel(mem::MemModel::Span);

@@ -89,7 +89,8 @@ class CliOptions
 
     /** Install --mem-model (span/reference) and --raw-stepper
      *  (event/reference), wired to the process-wide simulator
-     *  defaults in mem/mem_mode.hh and raw/config.hh. */
+     *  defaults in mem/mem_mode.hh and raw/config.hh: micro_host's
+     *  A/B switches between production paths and references. */
     void modelFlags();
 
     /**

@@ -115,7 +115,9 @@ parseMicroHostArgs(int argc, char **argv, MicroHostArgs *args)
                    args->measure.repetitions = static_cast<unsigned>(n);
                    return 0;
                });
-    cli.number("--pin", "N", "pin the measurement to core N", 4095,
+    cli.number("--pin", "N",
+               "pin the measurement to core N (exit 2 if it cannot)",
+               4095,
                [args](std::uint64_t n) {
                    args->measure.pinCpu = static_cast<int>(n);
                    return 0;

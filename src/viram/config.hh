@@ -17,7 +17,6 @@
 #ifndef TRIARCH_VIRAM_CONFIG_HH
 #define TRIARCH_VIRAM_CONFIG_HH
 
-#include "mem/mem_mode.hh"
 #include "sim/types.hh"
 
 namespace triarch::viram
@@ -73,10 +72,6 @@ struct ViramConfig
     unsigned tlbEntries = 32;
     Addr pageBytes = 32 * 1024;
     Cycles tlbMissPenalty = 20;
-
-    /** Memory-model walk selection (D13); Default follows the
-     *  process-wide mem::defaultMemModel(). */
-    mem::MemModel memModel = mem::MemModel::Default;
 };
 
 } // namespace triarch::viram

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "mem/mem_mode.hh"
 #include "sim/bitutil.hh"
 #include "sim/logging.hh"
 
@@ -12,8 +13,7 @@ namespace triarch::viram
 
 ViramMachine::ViramMachine(const ViramConfig &machine_config)
     : cfg(machine_config),
-      spanMem(mem::resolveMemModel(cfg.memModel)
-              != mem::MemModel::Reference),
+      spanMem(mem::defaultMemModel() == mem::MemModel::Span),
       dram(cfg.memBytes + cfg.offchipBytes),
       vregs(cfg.numVregs, std::vector<Word>(cfg.maxVl, 0)),
       curVl(cfg.maxVl), regReady(cfg.numVregs, 0),

@@ -225,7 +225,7 @@ class ViramMachine
     void checkAddr(Addr addr, std::uint64_t bytes) const;
 
     ViramConfig cfg;
-    /** Resolved cfg.memModel != Reference, fixed at construction. */
+    /** mem::defaultMemModel() is Span, fixed at construction. */
     bool spanMem;
 
     // Functional state.

@@ -217,10 +217,11 @@ TEST(BenchSelection, Table3RunsAndShowsOnlySelectedCells)
 TEST(BenchDocuments, JsonAndHwNeedABenchThatRunsCells)
 {
     // Table 1/2 and Figures 1-3 print machine configs and run no
-    // cell; an empty document with exit 0 would hide that.
+    // cell; an empty document with exit 0 would hide that. The same
+    // holds for the --stats counters document.
     hw::HwRegistry::global().clear();
     const std::string dir = testing::TempDir();
-    for (const char *flag : {"--json", "--hw"}) {
+    for (const char *flag : {"--json", "--hw", "--stats"}) {
         const std::string path = dir + "/triarch_no_cells.json";
         std::remove(path.c_str());
         testing::internal::CaptureStderr();

@@ -363,14 +363,13 @@ hwDoc(const StudyConfig &cfg, const std::vector<Cell> &cells,
     return hw::renderHwReport(hw::HwRegistry::global().report());
 }
 
-/** Every cell whose machine resolves cfg.memModel (D13). */
+/** Every cell whose machine reads mem::defaultMemModel() (D13). */
 std::vector<Cell>
 spanCells()
 {
     std::vector<Cell> cells;
     for (const MachineId m :
-         {MachineId::PpcScalar, MachineId::PpcAltivec,
-          MachineId::Viram, MachineId::Imagine}) {
+         {MachineId::PpcScalar, MachineId::PpcAltivec, MachineId::Viram}) {
         for (const KernelId k :
              {KernelId::CornerTurn, KernelId::Cslc,
               KernelId::BeamSteering}) {
@@ -412,20 +411,20 @@ TEST(HwReportDeterminism, SpanAndReferenceModelsAgree)
 {
     // The D13 contract extended to the hardware counters: both
     // memory models must produce byte-identical hw documents, on the
-    // default-shaped small config and across the fuzz sweep's
-    // hand-written boundary configs.
+    // paper config, the default-shaped small config and across the
+    // fuzz sweep's hand-written boundary configs.
     const std::vector<Cell> cells = spanCells();
-    std::vector<StudyConfig> configs{smallConfig()};
+    std::vector<StudyConfig> configs{StudyConfig{}, smallConfig()};
     FuzzOptions opts;
     opts.randomConfigs = 0;
     for (const StudyConfig &cfg : enumerateFuzzConfigs(opts)) {
         if (validateConfig(cfg))
             continue;           // invalid-on-purpose boundary config
         configs.push_back(cfg);
-        if (configs.size() == 4)
+        if (configs.size() == 5)
             break;              // keep the suite seconds-fast
     }
-    ASSERT_GE(configs.size(), 3u);
+    ASSERT_GE(configs.size(), 4u);
 
     for (const StudyConfig &cfg : configs) {
         SCOPED_TRACE(describeConfig(cfg));
@@ -448,22 +447,25 @@ TEST(HwReportDeterminism, RawSteppersAgree)
     // The D12 contract extended to the hardware counters: the Raw
     // event stepper credits stall tallies in bulk ranges, the
     // reference stepper one cycle at a time — the epoch timelines
-    // must still match bit for bit.
-    const StudyConfig cfg = smallConfig();
+    // must still match bit for bit, on the paper config and the
+    // small one.
     const std::vector<Cell> cells = {
         {MachineId::Raw, KernelId::CornerTurn},
         {MachineId::Raw, KernelId::Cslc},
         {MachineId::Raw, KernelId::BeamSteering}};
-    std::string event, reference;
-    {
-        RawStepperOverride guard(raw::RawStepper::Event);
-        event = hwDoc(cfg, cells, 1);
+    for (const StudyConfig &cfg : {StudyConfig{}, smallConfig()}) {
+        SCOPED_TRACE(describeConfig(cfg));
+        std::string event, reference;
+        {
+            RawStepperOverride guard(raw::RawStepper::Event);
+            event = hwDoc(cfg, cells, 1);
+        }
+        {
+            RawStepperOverride guard(raw::RawStepper::Reference);
+            reference = hwDoc(cfg, cells, 1);
+        }
+        EXPECT_EQ(event, reference);
     }
-    {
-        RawStepperOverride guard(raw::RawStepper::Reference);
-        reference = hwDoc(cfg, cells, 1);
-    }
-    EXPECT_EQ(event, reference);
     hw::HwRegistry::global().clear();
 }
 

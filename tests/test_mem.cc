@@ -97,14 +97,6 @@ TEST(Dram, RandomAccessIsRowMissBound)
     EXPECT_GE(t, 100u * 9u);
 }
 
-TEST(Dram, StridedHelperCountsAllAccesses)
-{
-    DramModel dram(smallDram());
-    auto w = dram.accessStrided(0, 1024, 16, 1, 0);
-    EXPECT_GT(w.finish, 0u);
-    EXPECT_EQ(dram.rowHits() + dram.rowMisses(), 16u);
-}
-
 TEST(Dram, ResetClearsRowState)
 {
     DramModel dram(smallDram());

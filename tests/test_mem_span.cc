@@ -1,20 +1,19 @@
 /**
  * @file
  * Differential tests for the span-batched memory model (DESIGN D13).
- * Span mode — way-predicted cache hits, TLB page runs, closed-form
- * DRAM record patterns, bulk span classification in the machine
- * models — is an optimization of the word-at-a-time reference walks,
- * never a semantic change: every primitive and every study-level
- * PPC/AltiVec/VIRAM/Imagine cell must produce bit-identical timing,
- * statistics, and D9 cycle partitions under both models, serially
- * and at every thread count (mirroring the Raw stepper contract in
- * test_raw_event.cc).
+ * Span mode — way-predicted cache hits, TLB page runs, bulk span
+ * classification in the machine models — is an optimization of the
+ * word-at-a-time reference walks, never a semantic change: every
+ * primitive and every study-level PPC/AltiVec/VIRAM cell must
+ * produce bit-identical timing, statistics, and D9 cycle partitions
+ * under both models, serially and at every thread count (mirroring
+ * the Raw stepper contract in test_raw_event.cc). Imagine has one
+ * DRAM walk, so its cells have nothing to compare here.
  */
 
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
-#include "mem/dram.hh"
 #include "mem/mem_mode.hh"
 #include "sim/rng.hh"
 #include "study/fuzz.hh"
@@ -84,48 +83,6 @@ TEST(MemSpanPrimitives, TlbAccessRunMatchesLoop)
     EXPECT_EQ(runPenalty, loopPenalty);
 }
 
-TEST(MemSpanPrimitives, DramAccessPatternMatchesLoop)
-{
-    // Row-aligned, row-crossing, and deliberately awkward strides:
-    // the closed-form recurrence and its conservative fallback must
-    // both land exactly on the per-record loop.
-    struct Case
-    {
-        Addr base;
-        Addr stride;
-        unsigned records;
-        unsigned words;
-    };
-    const Case cases[] = {
-        {0, 256, 64, 64},          // unit-ish stream, row aligned
-        {128, 4096, 100, 8},       // one record per row
-        {64, 4224, 77, 16},        // stride not row aligned
-        {2048 - 64, 256, 40, 32},  // records straddling rows
-        {0, 0, 12, 8},             // stride 0 (re-read same burst)
-        {512, 96, 200, 24},        // records overlap their stride
-    };
-    for (const Case &c : cases) {
-        DramConfig cfg;
-        DramModel pat(cfg), ref(cfg);
-        Cycles earliest = 5;
-        const AccessWindow wp =
-            pat.accessPattern(c.base, c.stride, c.records, c.words,
-                              earliest);
-        AccessWindow wr{};
-        for (unsigned r = 0; r < c.records; ++r) {
-            wr = ref.access(c.base + static_cast<Addr>(r) * c.stride,
-                            c.words, earliest);
-        }
-        EXPECT_EQ(wp.start, wr.start) << c.base << "+" << c.stride;
-        EXPECT_EQ(wp.finish, wr.finish) << c.base << "+" << c.stride;
-        EXPECT_EQ(pat.rowHits(), ref.rowHits());
-        EXPECT_EQ(pat.rowMisses(), ref.rowMisses());
-        EXPECT_EQ(pat.transferCycles(), ref.transferCycles());
-        EXPECT_EQ(pat.overheadCycles(), ref.overheadCycles());
-        EXPECT_EQ(pat.busFreeAt(), ref.busFreeAt());
-    }
-}
-
 } // namespace
 } // namespace triarch::mem
 
@@ -151,14 +108,13 @@ class MemModelOverride
     mem::MemModel saved;
 };
 
-/** Every cell whose machine resolves cfg.memModel (D13). */
+/** Every cell whose machine reads mem::defaultMemModel() (D13). */
 std::vector<Cell>
 spanCells()
 {
     std::vector<Cell> cells;
     for (const MachineId m :
-         {MachineId::PpcScalar, MachineId::PpcAltivec, MachineId::Viram,
-          MachineId::Imagine}) {
+         {MachineId::PpcScalar, MachineId::PpcAltivec, MachineId::Viram}) {
         for (const KernelId k :
              {KernelId::CornerTurn, KernelId::Cslc,
               KernelId::BeamSteering}) {
