@@ -16,43 +16,6 @@
 namespace triarch::bench
 {
 
-namespace
-{
-
-using study::KernelId;
-using study::MachineId;
-
-bool
-parseMachine(const std::string &tok, MachineId &out)
-{
-    const std::string t = study::lowered(tok);
-    for (MachineId id : study::allMachines()) {
-        if (t == study::machineToken(id)
-            || t == study::lowered(study::machineName(id))) {
-            out = id;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseKernel(const std::string &tok, KernelId &out)
-{
-    const std::string t = study::lowered(tok);
-    for (KernelId id : study::allKernels()) {
-        std::string name = study::lowered(study::kernelName(id));
-        std::erase(name, ' ');
-        if (t == study::kernelToken(id) || t == name) {
-            out = id;
-            return true;
-        }
-    }
-    return false;
-}
-
-} // namespace
-
 BenchContext::BenchContext(BenchOptions run_options)
     : opts(std::move(run_options))
 {
@@ -78,13 +41,7 @@ BenchContext::runner()
 std::vector<study::Cell>
 BenchContext::selectedCells() const
 {
-    std::vector<study::Cell> cells;
-    cells.reserve(opts.machines.size() * opts.kernels.size());
-    for (MachineId machine : opts.machines) {
-        for (KernelId kernel : opts.kernels)
-            cells.push_back({machine, kernel});
-    }
-    return cells;
+    return study::selectCells(opts.machines, opts.kernels);
 }
 
 const std::vector<study::RunResult> &
@@ -136,48 +93,7 @@ benchMain(int argc, char **argv, const char *description,
     BenchOptions opts;
     study::CliOptions cli(description);
 
-    cli.value("--machines", "a,b,...",
-              "platforms to run "
-              "(ppc, altivec, viram, imagine, raw, or all; "
-              "default all)",
-              [&](const std::string &v) {
-                  for (const std::string &tok : study::splitList(v)) {
-                      if (study::lowered(tok) == "all") {
-                          for (MachineId id : study::allMachines())
-                              opts.machines.push_back(id);
-                          continue;
-                      }
-                      MachineId id;
-                      if (!parseMachine(tok, id)) {
-                          std::cerr << cli.prog()
-                                    << ": unknown machine '" << tok
-                                    << "'\n";
-                          return 2;
-                      }
-                      opts.machines.push_back(id);
-                  }
-                  return 0;
-              });
-    cli.value("--kernels", "a,b,...",
-              "kernels to run (ct, cslc, bs, or all; default all)",
-              [&](const std::string &v) {
-                  for (const std::string &tok : study::splitList(v)) {
-                      if (study::lowered(tok) == "all") {
-                          for (KernelId id : study::allKernels())
-                              opts.kernels.push_back(id);
-                          continue;
-                      }
-                      KernelId id;
-                      if (!parseKernel(tok, id)) {
-                          std::cerr << cli.prog()
-                                    << ": unknown kernel '" << tok
-                                    << "'\n";
-                          return 2;
-                      }
-                      opts.kernels.push_back(id);
-                  }
-                  return 0;
-              });
+    cli.selectionFlags(opts.machines, opts.kernels);
     // 0 stays valid (hardware concurrency, as documented in --help);
     // the cap stops silent 32-bit truncation.
     cli.number("--threads", "N",
@@ -226,8 +142,8 @@ benchMain(int argc, char **argv, const char *description,
                   return 0;
               });
     cli.toggle("--host-stats",
-               "record host-time histograms (wall clock) into the "
-               "--stats document",
+               "record each cell's host ns (setup, run, readback) "
+               "into the --stats document",
                [&]() {
                    opts.hostStats = true;
                    return 0;
@@ -238,6 +154,10 @@ benchMain(int argc, char **argv, const char *description,
         return *rc;
     const char *prog = cli.prog();
     opts.prog = prog;
+    if (opts.hostStats && opts.statsPath.empty()) {
+        std::cerr << prog << ": --host-stats needs --stats PATH\n";
+        return 2;
+    }
 
     study::ensureParentDir("--json", opts.jsonPath, prog);
     study::ensureParentDir("--trace", opts.tracePath, prog);

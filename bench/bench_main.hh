@@ -20,7 +20,8 @@
  *                       (exit 2 if no cell ran)
  *   --hw PATH           write a triarch.hw.v1 utilization report
  *                       (exit 2 if no cell ran)
- *   --host-stats        record host-time histograms into --stats
+ *   --host-stats        add each cell's host ns to --stats
+ *                       (exit 2 without --stats)
  *   --log-level LEVEL   quiet, warn, inform, or debug
  *   --help              usage
  *
@@ -55,7 +56,8 @@ struct BenchOptions
     std::string hwPath;                      //!< empty = no hw report
     bool csv = false;
 
-    /** --host-stats: gate host-time histograms on process-wide. */
+    /** --host-stats: turn host profiling on process-wide, so the
+     *  --stats document gains each cell's "<label>.host" group. */
     bool hostStats = false;
     std::string prog = "bench"; //!< program name for usage errors
 };

@@ -39,7 +39,6 @@ ImagineMachine::ImagineMachine(const ImagineConfig &machine_config)
     group.addAverage("avg_kernel_ii", &_avgKernelIi,
                      "mean initiation interval per kernel invocation");
     accountStats.registerIn(group);
-    hostPhases.addTo(group);
 }
 
 Addr

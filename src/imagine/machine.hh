@@ -30,7 +30,6 @@
 #include "mem/dram.hh"
 #include "sim/cycle_account.hh"
 #include "sim/zero_buffer.hh"
-#include "sim/host_clock.hh"
 #include "sim/hw_report.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -168,10 +167,6 @@ class ImagineMachine
     hw::HwCell hwCell(Cycles total,
                       const stats::CycleBreakdown &breakdown);
 
-    /** Where the registry mapping samples this cell's coarse
-     *  setup/run/readback host-time split (profiling-gated). */
-    host::HostPhases &hostTime() { return hostPhases; }
-
     std::uint64_t clusterBusy() const { return _clusterBusy.value(); }
     std::uint64_t memBusy() const { return _memBusy.value(); }
     std::uint64_t memWords() const { return _memWords.value(); }
@@ -232,7 +227,6 @@ class ImagineMachine
     stats::Scalar _descStalls;
     stats::Average _avgKernelIi;
     stats::BreakdownStats accountStats;
-    host::HostPhases hostPhases;
 };
 
 } // namespace triarch::imagine

@@ -26,7 +26,7 @@ SetAssocCache::SetAssocCache(const CacheConfig &cache_config)
 
     group.addScalar("hits", &_hits, "cache hits");
     group.addScalar("misses", &_misses, "cache misses");
-    group.addScalar("writebacks", &_writebacks, "dirty evictions");
+    group.addScalar("writebacks", &_writebacks, "dirty lines written back");
 }
 
 std::uint64_t

@@ -41,7 +41,6 @@ PpcMachine::PpcMachine(const PpcConfig &machine_config)
     group.addScalar("mem_stall", &_memStall,
                     "cycles stalled on L2/DRAM");
     accountStats.registerIn(group);
-    hostPhases.addTo(group);
 }
 
 void

@@ -19,7 +19,6 @@
 #include "mem/port.hh"
 #include "ppc/config.hh"
 #include "sim/cycle_account.hh"
-#include "sim/host_clock.hh"
 #include "sim/hw_report.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -173,10 +172,6 @@ class PpcMachine
     hw::HwCell hwCell(Cycles total,
                       const stats::CycleBreakdown &breakdown);
 
-    /** Where the registry mapping samples this cell's coarse
-     *  setup/run/readback host-time split (profiling-gated). */
-    host::HostPhases &hostTime() { return hostPhases; }
-
     std::uint64_t l1Misses() const { return l1.misses(); }
     std::uint64_t l2Misses() const { return l2.misses(); }
     std::uint64_t fsbWords() const { return fsb.wordsMoved(); }
@@ -212,7 +207,6 @@ class PpcMachine
     stats::Scalar _stores;
     stats::Scalar _memStall;
     stats::BreakdownStats accountStats;
-    host::HostPhases hostPhases;
 };
 
 } // namespace triarch::ppc

@@ -154,7 +154,6 @@ RawMachine::RawMachine(const RawConfig &machine_config)
                           "per-tile instructions relative to the "
                           "busiest tile");
     accountStats.registerIn(group);
-    hostPhases.addTo(group);
 }
 
 Addr

@@ -37,7 +37,6 @@
 #include "raw/config.hh"
 #include "raw/isa.hh"
 #include "sim/cycle_account.hh"
-#include "sim/host_clock.hh"
 #include "sim/hw_report.hh"
 #include "sim/ring_queue.hh"
 #include "sim/stats.hh"
@@ -116,10 +115,6 @@ class RawMachine
     // ------------------------------------------------------------
 
     stats::StatGroup &statGroup() { return group; }
-
-    /** Where the registry mapping samples this cell's coarse
-     *  setup/run/readback host-time split (profiling-gated). */
-    host::HostPhases &hostTime() { return hostPhases; }
 
     std::uint64_t instructions() const { return _instrs.value(); }
     std::uint64_t netStalls() const { return _netStalls.value(); }
@@ -467,7 +462,6 @@ class RawMachine
      *  in the top bucket instead of the overflow counter. */
     stats::Distribution _tileShare{0.0, 1.1, 11};
     stats::BreakdownStats accountStats;
-    host::HostPhases hostPhases;
 };
 
 } // namespace triarch::raw

@@ -142,17 +142,6 @@ measureRepeated(const MeasureOptions &opts,
     return out;
 }
 
-void
-HostPhases::addTo(stats::StatGroup &group)
-{
-    group.addHistogram("host_setup_ns", &setupNs,
-                       "host ns preparing the cell (machine + inputs)");
-    group.addHistogram("host_run_ns", &runNs,
-                       "host ns executing the kernel mapping");
-    group.addHistogram("host_readback_ns", &readbackNs,
-                       "host ns validating and packaging the result");
-}
-
 PhaseSplit::PhaseSplit() : on(profilingEnabled())
 {
     if (on)
@@ -173,11 +162,11 @@ PhaseSplit::startReadback()
         readbackStartNs = nowNs();
 }
 
-void
-PhaseSplit::record(HostPhases &phases)
+std::optional<PhaseNs>
+PhaseSplit::finish() const
 {
     if (!on)
-        return;
+        return std::nullopt;
     const std::uint64_t end = nowNs();
     // Unmarked phases get zero-length samples, not garbage: a
     // mapping that never called startReadback() simply charges
@@ -186,9 +175,7 @@ PhaseSplit::record(HostPhases &phases)
         std::max(runStartNs ? runStartNs : end, setupStartNs);
     const std::uint64_t backAt =
         std::max(readbackStartNs ? readbackStartNs : end, runAt);
-    phases.setupNs.record(runAt - setupStartNs);
-    phases.runNs.record(backAt - runAt);
-    phases.readbackNs.record(end - backAt);
+    return PhaseNs{runAt - setupStartNs, backAt - runAt, end - backAt};
 }
 
 } // namespace triarch::host

@@ -13,15 +13,15 @@
  *    sampling — so every reported host number is a robust statistic,
  *    never a single noisy sample;
  *  - a process-wide profiling gate (setProfiling/profilingEnabled)
- *    and the HostPhases/PhaseSplit helpers behind the coarse
- *    setup/run/readback split every machine model records.
+ *    and the PhaseSplit marker behind the coarse setup/run/readback
+ *    split of every cell.
  *
  * The gate matters for determinism: triarch.stats.v1 documents are
  * bit-identical across thread counts *because* they carry only
- * simulated counts. Host-time histograms are therefore recorded only
- * while profiling is enabled (--host-stats), and an empty
- * histogram is invisible in every rendering, so profiling-off output
- * stays byte-identical to the pre-host-clock repo.
+ * simulated counts. Host time therefore enters them only while
+ * profiling is enabled (--host-stats); with it off nothing is
+ * sampled and no host group is registered, so profiling-off output
+ * carries no wall clock at all.
  */
 
 #ifndef TRIARCH_SIM_HOST_CLOCK_HH
@@ -30,9 +30,8 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
-
-#include "sim/stats.hh"
 
 namespace triarch::host
 {
@@ -119,26 +118,18 @@ bool pinToCpu(int cpu);
 /** Peak resident set size of this process in bytes (0 if unknown). */
 std::size_t peakRssBytes();
 
-/**
- * The coarse setup/run/readback host-time split every machine model
- * carries in its StatGroup: three log-bucketed histograms fed once
- * per cell by the registry mappings (via PhaseSplit).
- */
-struct HostPhases
+/** Host nanoseconds of one cell's three phases. */
+struct PhaseNs
 {
-    stats::Histogram setupNs;
-    stats::Histogram runNs;
-    stats::Histogram readbackNs;
-
-    /** Register the three histograms (host_setup_ns / host_run_ns /
-     *  host_readback_ns) in @p group. */
-    void addTo(stats::StatGroup &group);
+    std::uint64_t setup = 0;
+    std::uint64_t run = 0;
+    std::uint64_t readback = 0;
 };
 
 /**
  * Phase marker for one cell execution: setup runs from construction
  * to startRun(), the kernel from startRun() to startReadback(), and
- * readback from startReadback() to record(). When profiling is off
+ * readback from startReadback() to finish(). When profiling is off
  * every call is a no-op (construction is one atomic load).
  */
 class PhaseSplit
@@ -149,8 +140,9 @@ class PhaseSplit
     void startRun();
     void startReadback();
 
-    /** Sample all three phase durations into @p phases. */
-    void record(HostPhases &phases);
+    /** The three phase durations, ending now; nullopt while
+     *  profiling was off at construction. */
+    std::optional<PhaseNs> finish() const;
 
   private:
     bool on;

@@ -16,8 +16,7 @@ GroupSnapshot
 snapshotOf(const stats::StatGroup &group)
 {
     return {group.name(), group.scalarReadings(),
-            group.averageReadings(), group.distributionReadings(),
-            group.histogramReadings()};
+            group.averageReadings(), group.distributionReadings()};
 }
 
 void
@@ -58,32 +57,6 @@ writeGroup(json::Writer &w, const std::string &label,
         w.endObject();
     }
     w.endObject();
-
-    // Host-time histograms carry wall-clock samples, so the key is
-    // emitted only when something was recorded: a profiling-off run
-    // renders this group byte-identically to the pre-host repo.
-    if (!snap.histograms.empty()) {
-        w.key("histograms").beginObject(json::Writer::Style::Compact);
-        for (const auto &h : snap.histograms) {
-            w.key(h.name).beginObject();
-            w.member("count", h.count);
-            w.member("sum", h.sum);
-            w.member("min", h.min);
-            w.member("max", h.max);
-            w.member("median", h.median);
-            w.member("p95", h.p95);
-            w.key("buckets").beginArray();
-            for (const auto &[index, bucket_count] : h.buckets) {
-                w.beginArray();
-                w.value(index);
-                w.value(bucket_count);
-                w.endArray();
-            }
-            w.endArray();
-            w.endObject();
-        }
-        w.endObject();
-    }
 
     w.endObject();
 }

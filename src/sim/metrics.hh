@@ -10,7 +10,10 @@
  *
  * Unlike trace.hh, this document is fully deterministic: it carries
  * only simulated counts, never wall-clock, so the same study config
- * produces a bit-identical file at any worker-thread count. Groups
+ * produces a bit-identical file at any worker-thread count. The one
+ * exception is opt-in: with host profiling on (host::setProfiling,
+ * --host-stats) each cell adds a "<machine>.<kernel>.host" group of
+ * host nanoseconds and the scheduler two host totals. Groups
  * are serialized in label order, not registration order, to keep the
  * byte stream independent of scheduling.
  */
@@ -36,9 +39,6 @@ struct GroupSnapshot
     std::vector<stats::ScalarReading> scalars;
     std::vector<stats::AverageReading> averages;
     std::vector<stats::DistributionReading> distributions;
-    /** Non-empty histograms only (host-time observability); a group
-     *  that never recorded one renders exactly as before. */
-    std::vector<stats::HistogramReading> histograms;
 };
 
 class MetricsRegistry

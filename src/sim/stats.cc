@@ -1,44 +1,9 @@
 #include "stats.hh"
 
-#include <cmath>
-
 #include "logging.hh"
 
 namespace triarch::stats
 {
-
-double
-Histogram::quantile(double q) const
-{
-    triarch_assert(q >= 0.0 && q <= 1.0, "quantile out of range: ", q);
-    const std::uint64_t total_count = count();
-    if (total_count == 0)
-        return 0.0;
-    // Rank of the sample we want, 1-based; q = 0 asks for the first.
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(total_count)));
-    if (rank == 0)
-        rank = 1;
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < NumBuckets; ++i) {
-        const std::uint64_t in_bucket = bucket(i);
-        if (in_bucket == 0)
-            continue;
-        if (seen + in_bucket < rank) {
-            seen += in_bucket;
-            continue;
-        }
-        const auto lo = static_cast<double>(bucketLow(i));
-        const auto hi = static_cast<double>(bucketHigh(i));
-        const auto within = static_cast<double>(rank - seen);
-        double est =
-            lo + (hi - lo) * within / static_cast<double>(in_bucket);
-        est = std::max(est, static_cast<double>(minValue()));
-        est = std::min(est, static_cast<double>(maxValue()));
-        return est;
-    }
-    return static_cast<double>(maxValue());
-}
 
 void
 StatGroup::addScalar(const std::string &stat_name, Scalar *s,
@@ -70,14 +35,6 @@ StatGroup::addDistribution(const std::string &stat_name, Distribution *d,
 {
     triarch_assert(d != nullptr, "null distribution for ", stat_name);
     distributions.push_back({stat_name, d, desc});
-}
-
-void
-StatGroup::addHistogram(const std::string &stat_name, Histogram *h,
-                        const std::string &desc)
-{
-    triarch_assert(h != nullptr, "null histogram for ", stat_name);
-    histograms.push_back({stat_name, h, desc});
 }
 
 std::uint64_t
@@ -116,17 +73,6 @@ StatGroup::distribution(const std::string &stat_name) const
                   "' in group ", _name);
 }
 
-const Histogram &
-StatGroup::histogram(const std::string &stat_name) const
-{
-    for (const auto &e : histograms) {
-        if (e.name == stat_name)
-            return *e.stat;
-    }
-    triarch_panic("unknown histogram stat '", stat_name, "' in group ",
-                  _name);
-}
-
 bool
 StatGroup::hasScalar(const std::string &stat_name) const
 {
@@ -151,8 +97,6 @@ StatGroup::resetAll()
     for (auto &e : averages)
         e.stat->reset();
     for (auto &e : distributions)
-        e.stat->reset();
-    for (auto &e : histograms)
         e.stat->reset();
 }
 
@@ -201,19 +145,6 @@ StatGroup::dump(std::ostream &os) const
             os << _name << "." << e.name << "[>=" << d.high() << "] "
                << d.over() << "\n";
         }
-    }
-    // One line per non-empty histogram; empty ones are invisible so
-    // a profiling-off dump is byte-identical to the pre-host repo.
-    for (const auto &e : histograms) {
-        const Histogram &h = *e.stat;
-        if (h.count() == 0)
-            continue;
-        os << _name << "." << e.name << " count " << h.count()
-           << " median " << h.median() << " p95 " << h.p95()
-           << " min " << h.minValue() << " max " << h.maxValue();
-        if (!e.desc.empty())
-            os << "  # " << e.desc;
-        os << "\n";
     }
 }
 
@@ -265,26 +196,6 @@ StatGroup::distributionReadings() const
         r.buckets.reserve(d.numBuckets());
         for (std::size_t i = 0; i < d.numBuckets(); ++i)
             r.buckets.push_back(d.bucket(i));
-        out.push_back(std::move(r));
-    }
-    return out;
-}
-
-std::vector<HistogramReading>
-StatGroup::histogramReadings() const
-{
-    std::vector<HistogramReading> out;
-    for (const auto &e : histograms) {
-        const Histogram &h = *e.stat;
-        if (h.count() == 0)
-            continue;
-        HistogramReading r{e.name,       e.desc,     h.count(),
-                           h.sum(),      h.minValue(), h.maxValue(),
-                           h.median(),   h.p95(),    {}};
-        for (std::size_t i = 0; i < Histogram::NumBuckets; ++i) {
-            if (const std::uint64_t c = h.bucket(i))
-                r.buckets.emplace_back(static_cast<unsigned>(i), c);
-        }
         out.push_back(std::move(r));
     }
     return out;

@@ -20,9 +20,7 @@
 #ifndef TRIARCH_SIM_STATS_HH
 #define TRIARCH_SIM_STATS_HH
 
-#include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -167,141 +165,6 @@ class Distribution
     double sum = 0.0;
 };
 
-/**
- * A log-bucketed histogram over unsigned 64-bit samples (host-time
- * nanoseconds in practice), safe to record from many threads at once
- * (relaxed tallies, like AtomicScalar). Bucket boundaries are fixed
- * powers of two — bucket 0 holds exactly {0}, bucket k >= 1 covers
- * [2^(k-1), 2^k) — so the same samples always land in the same
- * buckets regardless of recording order or thread count, and two
- * histograms with the same samples render byte-identically.
- *
- * Quantiles are estimated deterministically: find the bucket holding
- * the ceil(q*n)-th sample, interpolate linearly inside it, clamp to
- * the exact observed [min, max].
- */
-class Histogram
-{
-  public:
-    /** Bucket 0 plus one bucket per bit of a 64-bit sample. */
-    static constexpr std::size_t NumBuckets = 65;
-
-    Histogram() = default;
-
-    Histogram(const Histogram &) = delete;
-    Histogram &operator=(const Histogram &) = delete;
-
-    /** Bucket index a sample lands in (0 for 0, else bit width). */
-    static std::size_t
-    bucketIndex(std::uint64_t v)
-    {
-        return v == 0 ? 0 : static_cast<std::size_t>(std::bit_width(v));
-    }
-
-    /** Inclusive lower bound of bucket @p i. */
-    static std::uint64_t
-    bucketLow(std::size_t i)
-    {
-        return i <= 1 ? 0 : std::uint64_t{1} << (i - 1);
-    }
-
-    /** Exclusive upper bound of bucket @p i (max for the last). */
-    static std::uint64_t
-    bucketHigh(std::size_t i)
-    {
-        if (i == 0)
-            return 1;
-        if (i >= 64)
-            return ~std::uint64_t{0};
-        return std::uint64_t{1} << i;
-    }
-
-    void
-    record(std::uint64_t v)
-    {
-        counts[bucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-        n.fetch_add(1, std::memory_order_relaxed);
-        total.fetch_add(v, std::memory_order_relaxed);
-        relaxedMin(lowest, v);
-        relaxedMax(highest, v);
-    }
-
-    std::uint64_t count() const
-    {
-        return n.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t sum() const
-    {
-        return total.load(std::memory_order_relaxed);
-    }
-
-    /** Smallest recorded sample (0 when empty). */
-    std::uint64_t
-    minValue() const
-    {
-        return count() ? lowest.load(std::memory_order_relaxed) : 0;
-    }
-
-    /** Largest recorded sample (0 when empty). */
-    std::uint64_t
-    maxValue() const
-    {
-        return highest.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    bucket(std::size_t i) const
-    {
-        return counts.at(i).load(std::memory_order_relaxed);
-    }
-
-    /** Deterministic quantile estimate (see class comment); 0 when
-     *  empty. @p q must be in [0, 1]. */
-    double quantile(double q) const;
-
-    double median() const { return quantile(0.5); }
-    double p95() const { return quantile(0.95); }
-
-    void
-    reset()
-    {
-        for (auto &c : counts)
-            c.store(0, std::memory_order_relaxed);
-        n.store(0, std::memory_order_relaxed);
-        total.store(0, std::memory_order_relaxed);
-        lowest.store(~std::uint64_t{0}, std::memory_order_relaxed);
-        highest.store(0, std::memory_order_relaxed);
-    }
-
-  private:
-    static void
-    relaxedMin(std::atomic<std::uint64_t> &slot, std::uint64_t v)
-    {
-        std::uint64_t cur = slot.load(std::memory_order_relaxed);
-        while (v < cur
-               && !slot.compare_exchange_weak(
-                   cur, v, std::memory_order_relaxed)) {
-        }
-    }
-
-    static void
-    relaxedMax(std::atomic<std::uint64_t> &slot, std::uint64_t v)
-    {
-        std::uint64_t cur = slot.load(std::memory_order_relaxed);
-        while (v > cur
-               && !slot.compare_exchange_weak(
-                   cur, v, std::memory_order_relaxed)) {
-        }
-    }
-
-    std::array<std::atomic<std::uint64_t>, NumBuckets> counts{};
-    std::atomic<std::uint64_t> n{0};
-    std::atomic<std::uint64_t> total{0};
-    std::atomic<std::uint64_t> lowest{~std::uint64_t{0}};
-    std::atomic<std::uint64_t> highest{0};
-};
-
 /** Snapshot of one scalar (plain or atomic) for serialization. */
 struct ScalarReading
 {
@@ -331,25 +194,6 @@ struct DistributionReading
     std::uint64_t under;
     std::uint64_t over;
     std::vector<std::uint64_t> buckets;
-};
-
-/**
- * Snapshot of one histogram for serialization. Only non-zero
- * buckets are kept, as (index, count) pairs in index order; median
- * and p95 are precomputed so consumers of the stats document need no
- * bucket math.
- */
-struct HistogramReading
-{
-    std::string name;
-    std::string desc;
-    std::uint64_t count;
-    std::uint64_t sum;
-    std::uint64_t min;
-    std::uint64_t max;
-    double median;
-    double p95;
-    std::vector<std::pair<unsigned, std::uint64_t>> buckets;
 };
 
 /**
@@ -383,10 +227,6 @@ class StatGroup
     void addDistribution(const std::string &stat_name, Distribution *d,
                          const std::string &desc = "");
 
-    /** Register a log-bucketed histogram under @p stat_name. */
-    void addHistogram(const std::string &stat_name, Histogram *h,
-                      const std::string &desc = "");
-
     /** Value of a registered scalar (plain or atomic); panics on
      *  unknown names. */
     std::uint64_t scalar(const std::string &stat_name) const;
@@ -396,9 +236,6 @@ class StatGroup
 
     /** A registered distribution; panics on unknown names. */
     const Distribution &distribution(const std::string &stat_name) const;
-
-    /** A registered histogram; panics on unknown names. */
-    const Histogram &histogram(const std::string &stat_name) const;
 
     /** True if a scalar (plain or atomic) with this name was
      *  registered. */
@@ -425,15 +262,6 @@ class StatGroup
 
     /** Snapshots of all distributions, in registration order. */
     std::vector<DistributionReading> distributionReadings() const;
-
-    /**
-     * Snapshots of the histograms that recorded at least one sample,
-     * in registration order. Empty histograms are deliberately
-     * invisible: a group whose host-time histograms never fired
-     * (profiling off) renders byte-identically to a group without
-     * them.
-     */
-    std::vector<HistogramReading> histogramReadings() const;
 
   private:
     struct ScalarEntry
@@ -464,19 +292,11 @@ class StatGroup
         std::string desc;
     };
 
-    struct HistogramEntry
-    {
-        std::string name;
-        Histogram *stat;
-        std::string desc;
-    };
-
     std::string _name;
     std::vector<ScalarEntry> scalars;
     std::vector<AtomicEntry> atomics;
     std::vector<AverageEntry> averages;
     std::vector<DistributionEntry> distributions;
-    std::vector<HistogramEntry> histograms;
 };
 
 } // namespace triarch::stats

@@ -1,5 +1,6 @@
 #include "cli_options.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -135,6 +136,82 @@ CliOptions::logLevelFlag()
                   return 2;
               }
               return 0;
+          });
+}
+
+namespace
+{
+
+/** Lower-case, space-free spelling: "Beam Steering" -> "beamsteering". */
+std::string
+squashed(const std::string &name)
+{
+    std::string s = lowered(name);
+    std::erase(s, ' ');
+    return s;
+}
+
+/**
+ * Append the ids @p list names to @p out, each once: a repeat would
+ * run its cells twice and write a results document with duplicate
+ * cells. Each comma token is "all", an id's @p token, or its display
+ * @p name in any case and spacing. Returns 2 after a one-line
+ * diagnostic on an unknown token or a list that names nothing.
+ */
+template <typename Id, typename TokenFn, typename NameFn>
+int
+appendIds(const std::string &list, const std::vector<Id> &all,
+          TokenFn token, NameFn name, const char *what,
+          const std::string &flag, const char *prog, std::vector<Id> &out)
+{
+    const std::vector<std::string> tokens = splitList(list);
+    if (tokens.empty()) {
+        std::cerr << prog << ": " << flag << " names no " << what
+                  << "\n";
+        return 2;
+    }
+    const auto add = [&out](Id id) {
+        if (std::find(out.begin(), out.end(), id) == out.end())
+            out.push_back(id);
+    };
+    for (const std::string &tok : tokens) {
+        const std::string t = squashed(tok);
+        if (t == "all") {
+            std::for_each(all.begin(), all.end(), add);
+            continue;
+        }
+        const auto it = std::find_if(all.begin(), all.end(), [&](Id id) {
+            return t == token(id) || t == squashed(name(id));
+        });
+        if (it == all.end()) {
+            std::cerr << prog << ": unknown " << what << " '" << tok
+                      << "'\n";
+            return 2;
+        }
+        add(*it);
+    }
+    return 0;
+}
+
+} // namespace
+
+void
+CliOptions::selectionFlags(std::vector<MachineId> &machines,
+                           std::vector<KernelId> &kernels)
+{
+    value("--machines", "a,b,...",
+          "platforms to run (ppc, altivec, viram, imagine, raw, or "
+          "all; default all)",
+          [this, &machines](const std::string &v) {
+              return appendIds(v, allMachines(), machineToken,
+                               machineName, "machine", "--machines",
+                               prog(), machines);
+          });
+    value("--kernels", "a,b,...",
+          "kernels to run (ct, cslc, bs, or all; default all)",
+          [this, &kernels](const std::string &v) {
+              return appendIds(v, allKernels(), kernelToken, kernelName,
+                               "kernel", "--kernels", prog(), kernels);
           });
 }
 

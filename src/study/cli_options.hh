@@ -30,6 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "study/experiment.hh"
+#include "study/machine_info.hh"
+
 namespace triarch::study
 {
 
@@ -86,6 +89,17 @@ class CliOptions
     /** Install the standard --log-level flag (quiet/warn/inform/
      *  debug), wired to sim/logging's global level. */
     void logLevelFlag();
+
+    /**
+     * Install --machines and --kernels, the one grid selection every
+     * binary shares: comma lists of tokens (ppc, altivec, viram,
+     * imagine, raw; ct, cslc, bs), display names in any case
+     * ("VIRAM", "BeamSteering"), or "all", appended once each to
+     * @p machines and @p kernels. An unknown name or a list that
+     * names nothing is a usage error (exit code 2).
+     */
+    void selectionFlags(std::vector<MachineId> &machines,
+                        std::vector<KernelId> &kernels);
 
     /** Install --mem-model (span/reference) and --raw-stepper
      *  (event/reference), wired to the process-wide simulator

@@ -1,7 +1,6 @@
 #include "host_measure.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 
 #include "study/cli_options.hh"
@@ -56,38 +55,6 @@ measureHostSection(const StudyConfig &cfg,
     return section;
 }
 
-namespace
-{
-
-/**
- * Keep the cells whose id, read by @p key, is in the comma list
- * @p list of @p what tokens; returns 2 on an unknown token.
- */
-template <typename Id>
-int
-keepListed(const std::string &list, const char *what,
-           std::optional<Id> (*parse)(const std::string &),
-           Id Cell::*key, std::vector<Cell> &cells)
-{
-    std::vector<Id> keep;
-    for (const std::string &token : splitList(list)) {
-        const auto id = parse(token);
-        if (!id) {
-            std::fprintf(stderr, "unknown %s token '%s'\n", what,
-                         token.c_str());
-            return 2;
-        }
-        keep.push_back(*id);
-    }
-    std::erase_if(cells, [&](const Cell &cell) {
-        return std::find(keep.begin(), keep.end(), cell.*key)
-               == keep.end();
-    });
-    return 0;
-}
-
-} // namespace
-
 std::optional<int>
 parseMicroHostArgs(int argc, char **argv, MicroHostArgs *args)
 {
@@ -129,20 +96,9 @@ parseMicroHostArgs(int argc, char **argv, MicroHostArgs *args)
                    args->json = true;
                    return 0;
                });
-    cli.value("--machines", "LIST",
-              "comma-separated machine tokens to measure (default "
-              "all); e.g. --machines raw for the Raw host-time gate",
-              [args](const std::string &v) {
-                  return keepListed(v, "machine", &parseMachineToken,
-                                    &Cell::machine, args->cells);
-              });
-    cli.value("--kernels", "LIST",
-              "comma-separated kernel tokens to measure (ct, cslc, "
-              "bs; default all); e.g. --machines raw --kernels ct",
-              [args](const std::string &v) {
-                  return keepListed(v, "kernel", &parseKernelToken,
-                                    &Cell::kernel, args->cells);
-              });
+    std::vector<MachineId> machines;
+    std::vector<KernelId> kernels;
+    cli.selectionFlags(machines, kernels);
     cli.toggle("--grid",
                "print only the one-line grid summary (median sum and "
                "cells/sec) instead of the table",
@@ -154,10 +110,7 @@ parseMicroHostArgs(int argc, char **argv, MicroHostArgs *args)
     cli.logLevelFlag();
     if (const auto rc = cli.parse(argc, argv))
         return rc;
-    if (args->cells.empty()) {
-        std::fprintf(stderr, "--machines/--kernels matched no cells\n");
-        return 2;
-    }
+    args->cells = selectCells(machines, kernels);
     return std::nullopt;
 }
 

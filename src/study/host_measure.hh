@@ -40,17 +40,17 @@ struct MicroHostArgs
     host::MeasureOptions measure{1, 5, -1};
     bool json = false;
     bool grid = false;
-    /** The grid cells that --machines and --kernels leave. */
+    /** The grid cells --machines and --kernels select. */
     std::vector<Cell> cells = allCells();
 };
 
 /**
  * Parse micro_host's argv with CliOptions. --machines and --kernels
- * each keep the cells whose machine (kernel) is listed; --mem-model
- * and --raw-stepper set the process-wide defaults. Returns an exit
- * code when the tool should stop (0 after --help; 2 on an unknown
- * flag, machine or kernel, or a selection that leaves no cell), or
- * nullopt to proceed.
+ * select cells exactly as in the bench harness
+ * (CliOptions::selectionFlags); --mem-model and --raw-stepper set
+ * the process-wide defaults. Returns an exit code when the tool
+ * should stop (0 after --help; 2 on an unknown flag, machine or
+ * kernel, or an empty list), or nullopt to proceed.
  */
 std::optional<int> parseMicroHostArgs(int argc, char **argv,
                                       MicroHostArgs *args);

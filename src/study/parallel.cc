@@ -17,10 +17,19 @@ namespace triarch::study
 std::vector<Cell>
 allCells()
 {
+    return selectCells({}, {});
+}
+
+std::vector<Cell>
+selectCells(const std::vector<MachineId> &machines,
+            const std::vector<KernelId> &kernels)
+{
+    const auto &ms = machines.empty() ? allMachines() : machines;
+    const auto &ks = kernels.empty() ? allKernels() : kernels;
     std::vector<Cell> cells;
-    cells.reserve(allMachines().size() * allKernels().size());
-    for (MachineId machine : allMachines()) {
-        for (KernelId kernel : allKernels())
+    cells.reserve(ms.size() * ks.size());
+    for (MachineId machine : ms) {
+        for (KernelId kernel : ks)
             cells.push_back({machine, kernel});
     }
     return cells;
@@ -41,7 +50,8 @@ ParallelRunner::ParallelRunner(StudyConfig run_config,
       nthreads(num_threads),
       mappings(mappings ? mappings : &MappingRegistry::builtin()),
       cache(cache),
-      work(buildWorkloads(cfg))
+      work(buildWorkloads(cfg)),
+      hostOn(host::profilingEnabled())
 {
     schedGroup.addAtomicScalar("batches", &nBatches,
                                "cell batches submitted");
@@ -49,10 +59,12 @@ ParallelRunner::ParallelRunner(StudyConfig run_config,
                                "cells executed by workers");
     schedGroup.addAtomicScalar("cells_cached", &nCellsCached,
                                "cells served from the result cache");
-    schedGroup.addHistogram("cell_host_ns", &cellHostNs,
-                            "host ns per executed cell mapping");
-    schedGroup.addHistogram("queue_wait_ns", &queueWaitNs,
-                            "host ns a cell waited for a worker");
+    if (hostOn) {
+        schedGroup.addAtomicScalar("cell_host_ns", &cellHostNs,
+                                   "host ns in executed cell mappings");
+        schedGroup.addAtomicScalar("queue_wait_ns", &queueWaitNs,
+                                   "host ns cells waited for a worker");
+    }
     metrics::MetricsRegistry::global().registerLive(&schedGroup);
 }
 
@@ -86,9 +98,8 @@ ParallelRunner::runCells(const std::vector<Cell> &cells)
     // same place even if tracing stops mid-batch.
     trace::TraceSession *ts = trace::TraceSession::active();
     const double batchStartUs = ts ? ts->nowUs() : 0.0;
-    // Host-time histograms use their own clock so queue_wait survives
-    // in --stats documents even when no trace session is attached.
-    const bool hostOn = host::profilingEnabled();
+    // Host totals use their own clock so queue_wait survives in
+    // --stats documents even when no trace session is attached.
     const std::uint64_t batchStartNs = hostOn ? host::nowNs() : 0;
     ++nBatches;
 
@@ -153,8 +164,8 @@ ParallelRunner::runCells(const std::vector<Cell> &cells)
             RunResult result = (*pending[ticket].mapping)(cfg, *work);
             if (hostOn) {
                 const std::uint64_t doneNs = host::nowNs();
-                cellHostNs.record(doneNs - pickNs);
-                queueWaitNs.record(pickNs - batchStartNs);
+                cellHostNs += doneNs - pickNs;
+                queueWaitNs += pickNs - batchStartNs;
             }
             if (ts) {
                 ts->span("execute", "cell", execUs,

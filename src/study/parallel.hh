@@ -44,6 +44,11 @@ struct Cell
 /** All 15 Table-3 cells in (machine-major, kernel-minor) order. */
 std::vector<Cell> allCells();
 
+/** The cells @p machines x @p kernels, machine-major in list order;
+ *  an empty list stands for every machine (kernel). */
+std::vector<Cell> selectCells(const std::vector<MachineId> &machines,
+                              const std::vector<KernelId> &kernels);
+
 class ParallelRunner
 {
   public:
@@ -100,9 +105,9 @@ class ParallelRunner
      * batches submitted, cells executed / served from cache. Counts
      * only — no wall clock — so the values are identical at any
      * worker-thread count. When host profiling is enabled
-     * (host::setProfiling) the group additionally carries
-     * cell_host_ns / queue_wait_ns histograms; those record wall
-     * clock and are empty (hence invisible) otherwise.
+     * (host::setProfiling) at construction the group additionally
+     * carries the host-ns totals cell_host_ns and queue_wait_ns;
+     * otherwise they are neither recorded nor registered.
      */
     const stats::StatGroup &statGroup() const { return schedGroup; }
 
@@ -118,8 +123,9 @@ class ParallelRunner
     stats::AtomicScalar nBatches;
     stats::AtomicScalar nCellsRun;
     stats::AtomicScalar nCellsCached;
-    stats::Histogram cellHostNs;
-    stats::Histogram queueWaitNs;
+    const bool hostOn;
+    stats::AtomicScalar cellHostNs;
+    stats::AtomicScalar queueWaitNs;
 };
 
 } // namespace triarch::study

@@ -1,6 +1,7 @@
 #include "registry.hh"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -50,13 +51,16 @@ namespace
  * "<machine>.<kernel>.<component>" — and the model's rolled-up
  * hardware cell (utilization metrics, verdict, epoch timeline) into
  * the global HwRegistry, before the model dies with its mapping.
+ * With host profiling on, the cell's exact setup / run / readback
+ * host nanoseconds go under "<machine>.<kernel>.host".
  * Per-cell simulation is deterministic, so re-running a cell
  * recaptures identical values. Requires result.cycles and
  * result.breakdown to be final.
  */
 template <typename Machine>
 void
-captureCell(Machine &m, const RunResult &result)
+captureCell(Machine &m, const RunResult &result,
+            const std::optional<host::PhaseNs> &phases)
 {
     const std::string label =
         machineToken(result.machine) + "." + kernelToken(result.kernel);
@@ -64,6 +68,19 @@ captureCell(Machine &m, const RunResult &result)
     reg.capture(m.statGroup(), label);
     for (auto &[suffix, group] : m.componentGroups())
         reg.capture(*group, label + "." + suffix);
+    if (phases) {
+        stats::Scalar setup, run, readback;
+        setup.set(phases->setup);
+        run.set(phases->run);
+        readback.set(phases->readback);
+        stats::StatGroup host("host");
+        host.addScalar("setup_ns", &setup,
+                       "host ns preparing the cell (machine + output)");
+        host.addScalar("run_ns", &run, "host ns executing the kernel");
+        host.addScalar("readback_ns", &readback,
+                       "host ns validating and accounting the result");
+        reg.capture(host, label + ".host");
+    }
 
     hw::HwCell cell = m.hwCell(result.cycles, result.breakdown);
     cell.machine = machineToken(result.machine);
@@ -127,8 +144,7 @@ cell(MappingRegistry &r, MachineId machine, Run run, NotesFn notes,
               else
                   result.validated = out == work.beamRef;
               result.breakdown = m.cycleBreakdown(result.cycles);
-              split.record(m.hostTime());
-              captureCell(m, result);
+              captureCell(m, result, split.finish());
               return result;
           });
 }

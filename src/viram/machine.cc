@@ -46,7 +46,6 @@ ViramMachine::ViramMachine(const ViramConfig &machine_config)
     group.addAverage("avg_vl", &_avgVl,
                      "mean vector length per instruction");
     accountStats.registerIn(group);
-    hostPhases.addTo(group);
 }
 
 Addr

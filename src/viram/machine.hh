@@ -32,7 +32,6 @@
 
 #include "mem/cache.hh"
 #include "sim/cycle_account.hh"
-#include "sim/host_clock.hh"
 #include "sim/hw_report.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -175,10 +174,6 @@ class ViramMachine
     hw::HwCell hwCell(Cycles total,
                       const stats::CycleBreakdown &breakdown);
 
-    /** Where the registry mapping samples this cell's coarse
-     *  setup/run/readback host-time split (profiling-gated). */
-    host::HostPhases &hostTime() { return hostPhases; }
-
     std::uint64_t vectorInstructions() const { return _vinsts.value(); }
     std::uint64_t rowOverheadCycles() const { return _rowCycles.value(); }
     std::uint64_t tlbOverheadCycles() const { return _tlbCycles.value(); }
@@ -299,7 +294,6 @@ class ViramMachine
     stats::Scalar _memWords;
     stats::Average _avgVl;
     stats::BreakdownStats accountStats;
-    host::HostPhases hostPhases;
 };
 
 } // namespace triarch::viram

@@ -260,6 +260,8 @@ TEST(BenchDiffCliDeath, MalformedNumbersExitWithStatusTwo)
                 "--threads needs a non-negative number");
 }
 
+int runHarness(std::vector<std::string> args);
+
 /** parseMicroHostArgs over a brace-list of arguments. */
 std::optional<int>
 parseHostArgs(std::vector<std::string> args,
@@ -300,6 +302,20 @@ TEST(MicroHostCli, KernelsNarrowTheGridLikeMachines)
     EXPECT_EQ(twoKernels.cells.size(), 10u);
     for (const Cell &cell : twoKernels.cells)
         EXPECT_NE(cell.kernel, KernelId::CornerTurn);
+
+    // The harness spellings: "all" and display names in any case.
+    MicroHostArgs everyMachine;
+    EXPECT_FALSE(
+        parseHostArgs({"--machines", "all"}, &everyMachine).has_value());
+    EXPECT_EQ(everyMachine.cells, triarch::study::allCells());
+    // A repeated name selects its cells once.
+    MicroHostArgs viram;
+    EXPECT_FALSE(parseHostArgs({"--machines", "VIRAM,viram", "--kernels",
+                                "BeamSteering", "--kernels=bs"},
+                               &viram)
+                     .has_value());
+    EXPECT_EQ(viram.cells, (std::vector<Cell>{
+                               {MachineId::Viram, KernelId::BeamSteering}}));
 }
 
 TEST(MicroHostCli, UnknownKernelOrEmptySelectionReturnsTwo)
@@ -309,8 +325,12 @@ TEST(MicroHostCli, UnknownKernelOrEmptySelectionReturnsTwo)
     EXPECT_EQ(parseHostArgs({"--kernels", "fft"}, &args), 2);
     EXPECT_EQ(parseHostArgs({"--machines", "cray"}, &args), 2);
     const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("unknown kernel token 'fft'"), std::string::npos);
-    EXPECT_NE(err.find("unknown machine token 'cray'"), std::string::npos);
+    EXPECT_NE(err.find("micro_host: unknown kernel 'fft'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("micro_host: unknown machine 'cray'"),
+              std::string::npos)
+        << err;
 
     testing::internal::CaptureStderr();
     triarch::study::MicroHostArgs none;
@@ -318,7 +338,7 @@ TEST(MicroHostCli, UnknownKernelOrEmptySelectionReturnsTwo)
                             &none),
               2);
     EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "matched no cells"),
+                  "micro_host: --kernels names no kernel"),
               std::string::npos);
 }
 
@@ -328,8 +348,16 @@ TEST(MicroHostCli, HelpListsKernels)
     triarch::study::MicroHostArgs args;
     EXPECT_EQ(parseHostArgs({"--help"}, &args), 0);
     const std::string help = testing::internal::GetCapturedStdout();
-    EXPECT_NE(help.find("--kernels LIST"), std::string::npos);
-    EXPECT_NE(help.find("--machines LIST"), std::string::npos);
+    // The same selection lines as every harness binary's --help.
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(runHarness({"--help"}), 0);
+    const std::string harness = testing::internal::GetCapturedStdout();
+    for (const char *flag : {"--machines a,b,...", "--kernels a,b,..."}) {
+        const auto at = help.find(flag);
+        ASSERT_NE(at, std::string::npos) << flag;
+        const std::string line = help.substr(at, help.find('\n', at) - at);
+        EXPECT_NE(harness.find(line), std::string::npos) << line;
+    }
 }
 
 /** benchMain over a brace-list of arguments with a no-op body. */
@@ -343,6 +371,18 @@ runHarness(std::vector<std::string> args)
     return triarch::bench::benchMain(
         static_cast<int>(argv.size()), argv.data(), "test bench",
         [](triarch::bench::BenchContext &) { return 0; });
+}
+
+TEST(HarnessCli, HostStatsWithoutStatsExitsTwo)
+{
+    // --host-stats only adds to the --stats document; alone it would
+    // record into nothing and exit 0.
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runHarness({"--host-stats"}), 2);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "bench: --host-stats needs --stats PATH"),
+              std::string::npos);
+    EXPECT_FALSE(triarch::host::profilingEnabled());
 }
 
 TEST(ModelFlags, BadValueReturnsTwoInHarnessAndMicroHost)

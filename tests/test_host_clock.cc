@@ -1,20 +1,16 @@
 /**
  * @file
- * Tests for the host-time observability layer (sim/host_clock.hh and
- * the log-bucketed stats::Histogram behind it):
+ * Tests for the host-time observability layer (sim/host_clock.hh):
  *
- *  - bucket geometry: deterministic index/bounds that partition the
- *    full u64 range, and order-independent exact counts;
- *  - quantile estimates clamped to the observed range and exact for
- *    degenerate (single-value) sample sets;
- *  - the profiling gate: empty histograms are invisible in dump(),
- *    histogramReadings(), and the stats JSON, and PhaseSplit records
- *    nothing while profiling is off — which is what keeps
- *    triarch.stats.v1 documents byte-identical to the pre-host repo;
  *  - the repeated-measurement contract: exact order statistics on
  *    synthetic samples, and warmup iterations running unmeasured;
- *  - the determinism pin itself: the full stats document is
- *    bit-identical across 1/2/8 worker threads.
+ *  - the profiling gate: PhaseSplit measures nothing while profiling
+ *    is off, so no "<label>.host" group and no scheduler host total
+ *    reaches a triarch.stats.v1 document;
+ *  - the profiled document: one exact three-scalar ".host" group per
+ *    cell, bounded by the scheduler's cell_host_ns total;
+ *  - the determinism pin itself: the full profiling-off stats
+ *    document is bit-identical across 1/2/8 worker threads.
  */
 
 #include <gtest/gtest.h>
@@ -23,16 +19,14 @@
 #include <sstream>
 
 #include "sim/host_clock.hh"
+#include "sim/json.hh"
 #include "sim/metrics.hh"
-#include "sim/stats.hh"
 #include "study/parallel.hh"
 
 namespace triarch
 {
 namespace
 {
-
-using stats::Histogram;
 
 /** Restores the process-wide profiling gate on scope exit so a
  *  failing test cannot leak an enabled gate into its neighbors. */
@@ -42,122 +36,28 @@ struct ProfilingGuard
     ~ProfilingGuard() { host::setProfiling(false); }
 };
 
-// ---------------------------------------------------------------
-// Bucket geometry.
-// ---------------------------------------------------------------
-
-TEST(HistogramBuckets, IndexAndBoundsAreDeterministic)
+/** A seconds-fast config that still runs every cell. */
+study::StudyConfig
+smallConfig()
 {
-    EXPECT_EQ(Histogram::bucketIndex(0), 0u);
-    EXPECT_EQ(Histogram::bucketIndex(1), 1u);
-    EXPECT_EQ(Histogram::bucketIndex(2), 2u);
-    EXPECT_EQ(Histogram::bucketIndex(3), 2u);
-    EXPECT_EQ(Histogram::bucketIndex(4), 3u);
-    EXPECT_EQ(Histogram::bucketIndex(~std::uint64_t{0}), 64u);
-
-    // Every sample lands in a bucket whose [low, high) bounds
-    // contain it (the top bucket's high is the u64 maximum).
-    for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1},
-                            std::uint64_t{7}, std::uint64_t{1024},
-                            std::uint64_t{1} << 40,
-                            (~std::uint64_t{0}) - 1}) {
-        const std::size_t i = Histogram::bucketIndex(v);
-        ASSERT_LT(i, Histogram::NumBuckets);
-        EXPECT_GE(v, Histogram::bucketLow(i)) << "value " << v;
-        if (i < 64) {
-            EXPECT_LT(v, Histogram::bucketHigh(i)) << "value " << v;
-        }
-    }
+    study::StudyConfig cfg;
+    cfg.matrixSize = 128;
+    cfg.cslc.subBands = 8;
+    cfg.cslc.samples = (cfg.cslc.subBands - 1) * cfg.cslc.subBandStride
+                       + cfg.cslc.subBandLen;
+    cfg.beam.elements = 256;
+    cfg.beam.dwells = 2;
+    cfg.jammerBins = {64, 200};
+    return cfg;
 }
 
-TEST(HistogramBuckets, CountsAreExactAndOrderIndependent)
+/** The global registry's triarch.stats.v1 document, now. */
+std::string
+statsDoc()
 {
-    const std::uint64_t samples[] = {0, 1, 1, 3, 900, 4096, 4097};
-
-    Histogram forward;
-    for (std::uint64_t v : samples)
-        forward.record(v);
-    Histogram backward;
-    for (auto it = std::rbegin(samples); it != std::rend(samples); ++it)
-        backward.record(*it);
-
-    for (const Histogram *h : {&forward, &backward}) {
-        EXPECT_EQ(h->count(), 7u);
-        EXPECT_EQ(h->sum(), 0u + 1 + 1 + 3 + 900 + 4096 + 4097);
-        EXPECT_EQ(h->minValue(), 0u);
-        EXPECT_EQ(h->maxValue(), 4097u);
-        EXPECT_EQ(h->bucket(0), 1u);    // the 0 sample
-        EXPECT_EQ(h->bucket(1), 2u);    // both 1s
-        EXPECT_EQ(h->bucket(2), 1u);    // 3
-        EXPECT_EQ(h->bucket(10), 1u);   // 900 in [512, 1024)
-        EXPECT_EQ(h->bucket(13), 2u);   // 4096 and 4097 in [4096, 8192)
-    }
-    for (std::size_t i = 0; i < Histogram::NumBuckets; ++i)
-        EXPECT_EQ(forward.bucket(i), backward.bucket(i)) << i;
-}
-
-TEST(HistogramBuckets, QuantilesClampToTheObservedRange)
-{
-    Histogram h;
-    EXPECT_EQ(h.median(), 0.0) << "empty histogram";
-
-    for (int i = 0; i < 40; ++i)
-        h.record(1000);
-    EXPECT_EQ(h.median(), 1000.0)
-        << "single-value histograms are exact";
-    EXPECT_EQ(h.p95(), 1000.0);
-
-    h.record(8);
-    h.record(100000);
-    EXPECT_GE(h.median(), 8.0);
-    EXPECT_LE(h.p95(), 100000.0);
-    EXPECT_LE(h.median(), h.p95());
-
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.median(), 0.0);
-}
-
-// ---------------------------------------------------------------
-// Visibility: empty histograms must not change any rendering.
-// ---------------------------------------------------------------
-
-TEST(StatGroupHistograms, EmptyHistogramsAreInvisibleEverywhere)
-{
-    stats::StatGroup group("hosttest");
-    Histogram h;
-    group.addHistogram("lat_ns", &h, "a latency histogram");
-
-    EXPECT_TRUE(group.histogramReadings().empty());
-    std::ostringstream empty;
-    group.dump(empty);
-    EXPECT_EQ(empty.str().find("lat_ns"), std::string::npos);
-
-    metrics::MetricsRegistry registry;
-    registry.capture(group, "hosttest");
-    std::ostringstream doc;
-    registry.writeJson(doc);
-    EXPECT_EQ(doc.str().find("histograms"), std::string::npos)
-        << "profiling-off documents must not grow a histograms key";
-
-    h.record(640);
-    const auto readings = group.histogramReadings();
-    ASSERT_EQ(readings.size(), 1u);
-    EXPECT_EQ(readings[0].name, "lat_ns");
-    EXPECT_EQ(readings[0].count, 1u);
-    ASSERT_EQ(readings[0].buckets.size(), 1u);
-    EXPECT_EQ(readings[0].buckets[0].first, 10u);    // [512, 1024)
-
-    std::ostringstream filled;
-    group.dump(filled);
-    EXPECT_NE(filled.str().find("hosttest.lat_ns count 1"),
-              std::string::npos)
-        << filled.str();
-
-    registry.capture(group, "hosttest");
-    std::ostringstream doc2;
-    registry.writeJson(doc2);
-    EXPECT_NE(doc2.str().find("\"histograms\""), std::string::npos);
+    std::ostringstream os;
+    metrics::MetricsRegistry::global().writeJson(os);
+    return os.str();
 }
 
 // ---------------------------------------------------------------
@@ -204,31 +104,25 @@ TEST(RepeatedMeasurement, WarmupRunsUnmeasured)
 
 TEST(PhaseSplit, RecordsNothingWhileProfilingIsOff)
 {
-    stats::StatGroup group("gate");
-    host::HostPhases phases;
-    phases.addTo(group);
-
     {
         ProfilingGuard off(false);
         host::PhaseSplit split;
         split.startRun();
         split.startReadback();
-        split.record(phases);
+        EXPECT_FALSE(split.finish().has_value());
     }
-    EXPECT_EQ(phases.setupNs.count(), 0u);
-    EXPECT_EQ(phases.runNs.count(), 0u);
-    EXPECT_EQ(phases.readbackNs.count(), 0u);
-
     {
         ProfilingGuard on(true);
+        const std::uint64_t before = host::nowNs();
         host::PhaseSplit split;
         split.startRun();
         split.startReadback();
-        split.record(phases);
+        const auto phases = split.finish();
+        const std::uint64_t after = host::nowNs();
+        ASSERT_TRUE(phases.has_value());
+        EXPECT_LE(phases->setup + phases->run + phases->readback,
+                  after - before);
     }
-    EXPECT_EQ(phases.setupNs.count(), 1u);
-    EXPECT_EQ(phases.runNs.count(), 1u);
-    EXPECT_EQ(phases.readbackNs.count(), 1u);
 }
 
 // ---------------------------------------------------------------
@@ -237,33 +131,73 @@ TEST(PhaseSplit, RecordsNothingWhileProfilingIsOff)
 
 TEST(StatsDeterminism, DocumentsAreBitIdenticalAcrossThreadCounts)
 {
-    study::StudyConfig cfg;
-    cfg.matrixSize = 128;
-    cfg.cslc.subBands = 8;
-    cfg.cslc.samples = (cfg.cslc.subBands - 1) * cfg.cslc.subBandStride
-                       + cfg.cslc.subBandLen;
-    cfg.beam.elements = 256;
-    cfg.beam.dwells = 2;
-    cfg.jammerBins = {64, 200};
-
     std::string first;
     for (unsigned threads : {1u, 2u, 8u}) {
         {
             study::ParallelRunner par(
-                cfg, threads, nullptr,
+                smallConfig(), threads, nullptr,
                 study::ParallelRunner::noCache());
             par.runAll();
         }
-        std::ostringstream os;
-        metrics::MetricsRegistry::global().writeJson(os);
-        const std::string doc = os.str();
-        EXPECT_EQ(doc.find("histograms"), std::string::npos)
-            << "host histograms recorded with profiling off";
+        const std::string doc = statsDoc();
+        EXPECT_EQ(doc.find(".host\""), std::string::npos)
+            << "host groups captured with profiling off";
+        EXPECT_EQ(doc.find("_ns\""), std::string::npos)
+            << "host totals registered with profiling off";
         if (first.empty())
             first = doc;
         else
             EXPECT_EQ(doc, first) << threads << " threads";
     }
+}
+
+// ---------------------------------------------------------------
+// The profiled document: exact per-cell host phases.
+// ---------------------------------------------------------------
+
+TEST(StatsDeterminism, ProfiledCellsCaptureExactHostGroups)
+{
+    {
+        ProfilingGuard on(true);
+        study::ParallelRunner par(smallConfig(), 8, nullptr,
+                                  study::ParallelRunner::noCache());
+        par.runAll();
+    }
+    std::string error;
+    const auto doc = json::parse(statsDoc(), &error);
+    ASSERT_TRUE(doc) << error;
+
+    const auto scalarOf = [](const json::Value &group,
+                             const std::string &name) {
+        std::uint64_t v = 0;
+        const json::Value *s = group.field("scalars")->field(name);
+        EXPECT_TRUE(s && s->asU64(v)) << name;
+        return v;
+    };
+    unsigned hostGroups = 0;
+    std::uint64_t phaseSum = 0, cellHostNs = 0;
+    for (const json::Value &g : doc->field("groups")->items) {
+        const std::string &label = g.field("label")->text;
+        if (label.ends_with(".host")) {
+            ++hostGroups;
+            EXPECT_EQ(g.field("group")->text, "host");
+            ASSERT_EQ(g.field("scalars")->fields.size(), 3u) << label;
+            for (const char *name : {"setup_ns", "run_ns", "readback_ns"})
+                phaseSum += scalarOf(g, name);
+        } else if (label == "scheduler") {
+            cellHostNs = scalarOf(g, "cell_host_ns");
+            (void)scalarOf(g, "queue_wait_ns");
+        }
+    }
+    EXPECT_EQ(hostGroups, 15u);
+    // Each cell's phases run inside its mapping call, which the
+    // scheduler's per-cell total brackets.
+    EXPECT_GT(phaseSum, 0u);
+    EXPECT_LE(phaseSum, cellHostNs);
+
+    // The host groups are wall clock: keep them out of the profiling-
+    // off documents later tests in this process render.
+    metrics::MetricsRegistry::global().clear();
 }
 
 } // namespace

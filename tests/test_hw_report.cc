@@ -351,16 +351,24 @@ class RawStepperOverride
     raw::RawStepper saved;
 };
 
-/** Run @p cells fresh (no cache) and return the rendered hw doc. */
-std::string
+/** One fresh run's rendered hw doc and the results behind it. */
+struct HwRun
+{
+    std::string doc;
+    std::vector<RunResult> results;
+};
+
+/** Run @p cells fresh (no cache); the doc and the results. */
+HwRun
 hwDoc(const StudyConfig &cfg, const std::vector<Cell> &cells,
       unsigned threads)
 {
     hw::HwRegistry::global().clear();
     ParallelRunner runner(cfg, threads, nullptr,
                           ParallelRunner::noCache());
-    runner.runCells(cells);
-    return hw::renderHwReport(hw::HwRegistry::global().report());
+    std::vector<RunResult> results = runner.runCells(cells);
+    return {hw::renderHwReport(hw::HwRegistry::global().report()),
+            std::move(results)};
 }
 
 /** Every cell whose machine reads mem::defaultMemModel() (D13). */
@@ -383,9 +391,9 @@ TEST(HwReportDeterminism, BitIdenticalAcrossThreadCounts)
 {
     const StudyConfig cfg = smallConfig();
     const std::vector<Cell> cells = allCells();
-    const std::string at1 = hwDoc(cfg, cells, 1);
-    const std::string at2 = hwDoc(cfg, cells, 2);
-    const std::string at8 = hwDoc(cfg, cells, 8);
+    const std::string at1 = hwDoc(cfg, cells, 1).doc;
+    const std::string at2 = hwDoc(cfg, cells, 2).doc;
+    const std::string at8 = hwDoc(cfg, cells, 8).doc;
     EXPECT_EQ(at1, at2);
     EXPECT_EQ(at1, at8);
 
@@ -431,11 +439,11 @@ TEST(HwReportDeterminism, SpanAndReferenceModelsAgree)
         std::string ref;
         {
             MemModelOverride guard(mem::MemModel::Reference);
-            ref = hwDoc(cfg, cells, 1);
+            ref = hwDoc(cfg, cells, 1).doc;
         }
         MemModelOverride guard(mem::MemModel::Span);
         for (const unsigned threads : {1u, 2u}) {
-            EXPECT_EQ(hwDoc(cfg, cells, threads), ref)
+            EXPECT_EQ(hwDoc(cfg, cells, threads).doc, ref)
                 << threads << " threads";
         }
     }
@@ -447,15 +455,15 @@ TEST(HwReportDeterminism, RawSteppersAgree)
     // The D12 contract extended to the hardware counters: the Raw
     // event stepper credits stall tallies in bulk ranges, the
     // reference stepper one cycle at a time — the epoch timelines
-    // must still match bit for bit, on the paper config and the
-    // small one.
+    // and the results (cycles, breakdowns and notes) must still match
+    // bit for bit, on the paper config and the small one.
     const std::vector<Cell> cells = {
         {MachineId::Raw, KernelId::CornerTurn},
         {MachineId::Raw, KernelId::Cslc},
         {MachineId::Raw, KernelId::BeamSteering}};
     for (const StudyConfig &cfg : {StudyConfig{}, smallConfig()}) {
         SCOPED_TRACE(describeConfig(cfg));
-        std::string event, reference;
+        HwRun event, reference;
         {
             RawStepperOverride guard(raw::RawStepper::Event);
             event = hwDoc(cfg, cells, 1);
@@ -464,7 +472,9 @@ TEST(HwReportDeterminism, RawSteppersAgree)
             RawStepperOverride guard(raw::RawStepper::Reference);
             reference = hwDoc(cfg, cells, 1);
         }
-        EXPECT_EQ(event, reference);
+        EXPECT_EQ(event.doc, reference.doc);
+        ASSERT_EQ(event.results.size(), cells.size());
+        EXPECT_EQ(event.results, reference.results);
     }
     hw::HwRegistry::global().clear();
 }

@@ -36,7 +36,7 @@ TEST(MemSpanPrimitives, CacheAccessFastMatchesAccess)
     Rng rng(42);
     for (unsigned i = 0; i < 20000; ++i) {
         // A mix of streaming runs (memo hits), set-thrashing strides
-        // (memo misses + evictions), and random probes.
+        // (memo misses + replacements), and random probes.
         Addr a;
         switch (i % 3) {
           case 0: a = (i / 3) * 4 % 8192; break;

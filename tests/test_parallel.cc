@@ -3,9 +3,8 @@
  * Tests for the experiment engine and the registry-based dispatch
  * behind it: bit-identical determinism of ParallelRunner at several
  * thread counts against direct mapping calls, full coverage of the
- * built-in MappingRegistry, the fatal unknown-pair path,
- * result-cache behavior (reuse and the LRU bound), config hashing,
- * and the JSON result sink.
+ * built-in MappingRegistry, the fatal unknown-pair path, result-cache
+ * reuse, config hashing, and the JSON result sink.
  */
 
 #include <gtest/gtest.h>
@@ -195,6 +194,7 @@ TEST(ResultCacheTest, SecondSweepIsServedFromCache)
     const auto first = par.runAll();
     EXPECT_EQ(invocations.load(), 15u);
     EXPECT_EQ(cache.size(), 15u);
+    EXPECT_EQ(cache.statGroup().scalar("entries"), 15u);
     EXPECT_EQ(cache.misses(), 15u);
 
     const auto second = par.runAll();
@@ -222,96 +222,6 @@ TEST(ResultCacheTest, DistinctConfigsDoNotCollide)
                      .has_value());
 }
 
-// ---------------------------------------------------------------
-// Result cache LRU bound: entry and byte limits evict the least
-// recently used cell first.
-// ---------------------------------------------------------------
-
-/** A synthetic RunResult whose breakdown partitions its cycles. */
-RunResult
-fakeResult(MachineId machine, KernelId kernel, std::uint64_t cycles)
-{
-    RunResult r;
-    r.machine = machine;
-    r.kernel = kernel;
-    r.cycles = cycles;
-    r.breakdown.cycles = {cycles, 0, 0, 0, 0};
-    r.breakdown.total = cycles;
-    r.validated = true;
-    r.notes = {{"utilization", 0.5}};
-    return r;
-}
-
-TEST(ResultCacheLru, EvictsLeastRecentlyUsedEntryFirst)
-{
-    study::ResultCache cache(study::CacheCapacity{3, 0});
-    const std::uint64_t hash = 7;
-
-    const auto a =
-        fakeResult(MachineId::PpcScalar, KernelId::CornerTurn, 1);
-    const auto b = fakeResult(MachineId::PpcScalar, KernelId::Cslc, 2);
-    const auto c = fakeResult(MachineId::Viram, KernelId::CornerTurn, 3);
-    cache.put(a, hash);
-    cache.put(b, hash);
-    cache.put(c, hash);
-    EXPECT_EQ(cache.size(), 3u);
-    EXPECT_EQ(cache.evictions(), 0u);
-
-    // Touch 'a' so 'b' becomes the LRU entry, then overflow.
-    ASSERT_TRUE(cache.get(a.machine, a.kernel, hash).has_value());
-    cache.put(fakeResult(MachineId::Raw, KernelId::BeamSteering, 4),
-              hash);
-
-    EXPECT_EQ(cache.size(), 3u);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_FALSE(cache.get(b.machine, b.kernel, hash).has_value());
-    EXPECT_TRUE(cache.get(a.machine, a.kernel, hash).has_value());
-    EXPECT_TRUE(cache.get(c.machine, c.kernel, hash).has_value());
-}
-
-TEST(ResultCacheLru, ByteBoundEvictsWhenEntriesAreUnlimited)
-{
-    study::ResultCache probe;
-    probe.put(fakeResult(MachineId::PpcScalar, KernelId::CornerTurn, 1),
-              1);
-    const std::size_t oneEntry = probe.approxBytes();
-    ASSERT_GT(oneEntry, 0u);
-
-    // Room for two entries, not three.
-    study::ResultCache cache(
-        study::CacheCapacity{0, 2 * oneEntry + oneEntry / 2});
-    cache.put(fakeResult(MachineId::PpcScalar, KernelId::CornerTurn, 1),
-              1);
-    cache.put(fakeResult(MachineId::PpcScalar, KernelId::Cslc, 2), 1);
-    cache.put(fakeResult(MachineId::Viram, KernelId::CornerTurn, 3), 1);
-
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_LE(cache.approxBytes(), 2 * oneEntry + oneEntry / 2);
-    EXPECT_FALSE(cache
-                     .get(MachineId::PpcScalar, KernelId::CornerTurn, 1)
-                     .has_value());
-}
-
-TEST(ResultCacheLru, ShrinkingCapacityEvictsImmediately)
-{
-    study::ResultCache cache;
-    for (unsigned i = 0; i < 4; ++i) {
-        cache.put(fakeResult(MachineId::PpcScalar,
-                             KernelId::CornerTurn, i + 1),
-                  i);
-    }
-    EXPECT_EQ(cache.size(), 4u);
-    cache.setCapacity(study::CacheCapacity{2, 0});
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 2u);
-    // The newest entries (hashes 2 and 3) survive.
-    EXPECT_TRUE(cache.get(MachineId::PpcScalar, KernelId::CornerTurn, 3)
-                    .has_value());
-    EXPECT_FALSE(
-        cache.get(MachineId::PpcScalar, KernelId::CornerTurn, 0)
-            .has_value());
-}
 
 TEST(ConfigHash, SensitiveToEveryWorkloadField)
 {
