@@ -29,40 +29,11 @@ SetAssocCache::SetAssocCache(const CacheConfig &cache_config)
     group.addScalar("writebacks", &_writebacks, "dirty lines written back");
 }
 
-std::uint64_t
-SetAssocCache::setOf(Addr addr) const
-{
-    return (addr >> lineShift) & (numSets - 1);
-}
-
-Addr
-SetAssocCache::tagOf(Addr addr) const
-{
-    return addr >> (lineShift + setShift);
-}
-
 CacheResult
-SetAssocCache::access(Addr addr, bool write)
+SetAssocCache::missFill(Addr lineAddr, bool write)
 {
-    const std::uint64_t set = setOf(addr);
-    const Addr tag = tagOf(addr);
+    const std::uint64_t set = lineAddr & (numSets - 1);
     const std::uint64_t base = set * cfg.assoc;
-    ++useClock;
-
-    // Invalid ways hold the ~0 tag sentinel (no simulated address
-    // reaches it), so the hit scan is a pure tag compare.
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (tags[base + w] == tag) {
-            lastUse[base + w] = useClock;
-            if (write)
-                flags[base + w] = 1;
-            ++_hits;
-            wayMemo[set] = {addr >> lineShift,
-                            static_cast<std::uint32_t>(base + w)};
-            return {true, std::nullopt};
-        }
-    }
-
     ++_misses;
 
     // True LRU with invalid ways first: invalid ways keep a zero
@@ -87,20 +58,19 @@ SetAssocCache::access(Addr addr, bool write)
         result.writebackAddr = victimAddr;
     }
 
-    tags[base + victim] = tag;
+    tags[base + victim] = lineAddr >> setShift;
     lastUse[base + victim] = useClock;
     flags[base + victim] = write ? 1 : 0;
-    wayMemo[set] = {addr >> lineShift,
-                    static_cast<std::uint32_t>(base + victim)};
+    wayMemo[set] = {lineAddr, static_cast<std::uint32_t>(base + victim)};
     return result;
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    const std::uint64_t set = setOf(addr);
-    const Addr tag = tagOf(addr);
-    const std::uint64_t base = set * cfg.assoc;
+    const Addr lineAddr = addr >> lineShift;
+    const std::uint64_t base = (lineAddr & (numSets - 1)) * cfg.assoc;
+    const Addr tag = lineAddr >> setShift;
     for (unsigned w = 0; w < cfg.assoc; ++w) {
         if (tags[base + w] == tag)
             return true;

@@ -13,8 +13,8 @@
  * touches only the tag column, and the span fast path (D13) re-probes
  * each set's most recently touched line through accessFast(), which
  * skips the scan entirely. The per-set way memo can never point at a
- * replaced line: every eviction happens inside access(), which
- * rewrites the set's memo with the line it installs.
+ * replaced line: every eviction happens in access()'s out-of-line
+ * missFill(), which rewrites the set's memo with the line it installs.
  */
 
 #ifndef TRIARCH_MEM_CACHE_HH
@@ -58,8 +58,35 @@ class SetAssocCache
      * Access one address. On a miss the line is allocated (evicting
      * the LRU way, reporting it if dirty). @p write marks the line
      * dirty on both hits and misses (write-allocate).
+     *
+     * The tag scan for a hit is inline: a G4 L1 miss runs it up to
+     * three times (the L1 probe, the victim's writeback into L2 and
+     * the L2 probe). Victim choice and fill stay out of line in
+     * missFill().
      */
-    CacheResult access(Addr addr, bool write);
+    CacheResult
+    access(Addr addr, bool write)
+    {
+        const Addr lineAddr = addr >> lineShift;
+        const std::uint64_t base = (lineAddr & (numSets - 1)) * cfg.assoc;
+        const Addr tag = lineAddr >> setShift;
+        ++useClock;
+
+        // Invalid ways hold the ~0 tag sentinel (no simulated address
+        // reaches it), so the hit scan is a pure tag compare.
+        for (std::uint64_t slot = base; slot < base + cfg.assoc; ++slot) {
+            if (tags[slot] == tag) {
+                lastUse[slot] = useClock;
+                if (write)
+                    flags[slot] = 1;
+                ++_hits;
+                wayMemo[lineAddr & (numSets - 1)] = {
+                    lineAddr, static_cast<std::uint32_t>(slot)};
+                return {true, std::nullopt};
+            }
+        }
+        return missFill(lineAddr, write);
+    }
 
     /**
      * Way-predicted hit fast path (D13): if @p addr falls on the
@@ -110,8 +137,9 @@ class SetAssocCache
     const CacheConfig &config() const { return cfg; }
 
   private:
-    std::uint64_t setOf(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    /** The miss half of access() for line @p lineAddr (useClock
+     *  already advanced): evict the LRU way and install the line. */
+    CacheResult missFill(Addr lineAddr, bool write);
 
     CacheConfig cfg;
     std::uint64_t numSets;

@@ -29,7 +29,8 @@
 namespace triarch::ppc
 {
 
-/** Corner turn (32x32 blocked); @p altivec selects the vector code. */
+/** Corner turn (32x32 blocked); @p altivec selects the vector code,
+ *  which needs both sides of @p src to be multiples of 4. */
 Cycles cornerTurnPpc(PpcMachine &machine,
                      const kernels::WordMatrix &src,
                      kernels::WordMatrix &dst, bool altivec,

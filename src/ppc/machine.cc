@@ -44,59 +44,13 @@ PpcMachine::PpcMachine(const PpcConfig &machine_config)
 }
 
 void
-PpcMachine::memAccess(Addr addr, bool write, bool charge_hit)
+PpcMachine::dramFill(bool l2_victim_dirty, bool charge_hit)
 {
-    auto r1 = l1.access(addr, write);
-    if (r1.hit) {
-        // Store hits retire through the store queue off the critical
-        // path; load hits pay the load-use latency.
-        now += charge_hit ? static_cast<double>(cfg.l1HitCycles) : 0.5;
-        return;
-    }
-    // Both memory models reach this point for exactly the same
-    // accesses at the same `now` (accessFast only filters true
-    // hits), so the epoch samples are mode-identical.
-    hwSamp.addAt(0, static_cast<Cycles>(now));
-    if (r1.writebackAddr) {
-        // Dirty L1 victim moves into L2 (and possibly onward). A
-        // way-predicted L2 hit (span mode) has no writeback.
-        if (!(spanMem && l2.accessFast(*r1.writebackAddr, true))) {
-            auto rwb = l2.access(*r1.writebackAddr, true);
-            if (!rwb.hit && rwb.writebackAddr)
-                fsb.transfer(cfg.lineBytes / 4,
-                             static_cast<Cycles>(now));
-        }
-    }
-
-    if (spanMem && l2.accessFast(addr, false)) {
-        const double l2Stall =
-            charge_hit ? static_cast<double>(cfg.l2HitCycles)
-                       : static_cast<double>(cfg.storeL2HitCycles);
-        hwSamp.addRange(1, static_cast<Cycles>(now),
-                        static_cast<Cycles>(now + l2Stall));
-        now += l2Stall;
-        account.charge(stats::CycleCategory::CacheStall, l2Stall);
-        _memStall += cfg.l2HitCycles;
-        return;
-    }
-    auto r2 = l2.access(addr, false);
-    if (r2.hit) {
-        const double l2Stall =
-            charge_hit ? static_cast<double>(cfg.l2HitCycles)
-                       : static_cast<double>(cfg.storeL2HitCycles);
-        hwSamp.addRange(1, static_cast<Cycles>(now),
-                        static_cast<Cycles>(now + l2Stall));
-        now += l2Stall;
-        account.charge(stats::CycleCategory::CacheStall, l2Stall);
-        _memStall += cfg.l2HitCycles;
-        return;
-    }
-    if (r2.writebackAddr)
-        fsb.transfer(cfg.lineBytes / 4, static_cast<Cycles>(now));
+    if (l2_victim_dirty)
+        fsb.transfer(cfg.lineBytes / 4, clock());
 
     // DRAM fill through the front-side bus.
-    const Cycles fillDone = fsb.transfer(
-        cfg.lineBytes / 4, static_cast<Cycles>(now));
+    const Cycles fillDone = fsb.transfer(cfg.lineBytes / 4, clock());
     const double stallFrom = now;
     if (charge_hit) {
         // Loads block: pay the latency, or the bus backlog if the
@@ -113,9 +67,8 @@ PpcMachine::memAccess(Addr addr, bool write, bool charge_hit)
         now = std::max(now, backlogLimit);
     }
     account.charge(stats::CycleCategory::DramDma, now - stallFrom);
-    _memStall += static_cast<Cycles>(now - stallFrom);
-    hwSamp.addRange(2, static_cast<Cycles>(stallFrom),
-                    static_cast<Cycles>(now));
+    _memStall += toCycles(now - stallFrom);
+    hwSamp.addRange(2, toCycles(stallFrom), clock());
 }
 
 Cycles

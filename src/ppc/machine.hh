@@ -10,8 +10,8 @@
 #ifndef TRIARCH_PPC_MACHINE_HH
 #define TRIARCH_PPC_MACHINE_HH
 
+#include <cstdint>
 #include <string>
-
 #include <utility>
 #include <vector>
 
@@ -83,8 +83,8 @@ class PpcMachine
     // The load/store fast paths live in the header so the span-mode
     // way-predicted L1 hit — the per-element common case in
     // streaming kernels — is a handful of inlined instructions;
-    // misses (and reference mode) fall into the out-of-line cache
-    // walk.
+    // other accesses (and reference mode) take memAccess(), which is
+    // inline too up to an L2 miss.
 
     /** A 4-byte scalar load / store at @p addr. */
     void
@@ -181,8 +181,67 @@ class PpcMachine
     std::string describe() const;
 
   private:
-    /** Cache access for one granule; advances time appropriately. */
-    void memAccess(Addr addr, bool write, bool charge_hit);
+    /**
+     * Cache access for one granule; advances time appropriately.
+     * Inline through the L2 hit: an L1 miss that hits L2 makes no
+     * call (D13). Only an L2 miss leaves, for the DRAM fill.
+     */
+    void
+    memAccess(Addr addr, bool write, bool charge_hit)
+    {
+        const mem::CacheResult r1 = l1.access(addr, write);
+        if (r1.hit) {
+            // Store hits retire through the store queue off the
+            // critical path; load hits pay the load-use latency.
+            now += charge_hit ? static_cast<double>(cfg.l1HitCycles)
+                              : 0.5;
+            return;
+        }
+        // Both memory models reach this point for exactly the same
+        // accesses at the same `now` (accessFast only filters true
+        // hits), so the epoch samples are mode-identical.
+        hwSamp.addAt(0, clock());
+        if (r1.writebackAddr) {
+            // Dirty L1 victim moves into L2 (and possibly onward). A
+            // way-predicted L2 hit (span mode) has no writeback.
+            if (!(spanMem && l2.accessFast(*r1.writebackAddr, true))) {
+                const mem::CacheResult rwb =
+                    l2.access(*r1.writebackAddr, true);
+                if (!rwb.hit && rwb.writebackAddr)
+                    fsb.transfer(cfg.lineBytes / 4, clock());
+            }
+        }
+
+        if (!(spanMem && l2.accessFast(addr, false))) {
+            const mem::CacheResult r2 = l2.access(addr, false);
+            if (!r2.hit) {
+                dramFill(r2.writebackAddr.has_value(), charge_hit);
+                return;
+            }
+        }
+        const double l2Stall =
+            charge_hit ? static_cast<double>(cfg.l2HitCycles)
+                       : static_cast<double>(cfg.storeL2HitCycles);
+        hwSamp.addRange(1, clock(), toCycles(now + l2Stall));
+        now += l2Stall;
+        account.charge(stats::CycleCategory::CacheStall, l2Stall);
+        _memStall += cfg.l2HitCycles;
+    }
+
+    /** The L2-miss tail of memAccess(): write back a dirty L2
+     *  victim, then fill the line from DRAM over the FSB. */
+    void dramFill(bool l2_victim_dirty, bool charge_hit);
+
+    /** A non-negative model time truncated to whole cycles. The
+     *  conversion goes through int64_t, a single instruction on
+     *  x86-64 where double to uint64_t is a branchy sequence. */
+    static Cycles
+    toCycles(double t)
+    {
+        return static_cast<Cycles>(static_cast<std::int64_t>(t));
+    }
+
+    Cycles clock() const { return toCycles(now); }
 
     PpcConfig cfg;
     /** mem::defaultMemModel() is Span, fixed at construction. */

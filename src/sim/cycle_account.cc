@@ -64,11 +64,10 @@ CycleBreakdown::fraction(CycleCategory c) const
 }
 
 void
-CycleAccount::charge(CycleCategory c, double cycles)
+CycleAccount::negativeCharge(CycleCategory c, double cycles)
 {
-    triarch_assert(cycles >= 0.0, "negative cycle charge ", cycles,
-                   " to ", cycleCategoryToken(c));
-    acc[static_cast<unsigned>(c)] += cycles;
+    triarch_panic("negative cycle charge ", cycles, " to ",
+                  cycleCategoryToken(c));
 }
 
 double

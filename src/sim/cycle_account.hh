@@ -106,8 +106,15 @@ struct CycleBreakdown
 class CycleAccount
 {
   public:
-    /** Accumulate @p cycles (>= 0, panics otherwise) into @p c. */
-    void charge(CycleCategory c, double cycles);
+    /** Accumulate @p cycles (>= 0, panics otherwise) into @p c.
+     *  Inline: the G4 model charges on every L1 miss. */
+    void
+    charge(CycleCategory c, double cycles)
+    {
+        if (!(cycles >= 0.0)) [[unlikely]]
+            negativeCharge(c, cycles);
+        acc[static_cast<unsigned>(c)] += cycles;
+    }
 
     double charged(CycleCategory c) const;
 
@@ -135,6 +142,10 @@ class CycleAccount
     CycleBreakdown finalizeScaled(std::uint64_t total) const;
 
   private:
+    /** The out-of-line panic of charge(). */
+    [[noreturn]] static void negativeCharge(CycleCategory c,
+                                            double cycles);
+
     std::array<double, kNumCycleCategories> acc{};
 };
 

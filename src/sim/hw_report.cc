@@ -135,7 +135,8 @@ EpochSampler::reset()
 }
 
 void
-EpochSampler::addRange(std::size_t channel, Cycles start, Cycles end)
+EpochSampler::addRangeSplit(std::size_t channel, Cycles start,
+                            Cycles end)
 {
     if (end <= start)
         return;

@@ -179,7 +179,20 @@ class EpochSampler
 
     /** Record one event per cycle of [@p start, @p end) on
      *  @p channel, split exactly across the epochs it covers. */
-    void addRange(std::size_t channel, Cycles start, Cycles end);
+    void
+    addRange(std::size_t channel, Cycles start, Cycles end)
+    {
+        // Inline fast path for the common case, a short stall inside
+        // one epoch that is already in capacity (the G4 model records
+        // one per L1 miss); everything else takes the splitting walk.
+        const Cycles first = start >> shift;
+        if (end > start && first == (end - 1) >> shift
+            && first < kEpochSlots) {
+            slots[channel][first] += end - start;
+            return;
+        }
+        addRangeSplit(channel, start, end);
+    }
 
     /** Forget all samples (channel names are kept); the machines'
      *  resetTiming() calls this so a kernel starts a fresh timeline. */
@@ -205,6 +218,10 @@ class EpochSampler
 
     /** Double the epoch length: merge slots pairwise. */
     void grow();
+
+    /** addRange() for ranges that cross an epoch boundary, need
+     *  grow(), or are empty. */
+    void addRangeSplit(std::size_t channel, Cycles start, Cycles end);
 
     unsigned shift = 0;         //!< epoch length = 1 << shift
     std::vector<std::string> names;

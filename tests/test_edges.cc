@@ -346,6 +346,19 @@ TEST(KernelEdges, TransposeShapeMismatchDies)
                  "shape mismatch");
 }
 
+TEST(KernelEdges, AltivecCornerTurnNeedsSidesOfFour)
+{
+    // The 4x4 register transposes would read and write past a 6x8
+    // matrix; the scalar code handles any shape.
+    ppc::PpcMachine m;
+    kernels::WordMatrix src(6, 8), dst;
+    kernels::fillMatrix(src, 3);
+    EXPECT_DEATH(ppc::cornerTurnPpc(m, src, dst, true, 4),
+                 "multiples of 4");
+    ppc::cornerTurnPpc(m, src, dst, false, 4);
+    EXPECT_TRUE(kernels::isTransposeOf(src, dst));
+}
+
 TEST(KernelEdges, SingleElementMatrix)
 {
     kernels::WordMatrix src(1, 1), dst(1, 1);

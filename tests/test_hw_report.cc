@@ -20,6 +20,7 @@
 #include "mem/mem_mode.hh"
 #include "raw/config.hh"
 #include "sim/hw_report.hh"
+#include "sim/rng.hh"
 #include "study/config_check.hh"
 #include "study/fuzz.hh"
 #include "study/parallel.hh"
@@ -109,6 +110,77 @@ TEST(EpochSamplerTest, AddRangeSplitsExactlyAcrossEpochs)
     const HwTimeline rt = range.finalize(1024);
     EXPECT_EQ(rt, loop.finalize(1024));
     EXPECT_EQ(channelSum(rt, 0), 240u);
+}
+
+TEST(EpochSamplerTest, AddRangeMatchesPerCycleAddAt)
+{
+    // addRange() takes an inline path for a range inside one epoch
+    // already in capacity and a splitting walk for everything else;
+    // both together must equal one addAt() per cycle of the range.
+    EpochSampler range({"a", "b", "c"});
+    EpochSampler loop({"a", "b", "c"});
+    Cycles last = 0;
+    auto add = [&](std::size_t ch, Cycles start, Cycles end) {
+        range.addRange(ch, start, end);
+        for (Cycles c = start; c < end; ++c)
+            loop.addAt(ch, c);
+        last = std::max(last, end);
+    };
+
+    Rng rng(24);
+    Cycles horizon = 16;
+    for (unsigned i = 1; i <= 4000; ++i) {
+        const std::size_t ch = rng.nextBelow(3);
+        const Cycles start = rng.nextBelow(horizon);
+        switch (i % 4) {
+          case 0:
+            // A short stall, usually inside one epoch.
+            add(ch, start, start + 1 + rng.nextBelow(12));
+            break;
+          case 1: {
+            // Ends exactly on a boundary of epoch length 2^k, k=0..11.
+            const Cycles len = Cycles{1} << rng.nextBelow(12);
+            add(ch, start, (start / len + 1) * len);
+            break;
+          }
+          case 2:
+            // Spans many epochs.
+            add(ch, start, start + rng.nextBelow(horizon / 4 + 1));
+            break;
+          case 3:
+            // Empty and inverted ranges record nothing.
+            add(ch, start, start);
+            add(ch, start + 1 + rng.nextBelow(8), start);
+            break;
+        }
+        if (i % 400 == 0 && horizon < (Cycles{1} << 16)) {
+            // The capacity is the smallest kEpochSlots * 2^k >= last.
+            // A short range at or past it must grow() even though it
+            // fits one epoch; a long one straddles the old edge.
+            Cycles cap = kEpochSlots;
+            while (cap < last)
+                cap *= 2;
+            switch (i / 400 % 3) {
+              case 0:
+                add(ch, cap, cap + 1 + rng.nextBelow(3));
+                break;
+              case 1:
+                add(ch, 2 * cap + 5, 2 * cap + 7);
+                break;
+              case 2:
+                add(ch, cap - 1, 2 * cap + 64);
+                break;
+            }
+            horizon = last;
+        }
+        if (i % 500 == 0) {
+            EpochSampler r = range, l = loop;
+            ASSERT_EQ(r.finalize(last), l.finalize(last))
+                << "after range " << i;
+        }
+    }
+    EXPECT_GE(horizon, Cycles{1} << 16) << "the schedule must grow";
+    EXPECT_EQ(range.finalize(last), loop.finalize(last));
 }
 
 TEST(EpochSamplerTest, EventsPastTotalFoldIntoTheLastEpoch)

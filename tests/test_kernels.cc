@@ -80,6 +80,36 @@ TEST(CornerTurn, IsTransposeDetectsValueMismatch)
     EXPECT_FALSE(isTransposeOf(src, dst));
 }
 
+TEST(CornerTurn, IsTransposeCatchesOneWordInEveryKindOfTile)
+{
+    // The compare runs in 16x16 tiles; 72x40 leaves a ragged 8x8
+    // last tile in both dimensions.
+    WordMatrix src(72, 40);
+    fillMatrix(src, 5);
+    WordMatrix dst(40, 72);
+    transposeNaive(src, dst);
+    ASSERT_TRUE(isTransposeOf(src, dst));
+
+    struct Spot
+    {
+        const char *tile;
+        unsigned r, c;      //!< source coordinates of the flip
+    };
+    for (const Spot &s : {Spot{"first", 0, 0}, Spot{"first", 15, 15},
+                          Spot{"interior", 20, 17},
+                          Spot{"ragged last", 64, 32},
+                          Spot{"ragged last", 71, 39}}) {
+        WordMatrix bad = dst;
+        bad.at(s.c, s.r) ^= 0x8000'0000u;
+        EXPECT_FALSE(isTransposeOf(src, bad))
+            << s.tile << " tile, (" << s.r << ", " << s.c << ")";
+    }
+
+    // A shape that is not the transpose is a mismatch, not a crash.
+    EXPECT_FALSE(isTransposeOf(src, WordMatrix(72, 40)));
+    EXPECT_FALSE(isTransposeOf(src, WordMatrix(40, 71)));
+}
+
 TEST(BeamSteering, OutputCountMatchesConfig)
 {
     BeamConfig cfg;

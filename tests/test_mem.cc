@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <optional>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/port.hh"
+#include "sim/rng.hh"
 
 namespace triarch::mem
 {
@@ -205,6 +210,112 @@ TEST(Cache, StreamingWorkloadMissesOncePerLine)
         cache.access(a, false);
     EXPECT_EQ(cache.misses(), 512u / 32u);
     EXPECT_EQ(cache.hits(), 512u / 4u - 512u / 32u);
+}
+
+/**
+ * The plainest true-LRU write-back cache: one list of resident lines
+ * per set, most recently used first. The oracle for the split
+ * SetAssocCache::access (inline hit scan, out-of-line missFill).
+ */
+class ListLru
+{
+  public:
+    explicit ListLru(const CacheConfig &cfg)
+        : lineBytes(cfg.lineBytes), assoc(cfg.assoc),
+          sets(cfg.sizeBytes / (cfg.lineBytes * cfg.assoc))
+    {
+    }
+
+    CacheResult
+    access(Addr addr, bool write)
+    {
+        const Addr line = addr / lineBytes;
+        auto &set = sets[line % sets.size()];
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->line == line) {
+                const bool dirty = it->dirty || write;
+                set.erase(it);
+                set.push_front({line, dirty});
+                ++hits;
+                return {true, std::nullopt};
+            }
+        }
+        ++misses;
+        CacheResult r{false, std::nullopt};
+        if (set.size() == assoc) {
+            if (set.back().dirty) {
+                ++writebacks;
+                r.writebackAddr = set.back().line * lineBytes;
+            }
+            set.pop_back();
+        }
+        set.push_front({line, write});
+        return r;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Line
+    {
+        Addr line;
+        bool dirty;
+    };
+
+    Addr lineBytes;
+    std::size_t assoc;
+    std::vector<std::list<Line>> sets;
+};
+
+TEST(Cache, SplitAccessMatchesListLru)
+{
+    // Direct-mapped, 2-way, 8-way, and one fully associative set.
+    const std::vector<CacheConfig> configs = {
+        {"dm", 1024, 1, 32},
+        {"two_way", 1024, 2, 32},
+        {"eight_way", 2048, 8, 32},
+        {"full", 512, 16, 32},
+    };
+    for (const CacheConfig &cfg : configs) {
+        SCOPED_TRACE(cfg.name);
+        SetAssocCache cache(cfg);
+        ListLru oracle(cfg);
+        Rng rng(0xC0FFEE + cfg.assoc);
+        // A footprint of three cache capacities gives a steady mix of
+        // hits, clean and dirty evictions.
+        const Addr lines = 3 * cfg.sizeBytes / cfg.lineBytes;
+        Addr addr = 0;
+        std::uint64_t fastHits = 0;
+        for (unsigned i = 0; i < 120000; ++i) {
+            // Revisit the previous line often, so the way memo that
+            // accessFast() probes matches a good share of the time.
+            if (rng.nextBelow(4) != 0) {
+                addr = rng.nextBelow(lines) * cfg.lineBytes
+                       + rng.nextBelow(cfg.lineBytes);
+            }
+            const bool write = rng.nextBelow(2) == 0;
+            const unsigned op = static_cast<unsigned>(rng.nextBelow(3));
+            CacheResult got;
+            if (op == 2 && cache.accessFast(addr, write)) {
+                ++fastHits;
+                got = {true, std::nullopt};
+            } else {
+                got = cache.access(addr, write);
+            }
+            const CacheResult want = oracle.access(addr, write);
+            ASSERT_EQ(got.hit, want.hit) << "access " << i;
+            ASSERT_EQ(got.writebackAddr, want.writebackAddr)
+                << "access " << i;
+            ASSERT_EQ(cache.hits(), oracle.hits) << "access " << i;
+            ASSERT_EQ(cache.misses(), oracle.misses) << "access " << i;
+            ASSERT_EQ(cache.writebacks(), oracle.writebacks)
+                << "access " << i;
+        }
+        EXPECT_GT(fastHits, 1000u);
+        EXPECT_GT(cache.writebacks(), 1000u);
+    }
 }
 
 TEST(Tlb, HitAfterFill)
