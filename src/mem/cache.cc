@@ -91,14 +91,13 @@ SetAssocCache::flush()
 
 Tlb::Tlb(std::string tlb_name, unsigned tlb_entries, Addr page_bytes,
          Cycles miss_penalty)
-    : entries(tlb_entries), pageBytes(page_bytes),
+    : entries(tlb_entries), pageShift(floorLog2(page_bytes)),
       missPenalty(miss_penalty), table(tlb_entries),
       group(std::move(tlb_name))
 {
     triarch_assert(entries > 0, "TLB needs entries");
-    triarch_assert(pageBytes >= 4, "page too small");
-    if (isPowerOf2(pageBytes))
-        pageShift = floorLog2(pageBytes);
+    triarch_assert(page_bytes >= 4, "page too small");
+    triarch_assert(isPowerOf2(page_bytes), "page size must be 2^n");
     group.addScalar("hits", &_hits, "TLB hits");
     group.addScalar("misses", &_misses, "TLB misses");
 }

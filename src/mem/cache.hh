@@ -10,11 +10,13 @@
  *
  * Tag state is stored as parallel arrays (tags / lastUse / flags)
  * rather than an array of line structs: the way scan on every access
- * touches only the tag column, and the span fast path (D13) re-probes
- * each set's most recently touched line through accessFast(), which
- * skips the scan entirely. The per-set way memo can never point at a
- * replaced line: every eviction happens in access()'s out-of-line
- * missFill(), which rewrites the set's memo with the line it installs.
+ * touches only the tag column, and the way-predicted fast path (D13)
+ * re-probes each set's most recently touched line through
+ * accessFast(), which skips the scan entirely. The per-set way memo
+ * can never point at a replaced line: every eviction happens in
+ * access()'s out-of-line missFill(), which rewrites the set's memo
+ * with the line it installs. The MemSpanPrimitives tests check
+ * accessFast() against access() on every access.
  */
 
 #ifndef TRIARCH_MEM_CACHE_HH
@@ -210,18 +212,12 @@ class Tlb
         bool valid = false;
     };
 
-    /** addr-to-page in shift form when the page size is a power of
-     *  two (the common geometry); division otherwise. The page walk
-     *  sits on every element of a strided access. */
-    Addr
-    pageOf(Addr addr) const
-    {
-        return pageShift ? addr >> pageShift : addr / pageBytes;
-    }
+    /** addr-to-page; the constructor asserts a power-of-two page.
+     *  The page walk sits on every element of a strided access. */
+    Addr pageOf(Addr addr) const { return addr >> pageShift; }
 
     unsigned entries;
-    Addr pageBytes;
-    unsigned pageShift = 0;     //!< log2(pageBytes), 0 = not pow2
+    unsigned pageShift;         //!< log2(page bytes)
     Cycles missPenalty;
     std::vector<Entry> table;
     std::uint64_t useClock = 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "mem/mem_mode.hh"
 #include "sim/logging.hh"
 
 namespace triarch::ppc
@@ -29,7 +28,6 @@ l2Config(const PpcConfig &cfg)
 
 PpcMachine::PpcMachine(const PpcConfig &machine_config)
     : cfg(machine_config),
-      spanMem(mem::defaultMemModel() == mem::MemModel::Span),
       l1(l1Config(cfg)), l2(l2Config(cfg)),
       fsb("ppc.fsb", cfg.fsbWordsNum, cfg.fsbCyclesDen), group("ppc")
 {

@@ -80,11 +80,11 @@ class PpcMachine
                    : n / cfg.vecIssueWidth;
     }
 
-    // The load/store fast paths live in the header so the span-mode
+    // The load/store fast paths live in the header so the
     // way-predicted L1 hit — the per-element common case in
     // streaming kernels — is a handful of inlined instructions;
-    // other accesses (and reference mode) take memAccess(), which is
-    // inline too up to an L2 miss.
+    // other accesses take memAccess(), which is inline too up to an
+    // L2 miss.
 
     /** A 4-byte scalar load / store at @p addr. */
     void
@@ -94,7 +94,7 @@ class PpcMachine
         // L1 hit on the set's memoized line: accessFast applies the
         // exact hit effects (LRU stamp, hit counter), and the hit
         // charge matches the scan path below.
-        if (spanMem && l1.accessFast(addr, false)) {
+        if (l1.accessFast(addr, false)) {
             now += static_cast<double>(cfg.l1HitCycles);
             return;
         }
@@ -105,7 +105,7 @@ class PpcMachine
     store(Addr addr)
     {
         ++_stores;
-        if (spanMem && l1.accessFast(addr, true)) {
+        if (l1.accessFast(addr, true)) {
             now += 0.5;
             return;
         }
@@ -117,7 +117,7 @@ class PpcMachine
     vecLoad(Addr addr)
     {
         ++_loads;
-        if (spanMem && l1.accessFast(addr, false)) {
+        if (l1.accessFast(addr, false)) {
             now += static_cast<double>(cfg.l1HitCycles);
             return;
         }
@@ -128,7 +128,7 @@ class PpcMachine
     vecStore(Addr addr)
     {
         ++_stores;
-        if (spanMem && l1.accessFast(addr, true)) {
+        if (l1.accessFast(addr, true)) {
             now += 0.5;
             return;
         }
@@ -197,14 +197,13 @@ class PpcMachine
                               : 0.5;
             return;
         }
-        // Both memory models reach this point for exactly the same
-        // accesses at the same `now` (accessFast only filters true
-        // hits), so the epoch samples are mode-identical.
+        // accessFast only filters true hits, so every L1 miss reaches
+        // this point at the same `now` as in a walk without it.
         hwSamp.addAt(0, clock());
         if (r1.writebackAddr) {
             // Dirty L1 victim moves into L2 (and possibly onward). A
-            // way-predicted L2 hit (span mode) has no writeback.
-            if (!(spanMem && l2.accessFast(*r1.writebackAddr, true))) {
+            // way-predicted L2 hit has no writeback.
+            if (!l2.accessFast(*r1.writebackAddr, true)) {
                 const mem::CacheResult rwb =
                     l2.access(*r1.writebackAddr, true);
                 if (!rwb.hit && rwb.writebackAddr)
@@ -212,7 +211,7 @@ class PpcMachine
             }
         }
 
-        if (!(spanMem && l2.accessFast(addr, false))) {
+        if (!l2.accessFast(addr, false)) {
             const mem::CacheResult r2 = l2.access(addr, false);
             if (!r2.hit) {
                 dramFill(r2.writebackAddr.has_value(), charge_hit);
@@ -244,8 +243,6 @@ class PpcMachine
     Cycles clock() const { return toCycles(now); }
 
     PpcConfig cfg;
-    /** mem::defaultMemModel() is Span, fixed at construction. */
-    bool spanMem;
     mem::SetAssocCache l1;
     mem::SetAssocCache l2;
     mem::BandwidthPort fsb;
@@ -254,8 +251,8 @@ class PpcMachine
 
     stats::CycleAccount account;
     /** Epoch channels sampled only on the memAccess miss paths, so
-     *  span-mode way-predicted L1 hits (which skip memAccess) cannot
-     *  diverge from reference mode (D13). */
+     *  way-predicted L1 hits (which skip memAccess) leave them as a
+     *  full tag scan would (D13). */
     hw::EpochSampler hwSamp{{"l1_miss", "cache_stall", "dram_stall"}};
 
     stats::StatGroup group;

@@ -19,8 +19,8 @@
  * later cycles were already recorded, and its tile-local batches run
  * ahead of the global cursor), and
  * the registry renders label-sorted — so hw documents are
- * byte-identical at any worker-thread count and under both the Span
- * and Reference memory models (D13).
+ * byte-identical at any worker-thread count and under both Raw
+ * steppers (D12).
  */
 
 #ifndef TRIARCH_SIM_HW_REPORT_HH

@@ -8,8 +8,6 @@
 #include <iostream>
 #include <sstream>
 
-#include "mem/mem_mode.hh"
-#include "raw/config.hh"
 #include "sim/logging.hh"
 
 namespace triarch::study
@@ -212,45 +210,6 @@ CliOptions::selectionFlags(std::vector<MachineId> &machines,
           [this, &kernels](const std::string &v) {
               return appendIds(v, allKernels(), kernelToken, kernelName,
                                "kernel", "--kernels", prog(), kernels);
-          });
-}
-
-void
-CliOptions::modelFlags()
-{
-    value("--mem-model", "MODE",
-          "PPC/VIRAM memory walk: span (default, batched D13 fast "
-          "path) or reference (word-at-a-time baseline)",
-          [this](const std::string &v) {
-              if (v == "span") {
-                  mem::setDefaultMemModel(mem::MemModel::Span);
-              } else if (v == "reference") {
-                  mem::setDefaultMemModel(mem::MemModel::Reference);
-              } else {
-                  std::cerr << prog()
-                            << ": --mem-model wants span or reference, "
-                               "got '"
-                            << v << "'\n";
-                  return 2;
-              }
-              return 0;
-          });
-    value("--raw-stepper", "MODE",
-          "Raw interpreter loop: event (default) or reference "
-          "(the cycle-at-a-time differential baseline)",
-          [this](const std::string &v) {
-              if (v == "event") {
-                  raw::setDefaultRawStepper(raw::RawStepper::Event);
-              } else if (v == "reference") {
-                  raw::setDefaultRawStepper(raw::RawStepper::Reference);
-              } else {
-                  std::cerr << prog()
-                            << ": --raw-stepper wants event or "
-                               "reference, got '"
-                            << v << "'\n";
-                  return 2;
-              }
-              return 0;
           });
 }
 

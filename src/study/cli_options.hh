@@ -101,12 +101,6 @@ class CliOptions
     void selectionFlags(std::vector<MachineId> &machines,
                         std::vector<KernelId> &kernels);
 
-    /** Install --mem-model (span/reference) and --raw-stepper
-     *  (event/reference), wired to the process-wide simulator
-     *  defaults in mem/mem_mode.hh and raw/config.hh: micro_host's
-     *  A/B switches between production paths and references. */
-    void modelFlags();
-
     /**
      * Parse argv. Returns an exit code when the program should stop
      * (0 after --help, 2 on a usage error), or nullopt to proceed.

@@ -47,10 +47,11 @@ struct MicroHostArgs
 /**
  * Parse micro_host's argv with CliOptions. --machines and --kernels
  * select cells exactly as in the bench harness
- * (CliOptions::selectionFlags); --mem-model and --raw-stepper set
- * the process-wide defaults. Returns an exit code when the tool
- * should stop (0 after --help; 2 on an unknown flag, machine or
- * kernel, or an empty list), or nullopt to proceed.
+ * (CliOptions::selectionFlags); --raw-stepper sets the process-wide
+ * Raw stepper (raw/config.hh) for A/Bs against the reference.
+ * Returns an exit code when the tool should stop (0 after --help; 2
+ * on an unknown flag, machine or kernel, or an empty list), or
+ * nullopt to proceed.
  */
 std::optional<int> parseMicroHostArgs(int argc, char **argv,
                                       MicroHostArgs *args);

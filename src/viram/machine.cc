@@ -4,7 +4,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "mem/mem_mode.hh"
 #include "sim/bitutil.hh"
 #include "sim/logging.hh"
 
@@ -13,7 +12,6 @@ namespace triarch::viram
 
 ViramMachine::ViramMachine(const ViramConfig &machine_config)
     : cfg(machine_config),
-      spanMem(mem::defaultMemModel() == mem::MemModel::Span),
       dram(cfg.memBytes + cfg.offchipBytes),
       vregs(cfg.numVregs, std::vector<Word>(cfg.maxVl, 0)),
       curVl(cfg.maxVl), regReady(cfg.numVregs, 0),
@@ -24,13 +22,11 @@ ViramMachine::ViramMachine(const ViramConfig &machine_config)
 {
     triarch_assert(cfg.lanes > 0 && cfg.maxVl % cfg.lanes == 0,
                    "maxVl must be a multiple of the lane count");
-    if (isPowerOf2(cfg.bankInterleaveBytes) && isPowerOf2(cfg.banks)
-        && isPowerOf2(cfg.rowBytes)) {
-        geomPow2 = true;
-        ilvShift = floorLog2(cfg.bankInterleaveBytes);
-        bankShift = floorLog2(cfg.banks);
-        rowShift = floorLog2(cfg.rowBytes);
-    }
+    triarch_assert(isPowerOf2(cfg.bankInterleaveBytes)
+                       && isPowerOf2(cfg.banks)
+                       && isPowerOf2(cfg.rowBytes),
+                   "bank interleave, bank count and row size must be "
+                   "powers of two");
     group.addScalar("vector_insts", &_vinsts, "vector instructions");
     group.addScalar("scalar_cycles", &_scalarCycles,
                     "scalar bookkeeping cycles");
@@ -202,56 +198,42 @@ ViramMachine::memAccessCycles(Addr addr, Addr stride_bytes, bool unit)
         unit ? cfg.unitStrideWords : cfg.addrGens;
     Cycles cycles = ceilDiv(curVl, throughput);
 
+    // Span walk (D13): the bank and row of an element depend only on
+    // its interleave chunk, so only the first element of each chunk
+    // run can change the open-row state; likewise a TLB run covers
+    // every element on one page in one probe. The bank state and the
+    // TLB are independent structures, so splitting the element
+    // sequence into two run walks leaves both (and all counters)
+    // exactly as the interleaved per-element walk of
+    // memAccessCyclesIndexed() would (the ViramSpanWalk tests in
+    // test_viram.cc hold the two equal).
     std::uint64_t misses = 0;
     Cycles tlbPenalty = 0;
-    if (spanMem) {
-        // Span walk (D13): the bank and row of an element depend
-        // only on its interleave chunk, so only the first element of
-        // each chunk run can change the open-row state; likewise a
-        // TLB run covers every element on one page in one probe.
-        // The bank state and the TLB are independent structures, so
-        // splitting the element sequence into two run walks leaves
-        // both (and all counters) exactly as the interleaved
-        // per-element walk would.
-        const Addr ilv = cfg.bankInterleaveBytes;
-        for (unsigned i = 0; i < curVl;) {
-            const Addr a = addr + static_cast<Addr>(i) * stride_bytes;
-            const auto [bank, row] = bankRowOf(a);
-            if (openRow[bank] != row) {
-                openRow[bank] = row;
-                ++misses;
-            }
-            if (stride_bytes == 0)
-                break;
-            const Addr off = geomPow2 ? a & (ilv - 1) : a % ilv;
-            const Addr left = ilv - 1 - off;
-            const std::uint64_t run = 1 + left / stride_bytes;
-            i += static_cast<unsigned>(
-                std::min<std::uint64_t>(run, curVl - i));
+    const Addr ilv = cfg.bankInterleaveBytes;
+    for (unsigned i = 0; i < curVl;) {
+        const Addr a = addr + static_cast<Addr>(i) * stride_bytes;
+        const auto [bank, row] = bankRowOf(a);
+        if (openRow[bank] != row) {
+            openRow[bank] = row;
+            ++misses;
         }
-        for (unsigned i = 0; i < curVl;) {
-            const Addr a = addr + static_cast<Addr>(i) * stride_bytes;
-            std::uint64_t run = curVl - i;
-            if (stride_bytes != 0) {
-                const Addr left = cfg.pageBytes - 1 - a % cfg.pageBytes;
-                run = std::min<std::uint64_t>(run,
-                                              1 + left / stride_bytes);
-            }
-            tlbPenalty += tlb.accessRun(a, run);
-            i += static_cast<unsigned>(run);
+        if (stride_bytes == 0)
+            break;
+        const Addr left = ilv - 1 - (a & (ilv - 1));
+        const std::uint64_t run = 1 + left / stride_bytes;
+        i += static_cast<unsigned>(
+            std::min<std::uint64_t>(run, curVl - i));
+    }
+    for (unsigned i = 0; i < curVl;) {
+        const Addr a = addr + static_cast<Addr>(i) * stride_bytes;
+        std::uint64_t run = curVl - i;
+        if (stride_bytes != 0) {
+            const Addr left =
+                cfg.pageBytes - 1 - (a & (cfg.pageBytes - 1));
+            run = std::min<std::uint64_t>(run, 1 + left / stride_bytes);
         }
-    } else {
-        // Reference: walk the bank open-row state and the TLB for
-        // each element.
-        for (unsigned i = 0; i < curVl; ++i) {
-            const Addr a = addr + static_cast<Addr>(i) * stride_bytes;
-            const auto [bank, row] = bankRowOf(a);
-            if (openRow[bank] != row) {
-                openRow[bank] = row;
-                ++misses;
-            }
-            tlbPenalty += tlb.access(a);
-        }
+        tlbPenalty += tlb.accessRun(a, run);
+        i += static_cast<unsigned>(run);
     }
 
     // Row misses across banks overlap with transfers; only the
@@ -566,10 +548,10 @@ ViramMachine::hwCell(Cycles total,
               : 0.0;
     const double vmuUtil = frac(_vmuBusy.value());
     const std::uint64_t tlbTotal = tlb.hits() + tlb.misses();
-    // tlb.accessRun() classifies per element in both memory models,
-    // and misses (row walk) is element-exact too, so both rates are
-    // span/reference-identical (D13); row-probe *counts* are not,
-    // which is why there is no probe-based hit rate here.
+    // tlb.accessRun() counts every element of a page run, and the
+    // row walk's misses are element-exact too, so both rates equal a
+    // per-element walk's (D13); row-probe *counts* do not, which is
+    // why there is no probe-based hit rate here.
     const double tlbHit =
         tlbTotal ? static_cast<double>(tlb.hits()) / tlbTotal : 0.0;
     const double rowMissRate =

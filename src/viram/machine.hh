@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "mem/cache.hh"
+#include "sim/bitutil.hh"
 #include "sim/cycle_account.hh"
 #include "sim/hw_report.hh"
 #include "sim/stats.hh"
@@ -220,8 +221,6 @@ class ViramMachine
     void checkAddr(Addr addr, std::uint64_t bytes) const;
 
     ViramConfig cfg;
-    /** mem::defaultMemModel() is Span, fixed at construction. */
-    bool spanMem;
 
     // Functional state.
     ZeroBuffer dram;
@@ -239,34 +238,20 @@ class ViramMachine
     std::vector<Addr> openRow;
     mem::Tlb tlb;
 
-    /** Pow2 geometry fast form: when the bank interleave, bank
-     *  count, and row size are all powers of two, the bank and row
-     *  of an element reduce to shifts and masks, replacing three
-     *  64-bit divisions on every element of a bank walk (the same
-     *  shift arithmetic feeds both the reference and span walks, so
-     *  the classification is bit-identical either way). False keeps
-     *  the division path for odd fuzz geometries. */
-    bool geomPow2 = false;
-    unsigned ilvShift = 0;      //!< log2(bankInterleaveBytes)
-    unsigned bankShift = 0;     //!< log2(banks)
-    unsigned rowShift = 0;      //!< log2(rowBytes)
+    // Bank geometry in shift form; the constructor asserts that the
+    // interleave, bank count and row size are powers of two.
+    unsigned ilvShift = floorLog2(cfg.bankInterleaveBytes);
+    unsigned bankShift = floorLog2(cfg.banks);
+    unsigned rowShift = floorLog2(cfg.rowBytes);
 
-    /** Bank and DRAM row of an address, shift form when possible. */
+    /** Bank and DRAM row of an address. */
     std::pair<unsigned, Addr>
     bankRowOf(Addr a) const
     {
-        if (geomPow2) [[likely]] {
-            const Addr chunk = a >> ilvShift;
-            const unsigned bank = static_cast<unsigned>(
-                chunk & (cfg.banks - 1));
-            const Addr row =
-                ((chunk >> bankShift) << ilvShift) >> rowShift;
-            return {bank, row};
-        }
-        const Addr chunk = a / cfg.bankInterleaveBytes;
-        const unsigned bank = static_cast<unsigned>(chunk % cfg.banks);
-        const Addr row =
-            (chunk / cfg.banks) * cfg.bankInterleaveBytes / cfg.rowBytes;
+        const Addr chunk = a >> ilvShift;
+        const unsigned bank =
+            static_cast<unsigned>(chunk & (cfg.banks - 1));
+        const Addr row = ((chunk >> bankShift) << ilvShift) >> rowShift;
         return {bank, row};
     }
 
@@ -274,10 +259,7 @@ class ViramMachine
     stats::CycleTimeline timeline;
 
     /** Epoch channels indexed by Unit (VAU0/VAU1/VMU), sampled in
-     *  issue() over the unit-busy interval. Scoreboard timing is
-     *  identical under both memory models (memAccessCycles returns
-     *  the same charge either way, D13), so the timeline is
-     *  mode-identical by construction. */
+     *  issue() over the unit-busy interval. */
     hw::EpochSampler hwSamp{{"vau0_busy", "vau1_busy", "vmu_busy"}};
 
     // Statistics.

@@ -8,8 +8,9 @@
  * generated usage text, and the exit(2) paths for malformed values.
  * It also drives bench_diff's flag set, so a malformed gate knob can
  * never silently disable a check, micro_host's cell selection, its
- * --pin refusal (through the built binary), and the --mem-model/
- * --raw-stepper flags that micro_host has and the harness has not.
+ * --pin refusal (through the built binary), its --raw-stepper flag
+ * (which the harness has not), and the retired --mem-model flag,
+ * now unknown everywhere.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "bench_main.hh"
-#include "mem/mem_mode.hh"
 #include "raw/config.hh"
 #include "study/bench_report.hh"
 #include "study/cli_options.hh"
@@ -387,56 +387,56 @@ TEST(HarnessCli, HostStatsWithoutStatsExitsTwo)
 
 TEST(ModelFlags, BadValueReturnsTwoInHarnessAndMicroHost)
 {
-    // The harness runs the production paths only: either model flag
-    // is an unknown option there, whatever its value. micro_host
-    // keeps both for its A/Bs and rejects a value it does not know.
-    for (const char *flag : {"--mem-model", "--raw-stepper"}) {
-        testing::internal::CaptureStderr();
-        EXPECT_EQ(runHarness({flag, "reference"}), 2) << flag;
-        triarch::study::MicroHostArgs args;
-        EXPECT_EQ(parseHostArgs({std::string(flag) + "=fast"}, &args), 2)
-            << flag;
-        const std::string err = testing::internal::GetCapturedStderr();
+    // The harness runs the production paths only: --raw-stepper is an
+    // unknown option there, whatever its value. micro_host keeps it
+    // for its A/Bs and rejects a value it does not know. The G4/VIRAM
+    // memory walk has no selector, so --mem-model is unknown to both.
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runHarness({"--raw-stepper", "reference"}), 2);
+    EXPECT_EQ(runHarness({"--mem-model", "reference"}), 2);
+    triarch::study::MicroHostArgs args;
+    EXPECT_EQ(parseHostArgs({"--raw-stepper=fast"}, &args), 2);
+    EXPECT_EQ(parseHostArgs({"--mem-model", "span"}, &args), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    for (const char *flag : {"--raw-stepper", "--mem-model"}) {
         EXPECT_NE(err.find("bench: unknown option '" + std::string(flag)
                            + "'"),
                   std::string::npos)
             << err;
-        EXPECT_NE(err.find("micro_host: " + std::string(flag) + " wants "),
-                  std::string::npos)
-            << err;
     }
+    EXPECT_NE(err.find("micro_host: --raw-stepper wants "),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("micro_host: unknown option '--mem-model'"),
+              std::string::npos)
+        << err;
 }
 
 TEST(ModelFlags, AcceptedValuesSetTheProcessDefaults)
 {
-    using triarch::mem::MemModel;
     using triarch::raw::RawStepper;
 
     triarch::study::MicroHostArgs args;
-    EXPECT_FALSE(parseHostArgs({"--mem-model", "reference",
-                                "--raw-stepper", "reference"},
-                               &args)
+    EXPECT_FALSE(parseHostArgs({"--raw-stepper", "reference"}, &args)
                      .has_value());
-    EXPECT_EQ(triarch::mem::defaultMemModel(), MemModel::Reference);
     EXPECT_EQ(triarch::raw::defaultRawStepper(), RawStepper::Reference);
 
     EXPECT_FALSE(
-        parseHostArgs({"--mem-model=span", "--raw-stepper=event"}, &args)
-            .has_value());
-    EXPECT_EQ(triarch::mem::defaultMemModel(), MemModel::Span);
+        parseHostArgs({"--raw-stepper=event"}, &args).has_value());
     EXPECT_EQ(triarch::raw::defaultRawStepper(), RawStepper::Event);
 
-    // micro_host's help lists both flags; the harness's lists neither.
+    // micro_host's help lists --raw-stepper; the harness's does not,
+    // and neither lists the retired --mem-model.
     testing::internal::CaptureStdout();
     EXPECT_EQ(runHarness({"--help"}), 0);
     const std::string harness = testing::internal::GetCapturedStdout();
     testing::internal::CaptureStdout();
     EXPECT_EQ(parseHostArgs({"--help"}, &args), 0);
     const std::string host = testing::internal::GetCapturedStdout();
-    for (const char *flag : {"--mem-model MODE", "--raw-stepper MODE"}) {
-        EXPECT_EQ(harness.find(flag), std::string::npos) << flag;
-        EXPECT_NE(host.find(flag), std::string::npos) << flag;
-    }
+    EXPECT_EQ(harness.find("--raw-stepper"), std::string::npos);
+    EXPECT_NE(host.find("--raw-stepper MODE"), std::string::npos);
+    EXPECT_EQ(harness.find("--mem-model"), std::string::npos);
+    EXPECT_EQ(host.find("--mem-model"), std::string::npos);
 }
 
 TEST(MicroHostCli, FailedPinExitsTwoBeforeMeasuring)

@@ -5,9 +5,8 @@
  * triarch.hw.v1 round trip, the validating parser's rejection of
  * malformed or inconsistent documents, and the end-to-end
  * determinism contracts — the rendered report is bit-identical at
- * any worker-thread count, under the Span and Reference memory
- * models (including the fuzz boundary configs), and under the Raw
- * event and reference steppers.
+ * any worker-thread count and under the Raw event and reference
+ * steppers.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "mem/mem_mode.hh"
 #include "raw/config.hh"
 #include "sim/hw_report.hh"
 #include "sim/rng.hh"
-#include "study/config_check.hh"
 #include "study/fuzz.hh"
 #include "study/parallel.hh"
 
@@ -393,21 +390,6 @@ smallConfig()
     return cfg;
 }
 
-/** RAII override of the process-wide default memory model. */
-class MemModelOverride
-{
-  public:
-    explicit MemModelOverride(mem::MemModel m)
-        : saved(mem::defaultMemModel())
-    {
-        mem::setDefaultMemModel(m);
-    }
-    ~MemModelOverride() { mem::setDefaultMemModel(saved); }
-
-  private:
-    mem::MemModel saved;
-};
-
 /** RAII override of the process-wide default Raw stepper. */
 class RawStepperOverride
 {
@@ -443,22 +425,6 @@ hwDoc(const StudyConfig &cfg, const std::vector<Cell> &cells,
             std::move(results)};
 }
 
-/** Every cell whose machine reads mem::defaultMemModel() (D13). */
-std::vector<Cell>
-spanCells()
-{
-    std::vector<Cell> cells;
-    for (const MachineId m :
-         {MachineId::PpcScalar, MachineId::PpcAltivec, MachineId::Viram}) {
-        for (const KernelId k :
-             {KernelId::CornerTurn, KernelId::Cslc,
-              KernelId::BeamSteering}) {
-            cells.push_back({m, k});
-        }
-    }
-    return cells;
-}
-
 TEST(HwReportDeterminism, BitIdenticalAcrossThreadCounts)
 {
     const StudyConfig cfg = smallConfig();
@@ -483,41 +449,6 @@ TEST(HwReportDeterminism, BitIdenticalAcrossThreadCounts)
             << cell.machine << "/" << cell.kernel;
         EXPECT_GT(cell.timeline.epochs(), 0u)
             << cell.machine << "/" << cell.kernel;
-    }
-    hw::HwRegistry::global().clear();
-}
-
-TEST(HwReportDeterminism, SpanAndReferenceModelsAgree)
-{
-    // The D13 contract extended to the hardware counters: both
-    // memory models must produce byte-identical hw documents, on the
-    // paper config, the default-shaped small config and across the
-    // fuzz sweep's hand-written boundary configs.
-    const std::vector<Cell> cells = spanCells();
-    std::vector<StudyConfig> configs{StudyConfig{}, smallConfig()};
-    FuzzOptions opts;
-    opts.randomConfigs = 0;
-    for (const StudyConfig &cfg : enumerateFuzzConfigs(opts)) {
-        if (validateConfig(cfg))
-            continue;           // invalid-on-purpose boundary config
-        configs.push_back(cfg);
-        if (configs.size() == 5)
-            break;              // keep the suite seconds-fast
-    }
-    ASSERT_GE(configs.size(), 4u);
-
-    for (const StudyConfig &cfg : configs) {
-        SCOPED_TRACE(describeConfig(cfg));
-        std::string ref;
-        {
-            MemModelOverride guard(mem::MemModel::Reference);
-            ref = hwDoc(cfg, cells, 1).doc;
-        }
-        MemModelOverride guard(mem::MemModel::Span);
-        for (const unsigned threads : {1u, 2u}) {
-            EXPECT_EQ(hwDoc(cfg, cells, threads).doc, ref)
-                << threads << " threads";
-        }
     }
     hw::HwRegistry::global().clear();
 }

@@ -346,6 +346,13 @@ TEST(Tlb, FlushForgetsAll)
     EXPECT_EQ(tlb.access(0x0), 25u);
 }
 
+TEST(Tlb, NonPowerOfTwoPageDies)
+{
+    // Pages are shifts, never divisions (pageOf).
+    EXPECT_DEATH(Tlb("t", 4, 3 * 1024, 25), "page size must be 2\\^n");
+    EXPECT_DEATH(Tlb("t", 4, 4100, 25), "page size must be 2\\^n");
+}
+
 TEST(Port, TransferTimeMatchesRate)
 {
     BandwidthPort port("p", 2, 1);      // 2 words/cycle

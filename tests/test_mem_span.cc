@@ -1,20 +1,19 @@
 /**
  * @file
- * Differential tests for the span-batched memory model (DESIGN D13).
- * Span mode — way-predicted cache hits, TLB page runs, bulk span
- * classification in the machine models — is an optimization of the
- * word-at-a-time reference walks, never a semantic change: every
- * primitive and every study-level PPC/AltiVec/VIRAM cell must
- * produce bit-identical timing, statistics, and D9 cycle partitions
- * under both models, serially and at every thread count (mirroring
- * the Raw stepper contract in test_raw_event.cc). Imagine has one
- * DRAM walk, so its cells have nothing to compare here.
+ * Witness tests for the span-batched memory walk (DESIGN D13), the
+ * one memory walk of the G4/AltiVec and VIRAM models. Each batched
+ * primitive is checked against its word-at-a-time reference on every
+ * access: the way-predicted cache hit against the full tag scan, and
+ * a TLB page run against a loop of single translations. VIRAM's
+ * strided chunk/page runs are checked against its per-element gather
+ * walk in test_viram.cc. At study level, every G4/AltiVec/VIRAM cell
+ * over the fuzz boundary configs must validate and match its serial
+ * result at every thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
-#include "mem/mem_mode.hh"
 #include "sim/rng.hh"
 #include "study/fuzz.hh"
 #include "study/parallel.hh"
@@ -93,22 +92,7 @@ namespace triarch::study
 namespace
 {
 
-/** RAII override of the process-wide default memory model. */
-class MemModelOverride
-{
-  public:
-    explicit MemModelOverride(mem::MemModel m)
-        : saved(mem::defaultMemModel())
-    {
-        mem::setDefaultMemModel(m);
-    }
-    ~MemModelOverride() { mem::setDefaultMemModel(saved); }
-
-  private:
-    mem::MemModel saved;
-};
-
-/** Every cell whose machine reads mem::defaultMemModel() (D13). */
+/** Every cell on the span walk: the G4, AltiVec and VIRAM. */
 std::vector<Cell>
 spanCells()
 {
@@ -124,62 +108,11 @@ spanCells()
     return cells;
 }
 
-TEST(MemSpanDifferential, DefaultConfigPinnedPartitions)
-{
-    // The default study config, both models: bit-identical results,
-    // and the D9 partition stays an exact partition. Two cells are
-    // pinned to the committed Table-3 baseline numbers so a drift
-    // that slipped past the differential (both modes wrong the same
-    // way) still trips here.
-    const StudyConfig cfg;
-    std::vector<RunResult> span, ref;
-    {
-        MemModelOverride guard(mem::MemModel::Span);
-        ParallelRunner runner(cfg, 1, nullptr,
-                              ParallelRunner::noCache());
-        span = runner.runCells(spanCells());
-    }
-    {
-        MemModelOverride guard(mem::MemModel::Reference);
-        ParallelRunner runner(cfg, 1, nullptr,
-                              ParallelRunner::noCache());
-        ref = runner.runCells(spanCells());
-    }
-    ASSERT_EQ(span.size(), ref.size());
-    for (std::size_t i = 0; i < span.size(); ++i) {
-        EXPECT_EQ(span[i], ref[i]) << "cell " << i;
-        EXPECT_EQ(span[i].breakdown.categorySum(),
-                  span[i].breakdown.total)
-            << "cell " << i;
-        EXPECT_EQ(span[i].breakdown.total, span[i].cycles)
-            << "cell " << i;
-    }
-    for (const RunResult &r : span) {
-        using stats::CycleCategory;
-        if (r.machine == MachineId::PpcScalar
-            && r.kernel == KernelId::CornerTurn) {
-            // bench/baselines/BENCH_table3.json, ppc/ct.
-            EXPECT_EQ(r.cycles, 25261710u);
-            EXPECT_EQ(r.breakdown[CycleCategory::Compute], 2916352u);
-            EXPECT_EQ(r.breakdown[CycleCategory::CacheStall],
-                      7340032u);
-            EXPECT_EQ(r.breakdown[CycleCategory::DramDma], 15005326u);
-        }
-        if (r.machine == MachineId::Viram
-            && r.kernel == KernelId::CornerTurn) {
-            // bench/baselines/BENCH_table3.json, viram/ct.
-            EXPECT_EQ(r.cycles, 519037u);
-            EXPECT_EQ(r.breakdown[CycleCategory::DramDma], 519036u);
-            EXPECT_EQ(r.breakdown[CycleCategory::NetworkSync], 1u);
-        }
-    }
-}
-
 TEST(MemSpanDifferential, BoundaryConfigsAcrossThreadCounts)
 {
     // The fuzz sweep's hand-written boundary configs, every span
-    // machine and kernel, reference at one thread against span at
-    // 1/2/8 threads.
+    // machine and kernel: each cell validates, and 2 and 8 threads
+    // match the serial run.
     FuzzOptions opts;
     opts.randomConfigs = 0;
     const std::vector<Cell> cells = spanCells();
@@ -193,15 +126,12 @@ TEST(MemSpanDifferential, BoundaryConfigsAcrossThreadCounts)
         ++checked;
         SCOPED_TRACE(describeConfig(cfg));
 
-        std::vector<RunResult> expect;
-        {
-            MemModelOverride guard(mem::MemModel::Reference);
-            ParallelRunner runner(cfg, 1, nullptr,
-                                  ParallelRunner::noCache());
-            expect = runner.runCells(cells);
-        }
-        MemModelOverride guard(mem::MemModel::Span);
-        for (const unsigned threads : {1u, 2u, 8u}) {
+        ParallelRunner serial(cfg, 1, nullptr, ParallelRunner::noCache());
+        const std::vector<RunResult> expect = serial.runCells(cells);
+        for (const RunResult &r : expect)
+            EXPECT_TRUE(r.validated) << machineName(r.machine) << " / "
+                                     << kernelName(r.kernel);
+        for (const unsigned threads : {2u, 8u}) {
             ParallelRunner runner(cfg, threads, nullptr,
                                   ParallelRunner::noCache());
             const std::vector<RunResult> got = runner.runCells(cells);

@@ -13,6 +13,7 @@
 
 #include "kernels/fft.hh"
 #include "sim/bitutil.hh"
+#include "sim/rng.hh"
 #include "viram/kernels_viram.hh"
 #include "viram/machine.hh"
 
@@ -544,6 +545,147 @@ TEST(ViramIndexed, GatherOutOfRangeDies)
     m.setvl(1);
     m.vldUnit(4, idxMem);
     EXPECT_DEATH(m.vldIndexed(5, 0, 4), "outside on-chip");
+}
+
+// ---------------------------------------------------------------
+// The strided span walk against the per-element gather walk. A
+// strided access batches its bank/row and TLB classification into
+// interleave-chunk and page runs (D13); a gather over the same
+// addresses walks the same state one element at a time. Twin
+// machines issuing the two must leave every memory counter equal.
+// ---------------------------------------------------------------
+
+struct SpanWalkGeometry
+{
+    unsigned banks;
+    Addr rowBytes;
+    Addr interleaveBytes;
+    Addr pageBytes;
+    unsigned tlbEntries;
+};
+
+/** The counters both walks must agree on, in a printable row. */
+std::vector<std::uint64_t>
+memCounters(ViramMachine &m)
+{
+    stats::StatGroup &g = m.statGroup();
+    stats::StatGroup &tlb = *m.componentGroups().at(0).second;
+    return {g.scalar("row_misses"), g.scalar("row_overhead"),
+            g.scalar("tlb_overhead"), g.scalar("mem_words"),
+            tlb.scalar("hits"), tlb.scalar("misses")};
+}
+
+/** Run @p ops seeded strided ops on one twin and the matching
+ *  gathers/scatters on the other; the number of ops whose counters
+ *  diverged. */
+unsigned
+spanWalkMismatches(const SpanWalkGeometry &geo, std::uint64_t seed,
+                   unsigned ops)
+{
+    ViramConfig cfg;
+    cfg.memBytes = 8 * 1024 * 1024;
+    cfg.banks = geo.banks;
+    cfg.rowBytes = geo.rowBytes;
+    cfg.bankInterleaveBytes = geo.interleaveBytes;
+    cfg.pageBytes = geo.pageBytes;
+    cfg.tlbEntries = geo.tlbEntries;
+    ViramMachine strided(cfg), gather(cfg);
+
+    // Strides that stay in one chunk, step across chunk, row and page
+    // boundaries, land exactly on them, or repeat one address.
+    const Addr ilv = geo.interleaveBytes, page = geo.pageBytes;
+    const std::vector<Addr> strides = {
+        0, 4, 8, 12, 28, ilv - 4, ilv, ilv + 4, geo.rowBytes,
+        page - 4, page, page + 4, 2 * page + 12, 3 * ilv / 2 + 4};
+
+    const Addr idxAddr = cfg.memBytes - 4 * cfg.maxVl;
+    constexpr Vreg vidx = 4, vdata = 5;
+    Rng rng(seed);
+    Addr addr = 0;
+    unsigned mismatches = 0;
+    for (unsigned op = 0; op < ops; ++op) {
+        const unsigned vl =
+            1 + static_cast<unsigned>(rng.nextBelow(cfg.maxVl));
+        Addr stride = rng.nextBelow(4) == 0
+                          ? 4 * rng.nextBelow(page / 2 + 1)
+                          : strides[rng.nextBelow(strides.size())];
+        // Keep the whole access on chip and below the index vector.
+        const Addr reach = static_cast<Addr>(vl - 1) * stride;
+        if (reach + 4 > idxAddr)
+            stride = 4;
+        const Addr room = idxAddr - static_cast<Addr>(vl - 1) * stride;
+        // Half the ops stay near the last one, so TLB entries and open
+        // rows are reused; the rest jump anywhere.
+        addr = rng.nextBelow(2) == 0
+                   ? std::min<Addr>(addr + 4 * rng.nextBelow(2 * page),
+                                    room - 4)
+                   : 4 * rng.nextBelow(room / 4);
+        addr &= ~Addr{3};
+
+        std::vector<Word> idx(vl);
+        for (unsigned i = 0; i < vl; ++i)
+            idx[i] = static_cast<Word>((addr + i * stride) / 4);
+        const bool load = rng.nextBelow(2) == 0;
+        for (ViramMachine *m : {&strided, &gather}) {
+            m->setvl(vl);
+            m->pokeWords(idxAddr, idx);
+            m->vldUnit(vidx, idxAddr);
+        }
+        if (load) {
+            strided.vldStride(vdata, addr, stride);
+            gather.vldIndexed(vdata, 0, vidx);
+        } else {
+            strided.vstStride(vdata, addr, stride);
+            gather.vstIndexed(vdata, 0, vidx);
+        }
+        const auto want = memCounters(gather);
+        const auto got = memCounters(strided);
+        if (got != want) {
+            if (++mismatches <= 3) {
+                ADD_FAILURE() << "op " << op << (load ? " load" : " store")
+                              << " vl " << vl << " addr " << addr
+                              << " stride " << stride;
+            }
+        }
+    }
+    return mismatches;
+}
+
+TEST(ViramSpanWalk, StridedMatchesGatherWalk)
+{
+    // Every geometry is a power of two (the constructor asserts it);
+    // they differ in which boundary a stride crosses first.
+    const SpanWalkGeometry geometries[] = {
+        {8, 2048, 2048, 32 * 1024, 32},     // the research chip
+        {4, 1024, 256, 4096, 8},            // chunk < row < page
+        {16, 512, 64, 8192, 4},             // many small chunks
+        {2, 256, 4096, 1024, 16},           // chunk > row, page
+        {1, 64, 16, 256, 2},                // one bank, tiny pages
+    };
+    unsigned total = 0, bad = 0;
+    std::uint64_t seed = 0x51de;
+    for (const SpanWalkGeometry &geo : geometries) {
+        SCOPED_TRACE(testing::Message()
+                     << geo.banks << " banks, row " << geo.rowBytes
+                     << ", interleave " << geo.interleaveBytes
+                     << ", page " << geo.pageBytes);
+        bad += spanWalkMismatches(geo, seed++, 2400);
+        total += 2400;
+    }
+    EXPECT_EQ(bad, 0u) << "of " << total << " ops";
+}
+
+TEST(ViramSpanWalk, NonPowerOfTwoGeometryDies)
+{
+    ViramConfig cfg = testConfig();
+    cfg.banks = 6;
+    EXPECT_DEATH(ViramMachine{cfg}, "powers of two");
+    cfg = testConfig();
+    cfg.rowBytes = 1536;
+    EXPECT_DEATH(ViramMachine{cfg}, "powers of two");
+    cfg = testConfig();
+    cfg.bankInterleaveBytes = 3072;
+    EXPECT_DEATH(ViramMachine{cfg}, "powers of two");
 }
 
 } // namespace
