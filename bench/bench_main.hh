@@ -25,9 +25,10 @@
  *   --log-level LEVEL   quiet, warn, inform, or debug
  *   --help              usage
  *
- * Flags accept both "--flag value" and "--flag=value". The memory
- * model and Raw stepper are not harness flags: every bench runs the
- * production paths, and micro_host alone selects the references.
+ * Flags accept both "--flag value" and "--flag=value". Neither the
+ * G4/VIRAM memory walk nor the Raw run loop has a selector: every
+ * binary runs the one production path, and their references are
+ * test witnesses.
  */
 
 #ifndef TRIARCH_BENCH_BENCH_MAIN_HH

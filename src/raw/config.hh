@@ -20,7 +20,6 @@
 #ifndef TRIARCH_RAW_CONFIG_HH
 #define TRIARCH_RAW_CONFIG_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "sim/types.hh"
@@ -32,41 +31,24 @@ namespace triarch::raw
 constexpr Addr globalBase = 0x10000000;
 
 /**
- * Which interpreter loop RawMachine::run() uses. Both produce
- * bit-identical cycle counts, statistics documents, and cycle-account
- * tallies (pinned by the differential test in test_raw_event.cc);
- * Event skips `now` over spans where every tile sleeps until a known
- * wake cycle and credits the skipped tallies in bulk, Reference spins
- * one cycle at a time like the original interpreter.
+ * The interpreter loop RawMachine::run() uses, named for run
+ * metadata; there is one, the event-driven stepper (DESIGN D12). It
+ * skips `now` over spans where every tile sleeps until a known wake
+ * cycle and credits the skipped tallies in bulk. Its witness is a
+ * test, not a second machine mode: the cycle-at-a-time
+ * ReferenceRawMachine (tests/raw_reference.hh) must agree with it
+ * bit for bit (test_raw_event.cc).
  */
 enum class RawStepper : std::uint8_t
 {
     Event,      //!< event-driven: jump to the minimum pending wake
-    Reference,  //!< cycle-at-a-time reference loop
 };
 
-namespace detail
-{
-inline std::atomic<RawStepper> rawStepperDefault{RawStepper::Event};
-} // namespace detail
-
-/** The stepper a default-constructed RawConfig takes. */
-inline RawStepper
+/** The loop every RawMachine runs. */
+constexpr RawStepper
 defaultRawStepper()
 {
-    return detail::rawStepperDefault.load(std::memory_order_relaxed);
-}
-
-/**
- * Override the process-wide default stepper (differential tests and
- * micro_host --raw-stepper; mappings build their machines with a
- * default RawConfig inside the caller's override, so this is the
- * hook that reaches them).
- */
-inline void
-setDefaultRawStepper(RawStepper s)
-{
-    detail::rawStepperDefault.store(s, std::memory_order_relaxed);
+    return RawStepper::Event;
 }
 
 /** All Raw model parameters; defaults mirror the MIT prototype. */
@@ -98,7 +80,7 @@ struct RawConfig
 
     // Peripheral DRAM ports (one per tile in this model).
     Cycles portRowMissPenalty = 12;
-    Addr portRowBytes = 2048;
+    Addr portRowBytes = 2048;   //!< a power of two
 
     // Per-tile data cache over global DRAM.
     std::uint64_t cacheBytes = 32 * 1024;
@@ -109,10 +91,6 @@ struct RawConfig
 
     /** Hard cap on simulated cycles (deadlock guard). */
     Cycles maxCycles = 200'000'000;
-
-    /** Interpreter loop; the process-wide setting when the config
-     *  is constructed. */
-    RawStepper stepper = defaultRawStepper();
 };
 
 } // namespace triarch::raw

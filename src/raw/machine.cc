@@ -120,8 +120,9 @@ RawMachine::RawMachine(const RawConfig &machine_config)
               latencyByte(cfg.fpLatency), latencyByte(cfg.loadLatency)},
       sendAhead(cfg.portRowBytes / 4), group("raw")
 {
-    if (isPowerOf2(cfg.portRowBytes))
-        portRowShift = static_cast<int>(floorLog2(cfg.portRowBytes));
+    triarch_assert(isPowerOf2(cfg.portRowBytes),
+                   "Raw port row size must be a power of two");
+    portRowShift = floorLog2(cfg.portRowBytes);
     for (unsigned t = 0; t < cfg.tiles(); ++t) {
         cold[t].sram.assign(cfg.sramBytes, 0);
         mem::CacheConfig cc;
@@ -840,6 +841,14 @@ RawMachine::stepPorts(Cycles now)
     }
 }
 
+void
+RawMachine::stepAll(Cycles now)
+{
+    stepPorts(now);
+    for (unsigned t = 0; t < cfg.tiles(); ++t)
+        stepTile(t, now);
+}
+
 bool
 RawMachine::allDone() const
 {
@@ -935,23 +944,6 @@ RawMachine::nextEventCycle(Cycles from) const
 }
 
 Cycles
-RawMachine::runReference()
-{
-    Cycles now = 0;
-    while (!allDone()) {
-        stepPorts(now);
-        for (unsigned t = 0; t < cfg.tiles(); ++t)
-            stepTile(t, now);
-        ++now;
-        if (now > cfg.maxCycles) {
-            triarch_fatal("Raw simulation exceeded ", cfg.maxCycles,
-                          " cycles — deadlock or runaway program");
-        }
-    }
-    return now;
-}
-
-Cycles
 RawMachine::runEvent()
 {
     // Re-arm the scheduler state (a machine can run more than once):
@@ -1013,7 +1005,7 @@ RawMachine::run()
     // Batched execution changes the order debug-trace lines
     // interleave across tiles (never their content), so tracing runs
     // stay cycle-at-a-time.
-    batching = cfg.stepper == RawStepper::Event && !debugTrace;
+    batching = !debugTrace;
     // Routes are program properties and may change between runs, so
     // single senders are found afresh: a port fed by two tiles takes
     // their words in arrival order, which only stepping preserves.
@@ -1027,15 +1019,13 @@ RawMachine::run()
         h.soloPort = p < ports.size() && senders[p] == 1 ? &ports[p]
                                                          : nullptr;
     }
-    const Cycles now = cfg.stepper == RawStepper::Reference
-                           ? runReference()
-                           : runEvent();
+    const Cycles now = loop();
     _cycles.set(now);
 
     // Close the FIFO-residency integral: words still queued at the
     // end of the run occupied their FIFO from arrival to the final
-    // wall clock. Both steppers end at the same `now` with the same
-    // queue contents, so this stays stepper-identical.
+    // wall clock. The event loop and its test witness end at the
+    // same `now` with the same queue contents, so this agrees too.
     for (const TileHot &tile : hot) {
         for (std::size_t i = 0; i < tile.inFifo.size(); ++i) {
             if (tile.inFifo[i].first < now)

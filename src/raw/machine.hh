@@ -12,13 +12,14 @@
  * penalties); DMA-out ports drain words the tiles route to them and
  * write global memory sequentially.
  *
- * Two interchangeable run loops execute that model (DESIGN D12): the
- * reference stepper spins one cycle at a time calling every tile,
- * while the event-driven stepper keeps a next-wake cycle per tile,
- * jumps `now` to the minimum pending wake of the live tiles and busy
- * ports, and credits the skipped cycles to the sleeping tiles' stall
- * tallies in bulk. Both produce bit-identical cycle counts and
- * statistics.
+ * One run loop executes that model (DESIGN D12): the event-driven
+ * stepper keeps a next-wake cycle per tile, jumps `now` to the
+ * minimum pending wake of the live tiles and busy ports, and credits
+ * the skipped cycles to the sleeping tiles' stall tallies in bulk.
+ * Its witness lives in the tests: ReferenceRawMachine
+ * (tests/raw_reference.hh) overrides loop() to spin one cycle at a
+ * time calling every tile, and must produce bit-identical cycle
+ * counts and statistics.
  */
 
 #ifndef TRIARCH_RAW_MACHINE_HH
@@ -58,6 +59,9 @@ class RawMachine
 {
   public:
     explicit RawMachine(const RawConfig &machine_config = {});
+    virtual ~RawMachine() = default;
+    RawMachine(const RawMachine &) = delete;
+    RawMachine &operator=(const RawMachine &) = delete;
 
     const RawConfig &config() const { return cfg; }
 
@@ -191,6 +195,26 @@ class RawMachine
     /** One-paragraph block-diagram description (Figure 3). */
     std::string describe() const;
 
+  protected:
+    /** The run loop behind run(): steps the model from cycle 0 until
+     *  every tile halts and every port drains; returns the cycle
+     *  count. The machine's loop is the event stepper; the test
+     *  witness overrides it with the cycle-at-a-time reference. */
+    virtual Cycles loop() { return runEvent(); }
+
+    /** One cycle of the whole chip at @p now: every busy port, then
+     *  every tile in order. */
+    void stepAll(Cycles now);
+
+    /** Every tile has halted and every port's queues are empty, by a
+     *  full scan (the event loop tracks masks and counts instead). */
+    bool allDone() const;
+
+    /** Runs may execute tile-local instruction runs in one stepTile
+     *  call. run() sets it (off while debug tracing); a loop that
+     *  steps one cycle at a time clears it. */
+    bool batching = false;
+
   private:
     struct DmaSegment
     {
@@ -312,7 +336,7 @@ class RawMachine
     };
 
     /** Step one tile by one cycle; records one tally and refreshes
-     *  the tile's next-wake cycle (ignored by the reference loop). */
+     *  the tile's next-wake cycle (ignored by the test witness). */
     void stepTile(unsigned t, Cycles now);
     void batchTile(unsigned t, Cycles cur);
 
@@ -376,14 +400,8 @@ class RawMachine
      *  — wake the tile if it was waiting for the push. */
     [[gnu::always_inline]] void noteFifoPush(unsigned t);
 
-    /** The original cycle-at-a-time loop (kept as the differential
-     *  reference for the event stepper). */
-    Cycles runReference();
-
     /** The event-driven loop: jump to the minimum pending wake. */
     Cycles runEvent();
-
-    bool allDone() const;
 
     RawConfig cfg;
     std::vector<TileHot> hot;
@@ -395,20 +413,12 @@ class RawMachine
      *  64 MB model costs microseconds, not a 64 MB memset. */
     ZeroBuffer global;
     Addr allocNext = 64;
-    /** DRAM row of @p a (shift when portRowBytes is a power of 2;
-     *  the division sits on every streamed word otherwise). */
-    Addr rowOf(Addr a) const
-    {
-        return portRowShift >= 0 ? a >> portRowShift
-                                 : a / cfg.portRowBytes;
-    }
-    int portRowShift = -1;
+    /** DRAM row of @p a (portRowBytes is a power of two). */
+    Addr rowOf(Addr a) const { return a >> portRowShift; }
+    unsigned portRowShift = 0;
     /** logLevel() is an out-of-line call; sampled once per run() so
      *  the per-instruction debug check is a flag test. */
     bool debugTrace = false;
-    /** Event-stepper runs may execute tile-local instruction runs in
-     *  one stepTile call; always false for the reference stepper. */
-    bool batching = false;
     /** Result latency by class (int, mul, fp, load), for decode(). */
     std::array<std::uint8_t, 4> latency;
     /** Run-ahead bound of batched port sends: a batch stops sending
@@ -427,10 +437,10 @@ class RawMachine
     std::uint64_t portWork = 0;
 
     /** Epoch channels mirroring the stall tallies (busy is derived
-     *  at finalize time as the tile-cycle residual). Both steppers
-     *  credit the same per-cycle tallies — the event loop in bulk
-     *  ranges, the reference loop cycle by cycle — and the sampler
-     *  is order-independent, so the timelines are bit-identical. */
+     *  at finalize time as the tile-cycle residual). The event loop
+     *  credits the per-cycle tallies in bulk ranges, the test witness
+     *  cycle by cycle, and the sampler is order-independent, so the
+     *  timelines are bit-identical. */
     hw::EpochSampler hwSamp{{"dep", "cache", "net", "dma", "idle"}};
     /** Sum over popped static-network words of (pop cycle - arrival
      *  cycle): the FIFO-residency integral behind the mesh FIFO

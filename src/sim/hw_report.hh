@@ -17,10 +17,10 @@
  * independent of the order events are recorded in (required because
  * the Raw event stepper credits skipped cycles in bulk ranges after
  * later cycles were already recorded, and its tile-local batches run
- * ahead of the global cursor), and
- * the registry renders label-sorted — so hw documents are
- * byte-identical at any worker-thread count and under both Raw
- * steppers (D12).
+ * ahead of the global cursor), and the registry renders label-sorted
+ * — so hw documents are byte-identical at any worker-thread count,
+ * and a Raw hw cell matches the one its cycle-at-a-time test witness
+ * produces (D12).
  */
 
 #ifndef TRIARCH_SIM_HW_REPORT_HH
@@ -159,8 +159,8 @@ std::string fmt2(double v);
  * final array depends only on the set of (cycle, count) additions —
  * never on the order they arrive in. That order-independence is a
  * correctness requirement: the Raw event stepper credits bulk cycle
- * ranges out of order relative to the reference stepper, and both
- * must produce identical timelines.
+ * ranges out of order relative to its cycle-at-a-time test witness,
+ * and both must produce identical timelines.
  */
 class EpochSampler
 {

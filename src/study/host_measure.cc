@@ -1,10 +1,8 @@
 #include "host_measure.hh"
 
 #include <algorithm>
-#include <iostream>
 #include <limits>
 
-#include "raw/config.hh"
 #include "study/cli_options.hh"
 #include "study/machine_info.hh"
 #include "study/registry.hh"
@@ -108,24 +106,6 @@ parseMicroHostArgs(int argc, char **argv, MicroHostArgs *args)
                    args->grid = true;
                    return 0;
                });
-    cli.value("--raw-stepper", "MODE",
-              "Raw interpreter loop: event (default) or reference "
-              "(the cycle-at-a-time differential baseline)",
-              [&cli](const std::string &v) {
-                  if (v == "event") {
-                      raw::setDefaultRawStepper(raw::RawStepper::Event);
-                  } else if (v == "reference") {
-                      raw::setDefaultRawStepper(
-                          raw::RawStepper::Reference);
-                  } else {
-                      std::cerr << cli.prog()
-                                << ": --raw-stepper wants event or "
-                                   "reference, got '"
-                                << v << "'\n";
-                      return 2;
-                  }
-                  return 0;
-              });
     cli.logLevelFlag();
     if (const auto rc = cli.parse(argc, argv))
         return rc;

@@ -47,11 +47,9 @@ struct MicroHostArgs
 /**
  * Parse micro_host's argv with CliOptions. --machines and --kernels
  * select cells exactly as in the bench harness
- * (CliOptions::selectionFlags); --raw-stepper sets the process-wide
- * Raw stepper (raw/config.hh) for A/Bs against the reference.
- * Returns an exit code when the tool should stop (0 after --help; 2
- * on an unknown flag, machine or kernel, or an empty list), or
- * nullopt to proceed.
+ * (CliOptions::selectionFlags). Returns an exit code when the tool
+ * should stop (0 after --help; 2 on an unknown flag, machine or
+ * kernel, or an empty list), or nullopt to proceed.
  */
 std::optional<int> parseMicroHostArgs(int argc, char **argv,
                                       MicroHostArgs *args);

@@ -8,9 +8,8 @@
  * generated usage text, and the exit(2) paths for malformed values.
  * It also drives bench_diff's flag set, so a malformed gate knob can
  * never silently disable a check, micro_host's cell selection, its
- * --pin refusal (through the built binary), its --raw-stepper flag
- * (which the harness has not), and the retired --mem-model flag,
- * now unknown everywhere.
+ * --pin refusal (through the built binary), and the retired
+ * --raw-stepper and --mem-model flags, now unknown everywhere.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "bench_main.hh"
-#include "raw/config.hh"
 #include "study/bench_report.hh"
 #include "study/cli_options.hh"
 #include "study/host_measure.hh"
@@ -387,15 +385,16 @@ TEST(HarnessCli, HostStatsWithoutStatsExitsTwo)
 
 TEST(ModelFlags, BadValueReturnsTwoInHarnessAndMicroHost)
 {
-    // The harness runs the production paths only: --raw-stepper is an
-    // unknown option there, whatever its value. micro_host keeps it
-    // for its A/Bs and rejects a value it does not know. The G4/VIRAM
-    // memory walk has no selector, so --mem-model is unknown to both.
+    // Every binary runs the production paths only: neither the Raw
+    // run loop nor the G4/VIRAM memory walk has a selector, so
+    // --raw-stepper and --mem-model are unknown options in the
+    // harness and in micro_host, whatever their value.
     testing::internal::CaptureStderr();
     EXPECT_EQ(runHarness({"--raw-stepper", "reference"}), 2);
     EXPECT_EQ(runHarness({"--mem-model", "reference"}), 2);
     triarch::study::MicroHostArgs args;
-    EXPECT_EQ(parseHostArgs({"--raw-stepper=fast"}, &args), 2);
+    EXPECT_EQ(parseHostArgs({"--raw-stepper", "reference"}, &args), 2);
+    EXPECT_EQ(parseHostArgs({"--raw-stepper=event"}, &args), 2);
     EXPECT_EQ(parseHostArgs({"--mem-model", "span"}, &args), 2);
     const std::string err = testing::internal::GetCapturedStderr();
     for (const char *flag : {"--raw-stepper", "--mem-model"}) {
@@ -403,40 +402,26 @@ TEST(ModelFlags, BadValueReturnsTwoInHarnessAndMicroHost)
                            + "'"),
                   std::string::npos)
             << err;
+        EXPECT_NE(err.find("micro_host: unknown option '"
+                           + std::string(flag) + "'"),
+                  std::string::npos)
+            << err;
     }
-    EXPECT_NE(err.find("micro_host: --raw-stepper wants "),
-              std::string::npos)
-        << err;
-    EXPECT_NE(err.find("micro_host: unknown option '--mem-model'"),
-              std::string::npos)
-        << err;
 }
 
-TEST(ModelFlags, AcceptedValuesSetTheProcessDefaults)
+TEST(ModelFlags, HelpListsNoModelFlag)
 {
-    using triarch::raw::RawStepper;
-
-    triarch::study::MicroHostArgs args;
-    EXPECT_FALSE(parseHostArgs({"--raw-stepper", "reference"}, &args)
-                     .has_value());
-    EXPECT_EQ(triarch::raw::defaultRawStepper(), RawStepper::Reference);
-
-    EXPECT_FALSE(
-        parseHostArgs({"--raw-stepper=event"}, &args).has_value());
-    EXPECT_EQ(triarch::raw::defaultRawStepper(), RawStepper::Event);
-
-    // micro_host's help lists --raw-stepper; the harness's does not,
-    // and neither lists the retired --mem-model.
     testing::internal::CaptureStdout();
     EXPECT_EQ(runHarness({"--help"}), 0);
     const std::string harness = testing::internal::GetCapturedStdout();
+    triarch::study::MicroHostArgs args;
     testing::internal::CaptureStdout();
     EXPECT_EQ(parseHostArgs({"--help"}, &args), 0);
     const std::string host = testing::internal::GetCapturedStdout();
-    EXPECT_EQ(harness.find("--raw-stepper"), std::string::npos);
-    EXPECT_NE(host.find("--raw-stepper MODE"), std::string::npos);
-    EXPECT_EQ(harness.find("--mem-model"), std::string::npos);
-    EXPECT_EQ(host.find("--mem-model"), std::string::npos);
+    for (const char *flag : {"--raw-stepper", "--mem-model"}) {
+        EXPECT_EQ(harness.find(flag), std::string::npos) << flag;
+        EXPECT_EQ(host.find(flag), std::string::npos) << flag;
+    }
 }
 
 TEST(MicroHostCli, FailedPinExitsTwoBeforeMeasuring)

@@ -2,26 +2,31 @@
  * @file
  * Differential tests for the event-driven Raw stepper. The event
  * scheduler (wake times, bulk stall credit, tile-local instruction
- * batching) is an optimization of the reference cycle-by-cycle
- * interpreter, never a semantic change: every program and every
- * study-level Raw cell must produce bit-identical cycle counts,
- * stall tallies, and memory contents under both steppers, serially
- * and at every thread count.
+ * batching) is an optimization of the cycle-by-cycle interpreter,
+ * never a semantic change: every program and every Raw kernel on the
+ * paper, boundary and sweep configs must produce bit-identical cycle
+ * counts, stall tallies, statistics, hw cells and outputs on
+ * RawMachine and on its cycle-at-a-time witness, ReferenceRawMachine
+ * (raw_reference.hh).
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <sstream>
 #include <vector>
 
 #include "kernels/corner_turn.hh"
 #include "raw/assembler.hh"
 #include "raw/kernels_raw.hh"
 #include "raw/machine.hh"
+#include "raw_reference.hh"
 #include "sim/bitutil.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "study/config_check.hh"
+#include "study/experiment.hh"
 #include "study/fuzz.hh"
-#include "study/parallel.hh"
 
 namespace triarch::raw
 {
@@ -34,24 +39,31 @@ using Readback = std::function<std::vector<Word>(const RawMachine &)>;
 /** Set up a workload on a machine and run it; returns the cycles. */
 using Drive = std::function<Cycles(RawMachine &)>;
 
+/** The rendered stat group of @p m (every scalar, the tile-share
+ *  distribution and the account_* breakdown). */
+std::string
+statsText(RawMachine &m)
+{
+    std::ostringstream os;
+    m.statGroup().dump(os);
+    return os.str();
+}
+
 /**
- * Drive the same workload on a reference-stepped and an
- * event-stepped machine and require every observable — cycle count,
- * scalar stats, the six per-tile-cycle tallies, per-tile
- * instruction/idle figures, the hw report (breakdown, metrics,
- * verdict, epoch timeline), and the optional @p readback words — to
- * match exactly.
+ * Drive the same workload on the reference witness and on the
+ * production (event-stepped) machine and require every observable —
+ * cycle count, scalar stats, the six per-tile-cycle tallies,
+ * per-tile instruction/idle figures, the hw report (breakdown,
+ * metrics, verdict, epoch timeline), the rendered stat group, and
+ * the optional @p readback words — to match exactly. @p drive
+ * returns the total the breakdown and hw cell are taken against.
  */
 void
 expectRunsAgree(const Drive &drive, RawConfig base = RawConfig{},
                 const Readback &readback = {})
 {
-    RawConfig refCfg = base;
-    refCfg.stepper = RawStepper::Reference;
-    RawConfig evtCfg = base;
-    evtCfg.stepper = RawStepper::Event;
-
-    RawMachine ref(refCfg), evt(evtCfg);
+    ReferenceRawMachine ref(base);
+    RawMachine evt(base);
     const Cycles refCycles = drive(ref);
     const Cycles evtCycles = drive(evt);
     EXPECT_EQ(refCycles, evtCycles);
@@ -85,6 +97,7 @@ expectRunsAgree(const Drive &drive, RawConfig base = RawConfig{},
     const stats::CycleBreakdown evtSplit = evt.cycleBreakdown(evtCycles);
     EXPECT_EQ(ref.hwCell(refCycles, refSplit),
               evt.hwCell(evtCycles, evtSplit));
+    EXPECT_EQ(statsText(ref), statsText(evt));
 
     if (readback) {
         EXPECT_EQ(readback(ref), readback(evt));
@@ -330,9 +343,7 @@ TEST(RawEventDifferential, DmaChainBesideCachedGlobalReader)
     };
     expectSteppersAgree(setup, RawConfig{}, readback);
 
-    RawConfig evtCfg;
-    evtCfg.stepper = RawStepper::Event;
-    RawMachine evt(evtCfg);
+    RawMachine evt;
     setup(evt);
     evt.run();
     std::vector<Word> expect = data;
@@ -379,9 +390,7 @@ TEST(RawEventDifferential, TwoTilesSharingOnePortKeepWordOrder)
     };
     expectSteppersAgree(setup, RawConfig{}, readback);
 
-    RawConfig evtCfg;
-    evtCfg.stepper = RawStepper::Event;
-    RawMachine evt(evtCfg);
+    RawMachine evt;
     setup(evt);
     evt.run();
     const std::vector<Word> got = readback(evt);
@@ -566,83 +575,161 @@ TEST(RawEventDifferential, MeshSizeOutsideMaskWidthIsFatal)
     EXPECT_EQ(widest.config().tiles(), 64u);
 }
 
+/** Run a tile that waits forever on $csti, capped at 5000 cycles. */
+template <typename Machine>
+void
+runDeadlock()
+{
+    RawConfig cfg;
+    cfg.maxCycles = 5000;
+    Machine m(cfg);
+    Assembler as;
+    as.move(1, regCsti);
+    as.halt();
+    m.setProgram(0, as.finish());
+    m.run();
+}
+
 TEST(RawEventDifferential, MaxCyclesDeadlockIsFatalInBothModes)
 {
     // The skip-ahead must not jump past the runaway guard.
-    for (const RawStepper s :
-         {RawStepper::Reference, RawStepper::Event}) {
-        RawConfig cfg;
-        cfg.maxCycles = 5000;
-        cfg.stepper = s;
-        EXPECT_DEATH(
-            {
-                RawMachine m(cfg);
-                Assembler as;
-                as.move(1, regCsti);
-                as.halt();
-                m.setProgram(0, as.finish());
-                m.run();
-            },
-            "deadlock");
-    }
+    EXPECT_DEATH(runDeadlock<ReferenceRawMachine>(), "deadlock");
+    EXPECT_DEATH(runDeadlock<RawMachine>(), "deadlock");
+}
+
+TEST(RawEventDifferential, NonPowerOfTwoPortRowDies)
+{
+    RawConfig cfg;
+    cfg.portRowBytes = 1536;
+    EXPECT_DEATH(RawMachine{cfg}, "power of two");
+}
+
+TEST(RawEventDifferential, DebugTraceRunMatchesBatchedRun)
+{
+    // At LogLevel::Debug run() steps every op so the trace lines keep
+    // their cycle order; quietly it batches tile-local runs. The two
+    // must agree on everything the run reports.
+    const kernels::WordMatrix src = testMatrix(128);
+    const auto turn = [&](RawMachine &m) {
+        kernels::WordMatrix dst;
+        const Cycles cycles = cornerTurnRaw(m, src, dst);
+        EXPECT_TRUE(kernels::isTransposeOf(src, dst));
+        return cycles;
+    };
+    RawMachine quiet, traced;
+    const Cycles quietCycles = turn(quiet);
+    const LogLevel saved = logLevel();
+    setLogLevel(LogLevel::Debug);
+    testing::internal::CaptureStderr();
+    const Cycles tracedCycles = turn(traced);
+    const std::string log = testing::internal::GetCapturedStderr();
+    setLogLevel(saved);
+    EXPECT_NE(log.find("raw tile 0 @"), std::string::npos);
+
+    EXPECT_EQ(quietCycles, tracedCycles);
+    const auto a = quiet.stallTallies();
+    const auto b = traced.stallTallies();
+    EXPECT_EQ(a.busy, b.busy);
+    EXPECT_EQ(a.dep, b.dep);
+    EXPECT_EQ(a.cache, b.cache);
+    EXPECT_EQ(a.net, b.net);
+    EXPECT_EQ(a.dma, b.dma);
+    EXPECT_EQ(a.idle, b.idle);
+    const stats::CycleBreakdown quietSplit =
+        quiet.cycleBreakdown(quietCycles);
+    const stats::CycleBreakdown tracedSplit =
+        traced.cycleBreakdown(tracedCycles);
+    EXPECT_EQ(quiet.hwCell(quietCycles, quietSplit),
+              traced.hwCell(tracedCycles, tracedSplit));
+    EXPECT_EQ(statsText(quiet), statsText(traced));
 }
 
 } // namespace
 } // namespace triarch::raw
 
-// Study-level: the fuzz sweep's boundary configs, run on every Raw
-// cell under both steppers and at several thread counts.
+// Study-level: the three Raw kernels on the paper config, the fuzz
+// sweep's boundary configs and seeded sweep shapes, each on the
+// witness and the production machine.
 namespace triarch::study
 {
 namespace
 {
 
-/** RAII override of the process-wide default stepper. */
-class StepperOverride
-{
-  public:
-    explicit StepperOverride(raw::RawStepper s)
-        : saved(raw::defaultRawStepper())
-    {
-        raw::setDefaultRawStepper(s);
-    }
-    ~StepperOverride() { raw::setDefaultRawStepper(saved); }
-
-  private:
-    raw::RawStepper saved;
-};
-
-/** The three Raw cells of @p cfg agree bit for bit between the
- *  reference stepper at one thread and the event stepper at
- *  @p threads. */
+/**
+ * Run one Raw kernel through raw::expectRunsAgree: @p run fills its
+ * output and returns the total the cell reports; both outputs must
+ * match each other and pass @p valid.
+ */
+template <typename Out, typename Run, typename Valid>
 void
-expectRawCellsAgree(const StudyConfig &cfg,
-                    std::initializer_list<unsigned> threads)
+expectKernelAgrees(Run run, Valid valid)
 {
-    const std::vector<Cell> rawCells = {
-        {MachineId::Raw, KernelId::CornerTurn},
-        {MachineId::Raw, KernelId::Cslc},
-        {MachineId::Raw, KernelId::BeamSteering},
-    };
-    std::vector<RunResult> expect;
+    std::vector<Out> outs;
+    raw::expectRunsAgree([&](raw::RawMachine &m) {
+        Out out;
+        const Cycles cycles = run(m, out);
+        outs.push_back(std::move(out));
+        return cycles;
+    });
+    ASSERT_EQ(outs.size(), 2u);
+    EXPECT_TRUE(outs[0] == outs[1]);
+    EXPECT_TRUE(valid(outs[1]));
+}
+
+/** The three Raw kernels of @p cfg agree bit for bit between the
+ *  witness and the production machine, on @p cfg's workloads. */
+void
+expectRawKernelsAgree(const StudyConfig &cfg)
+{
+    const std::shared_ptr<const Workloads> work = buildWorkloads(cfg);
     {
-        StepperOverride guard(raw::RawStepper::Reference);
-        ParallelRunner runner(cfg, 1, nullptr, ParallelRunner::noCache());
-        expect = runner.runCells(rawCells);
+        SCOPED_TRACE("corner turn");
+        expectKernelAgrees<kernels::WordMatrix>(
+            [&](raw::RawMachine &m, kernels::WordMatrix &dst) {
+                return raw::cornerTurnRaw(m, work->matrix, dst);
+            },
+            [&](const kernels::WordMatrix &dst) {
+                return kernels::isTransposeOf(work->matrix, dst);
+            });
     }
-    StepperOverride guard(raw::RawStepper::Event);
-    for (const unsigned n : threads) {
-        ParallelRunner runner(cfg, n, nullptr, ParallelRunner::noCache());
-        const std::vector<RunResult> got = runner.runCells(rawCells);
-        ASSERT_EQ(got.size(), expect.size());
-        for (std::size_t i = 0; i < expect.size(); ++i) {
-            EXPECT_EQ(got[i], expect[i]) << n << " threads, cell " << i;
-            EXPECT_TRUE(got[i].validated) << "cell " << i;
-        }
+    {
+        // The cell reports the load-balance extrapolation, so the hw
+        // cell is compared against it, as the registry takes it.
+        SCOPED_TRACE("cslc");
+        using Main = std::vector<std::vector<kernels::cfloat>>;
+        expectKernelAgrees<Main>(
+            [&](raw::RawMachine &m, Main &main) {
+                kernels::CslcOutput out;
+                const raw::RawCslcResult r = raw::cslcRaw(
+                    m, cfg.cslc, work->cslcIn, work->weights, out);
+                main = std::move(out.main);
+                return r.balancedCycles;
+            },
+            [&](const Main &main) {
+                return cslcOutputValid(cfg, *work,
+                                       kernels::CslcOutput{main},
+                                       kernels::FftAlgo::Radix2);
+            });
+    }
+    {
+        SCOPED_TRACE("beam steering");
+        expectKernelAgrees<std::vector<std::int32_t>>(
+            [&](raw::RawMachine &m, std::vector<std::int32_t> &out) {
+                return raw::beamSteeringRaw(m, cfg.beam, work->tables,
+                                            out);
+            },
+            [&](const std::vector<std::int32_t> &out) {
+                return out == work->beamRef;
+            });
     }
 }
 
-TEST(RawEventDifferential, BoundaryConfigsAcrossThreadCounts)
+TEST(RawEventDifferential, PaperConfigKernels)
+{
+    expectRawKernelsAgree(StudyConfig{});
+}
+
+TEST(RawEventDifferential, FuzzBoundaryConfigs)
 {
     FuzzOptions opts;
     opts.randomConfigs = 0;     // the hand-written boundary set only
@@ -655,11 +742,10 @@ TEST(RawEventDifferential, BoundaryConfigsAcrossThreadCounts)
             break;              // keep the suite seconds-fast
         ++checked;
         SCOPED_TRACE(describeConfig(cfg));
-        expectRawCellsAgree(cfg, {1u, 2u, 8u});
+        expectRawKernelsAgree(cfg);
     }
     EXPECT_GE(checked, 4u) << "boundary set shrank unexpectedly";
 }
-
 TEST(RawEventDifferential, SeededSweepShapesAcrossSteppers)
 {
     // Seeded shapes from the ranges perfbench's sweep draws from:
@@ -688,7 +774,7 @@ TEST(RawEventDifferential, SeededSweepShapesAcrossSteppers)
             continue;
         ++checked;
         SCOPED_TRACE(describeConfig(cfg));
-        expectRawCellsAgree(cfg, {1u, 2u});
+        expectRawKernelsAgree(cfg);
     }
     EXPECT_GE(checked, 4u) << "too few sweep shapes were valid";
 }
