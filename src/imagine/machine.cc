@@ -206,6 +206,10 @@ ImagineMachine::storeStream(const StreamRef &ref,
     trace::TraceScope scope("imagine.store_stream", "imagine", &group);
     triarch_assert(pattern.totalWords() == ref.words,
                    "stream/pattern length mismatch");
+    triarch_assert(pattern.base
+                       + (pattern.records - 1) * pattern.strideBytes
+                       + pattern.recordWords * 4 <= dram.size(),
+                   "stream store outside DRAM");
 
     // Functional copy SRF -> DRAM (one flat copy when the records
     // abut).

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <functional>
 #include <sstream>
+#include <tuple>
 
 #include "sim/bitutil.hh"
 #include "sim/logging.hh"
@@ -114,7 +116,7 @@ latencyByte(Cycles lat)
 RawMachine::RawMachine(const RawConfig &machine_config)
     : cfg(checkMeshSize(machine_config)), hot(cfg.tiles()),
       cold(cfg.tiles()),
-      wake(cfg.tiles(), kNever), ports(cfg.tiles()),
+      wake(cfg.tiles(), kNever), ports(cfg.tiles()), lanes(cfg.tiles()),
       global(cfg.globalBytes),
       latency{latencyByte(cfg.intLatency), latencyByte(cfg.mulLatency),
               latencyByte(cfg.fpLatency), latencyByte(cfg.loadLatency)},
@@ -181,7 +183,9 @@ RawMachine::pokeGlobal(Addr addr, std::span<const Word> words)
     const Addr off = addr - globalBase;
     triarch_assert(off + words.size() * 4 <= global.size(),
                    "poke outside global DRAM");
-    std::memcpy(global.data() + off, words.data(), words.size() * 4);
+    // An empty span's data() may be null, which memcpy must not get.
+    if (!words.empty())
+        std::memcpy(global.data() + off, words.data(), words.size() * 4);
 }
 
 std::vector<Word>
@@ -199,7 +203,8 @@ RawMachine::peekGlobalInto(Addr addr, std::span<Word> out) const
     const Addr off = addr - globalBase;
     triarch_assert(off + out.size() * 4 <= global.size(),
                    "peek outside global DRAM");
-    std::memcpy(out.data(), global.data() + off, out.size() * 4);
+    if (!out.empty())
+        std::memcpy(out.data(), global.data() + off, out.size() * 4);
 }
 
 inline std::uint32_t
@@ -218,7 +223,7 @@ RawMachine::decode(const Instr &in) const
     const unsigned popRt = rt == regCsti;
     const unsigned send = rd == regCsto;
     const unsigned sink = (rd == 0) | send;
-    const unsigned batch = !(popRs | popRt | f.step);
+    const unsigned batch = !f.step;
     return static_cast<unsigned>(in.op) | popRs << 5 | popRt << 6
            | send << 7 | (sink ? regSink : rd) << 8
            | (popRs ? 0 : rs) << 13 | (popRt ? 0 : rt) << 18
@@ -293,12 +298,25 @@ RawMachine::setRoute(unsigned tile, unsigned endpoint)
 }
 
 void
+RawMachine::checkSegment(Addr base, unsigned words) const
+{
+    // Checked arithmetic: the byte length is taken in 64 bits, so a
+    // huge word count cannot wrap the test and let a port walk past
+    // the mapping (ASan does not watch it, zero_buffer.hh).
+    triarch_assert(base >= globalBase, "DMA below global base");
+    const Addr off = base - globalBase;
+    const std::uint64_t bytes = std::uint64_t{words} * 4;
+    triarch_assert(off <= global.size() && bytes <= global.size() - off,
+                   "DMA segment outside global DRAM");
+}
+
+void
 RawMachine::dmaIn(unsigned port, unsigned dstTile, Addr base,
                   unsigned words)
 {
     triarch_assert(port < ports.size() && dstTile < cfg.tiles(),
                    "bad port or tile");
-    triarch_assert(base >= globalBase, "DMA below global base");
+    checkSegment(base, words);
     // A zero-word segment is a no-op. Queueing it would wedge the
     // port: stepPorts() only retires a segment after streaming a
     // word, so done (1, 2, ...) never equals words (0) and the run
@@ -306,7 +324,7 @@ RawMachine::dmaIn(unsigned port, unsigned dstTile, Addr base,
     if (words == 0)
         return;
     hot[dstTile].dmaFed = true;
-    ports[port].inQueue.push_back({base - globalBase, words, dstTile});
+    ports[port].inQueue.segs.push_back({base - globalBase, words, dstTile});
     busyPortMask |= bitOf(port);
     ++portWork;
 }
@@ -315,7 +333,7 @@ void
 RawMachine::dmaOut(unsigned port, Addr base, unsigned words)
 {
     triarch_assert(port < ports.size(), "bad port");
-    triarch_assert(base >= globalBase, "DMA below global base");
+    checkSegment(base, words);
     if (words == 0)
         return;
     ports[port].outQueue.push_back({base - globalBase, words, 0});
@@ -341,6 +359,18 @@ RawMachine::noteFifoPush(unsigned t)
         wake[t] = h.inFifo[h.waitPops - 1].first;
         h.waitPops = 0;
     }
+}
+
+inline void
+RawMachine::soloSend(Port &port, Word value, Cycles now)
+{
+    port.arrivals.emplace_back(now + cfg.netBaseLatency + 1, value);
+}
+
+void
+RawMachine::soloSendCold(Port &port, Word value, Cycles now)
+{
+    soloSend(port, value, now);
 }
 
 inline void
@@ -387,6 +417,22 @@ RawMachine::tallyStall(TileStall kind, Cycles now)
     hwSamp.addAt(static_cast<std::size_t>(kind) - 1, now);
 }
 
+inline Word
+RawMachine::popWord(unsigned t, TileHot &tile, Cycles now)
+{
+    // The caller saw the word arrive, so now - arrival is its FIFO
+    // residency. A lane records the pop: it frees the word's slot for
+    // the word cap places later from the next cycle on.
+    fifoWordCycles += now - tile.inFifo.front().first;
+    const Word v = tile.inFifo.front().second;
+    tile.inFifo.pop_front();
+    if (tile.lane()) {
+        Lane &ln = lanes[t];
+        ln.free[ln.popped++ & laneMask] = now + 1;
+    }
+    return v;
+}
+
 void
 RawMachine::stepTile(unsigned t, Cycles now)
 {
@@ -414,21 +460,27 @@ RawMachine::stepTile(unsigned t, Cycles now)
     const Uop u = tile.op(tile.pc);
 
     // Network-input availability: each $csti operand pops one word.
-    const unsigned pops = u.popRs() + u.popRt();
-    if (pops > 0
-        && (tile.inFifo.size() < pops
-            || tile.inFifo[pops - 1].first > now)) {
-        ++_netStalls;
-        tile.stallKind = tile.dmaFed ? TileStall::Dma : TileStall::Net;
-        tallyStall(tile.stallKind, now);
-        tile.stallUntil = now + 1;
-        if (tile.inFifo.size() >= pops) {
-            wake[t] = tile.inFifo[pops - 1].first;
-        } else {
-            tile.waitPops = static_cast<std::uint8_t>(pops);
-            wake[t] = kNever;
+    // A lane's port is not stepped: its words are pulled into the
+    // FIFO here, with the cycles the port would have pushed them.
+    const unsigned pops = u.pops();
+    if (pops > 0) {
+        if (tile.lane() && tile.inFifo.size() < pops)
+            laneStage(t, pops);
+        if (tile.inFifo.size() < pops
+            || tile.inFifo[pops - 1].first > now) {
+            ++_netStalls;
+            tile.stallKind =
+                tile.dmaFed ? TileStall::Dma : TileStall::Net;
+            tallyStall(tile.stallKind, now);
+            tile.stallUntil = now + 1;
+            if (tile.inFifo.size() >= pops) {
+                wake[t] = tile.inFifo[pops - 1].first;
+            } else {
+                tile.waitPops = static_cast<std::uint8_t>(pops);
+                wake[t] = kNever;
+            }
+            return;
         }
-        return;
     }
 
     // Dynamic-network receive availability.
@@ -471,8 +523,15 @@ RawMachine::stepTile(unsigned t, Cycles now)
         return;
     }
 
+    // A $csti operand pops its word, rs before rt.
+    Word a = tile.regs[u.rs()];
+    Word b = tile.regs[u.rt()];
+    if (u.popRs())
+        a = popWord(t, tile, now);
+    if (u.popRt())
+        b = popWord(t, tile, now);
     OpCounts counts;
-    tile.pc = execute<false>(t, tile, u, tile.pc, now, counts);
+    tile.pc = execute<false>(t, tile, u, tile.pc, now, a, b, counts);
     ++tile.instrs;
     _fpops += counts.fp;
     _ldst += counts.ldst;
@@ -487,7 +546,10 @@ RawMachine::stepTile(unsigned t, Cycles now)
         && tile.pc < tile.progLen) {
         const Uop next = tile.op(tile.pc);
         if (canBatch(tile, next) && !reachesGlobal(tile, next)) {
-            batchTile(t, now + 1);
+            if (tile.lane())
+                batchTile<true>(t, now + 1);
+            else
+                batchTile<false>(t, now + 1);
             return;
         }
     }
@@ -497,21 +559,12 @@ RawMachine::stepTile(unsigned t, Cycles now)
     wake[t] = tile.halted ? kNever : std::max(now + 1, tile.stallUntil);
 }
 
-template <bool Batch>
+template <bool Batch, bool OnLane>
 inline unsigned
 RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
-                    Cycles now, OpCounts &counts)
+                    Cycles now, const Word a, const Word b,
+                    OpCounts &counts)
 {
-    // A $csti operand pops its word, rs before rt. The caller saw it
-    // arrive, so now - arrival is the word's FIFO residency.
-    const auto pop = [&]() -> Word {
-        fifoWordCycles += now - tile.inFifo.front().first;
-        const Word v = tile.inFifo.front().second;
-        tile.inFifo.pop_front();
-        return v;
-    };
-    const Word a = !Batch && u.popRs() ? pop() : tile.regs[u.rs()];
-    const Word b = !Batch && u.popRt() ? pop() : tile.regs[u.rt()];
     const auto imm = static_cast<std::uint32_t>(u.imm);
 
     // Way-predicted hit fast path first (D13): exact by construction,
@@ -586,6 +639,8 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
       case Op::Lw: {
         // Global DRAM is shared with the other tiles and the ports,
         // and the cache bills it, so a batch declines it untouched.
+        // Lazy drains due by `now` land first, as the stepped ports
+        // would have written them before the tiles step.
         const Addr addr = a + imm;
         if (addr >= globalBase) {
             if constexpr (Batch)
@@ -593,6 +648,8 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
             const Addr off = addr - globalBase;
             if (off + 4 > global.size())
                 tileFault(t, " lw outside global DRAM @", addr);
+            if (drainMask != 0)
+                settleAll(now);
             std::memcpy(&v, global.data() + off, 4);
             lat += billCache(addr, false);
         } else {
@@ -611,6 +668,12 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
             const Addr off = addr - globalBase;
             if (off + 4 > global.size())
                 tileFault(t, " sw outside global DRAM @", addr);
+            // The hull test admits every word whose bytes could touch
+            // a source; checkSourceStore decides.
+            if (off + 3 - srcLo < srcSpan + 3)
+                checkSourceStore(t, off);
+            if (drainMask != 0)
+                settleAll(now);
             std::memcpy(global.data() + off, &b, 4);
             billCache(addr, true);
         } else {
@@ -644,6 +707,10 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
         tile.halted = true;
         cold[t].haltCycle = now;
         liveTileMask &= ~bitOf(t);
+        if constexpr (!Batch) {
+            if (tile.lane())
+                laneFlush(t, now);
+        }
         next = pc;
         break;
       case Op::Dsend: {
@@ -669,7 +736,24 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
     }
 
     if (u.send()) {
-        send(t, v, now);
+        // An unbatched send to a port settles the port's lazy drains
+        // once its queue reaches the batches' run-ahead bound, so
+        // shared ports keep a bounded queue too.
+        if constexpr (Batch) {
+            // A batch sends only to the tile's solo port.
+            if constexpr (OnLane)
+                soloSend(*tile.soloPort, v, now);
+            else
+                soloSendCold(*tile.soloPort, v, now);
+            ++counts.sends;
+        } else {
+            const unsigned p = tile.route - 1000;
+            if (drainMask != 0 && p < ports.size()
+                && ports[p].arrivals.size() >= sendAhead) {
+                settle(p, now);
+            }
+            send(t, v, now);
+        }
     } else {
         tile.regs[u.rd()] = v;
         tile.ready[u.rd()] = now + lat;
@@ -680,7 +764,8 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
 inline bool
 RawMachine::canBatch(const TileHot &tile, const Uop u) const
 {
-    return u.batch() && (!u.send() || tile.soloPort != nullptr);
+    return (u.bits & tile.batchMask) == kBatchBit
+           && (!u.send() || tile.soloPort != nullptr);
 }
 
 inline bool
@@ -708,19 +793,33 @@ RawMachine::reachesGlobal(const TileHot &tile, const Uop u) const
  * A second sender's words would land behind batched words with later
  * arrival cycles and drain out of order, which is why run() grants
  * port sends to single senders only; sendAhead bounds how far ahead
- * the queue may grow. The batch therefore commutes with the rest of
- * the cycle interleaving, and every counter lands on the value the
+ * the queue may grow. Lazy drains are settled by stepTile's sends at
+ * the event loop's `now`, never by a batch: a drain writes DRAM that
+ * tiles at earlier cycles may still read. The batch therefore commutes with the rest of the cycle
+ * interleaving, and every counter lands on the value the
  * cycle-at-a-time reference accrues: busy cycles are the retired
  * instruction count, and operand-latency gaps add to tcDep in bulk
  * with one dep_stalls event each, like the reference's stall entry
  * plus its per-cycle stallUntil re-polls.
  *
- * The batch breaks BEFORE any other externally visible op: $csti
- * pops, sends to tiles or shared ports, dynamic-network ops, halt,
- * and loads/stores that reach global DRAM. That op issues through
- * stepTile at the cursor cycle, so tiles leave the live set only at
- * the event loop's `now`.
+ * An OnLane batch also pops $csti. Its port feeds no other tile and no
+ * tile feeds it, so the port's pushes depend only on the port and on
+ * this tile's own pops: word j is pushed at
+ * q_j = max(inFree, pop(j - cap) + 1) and arrives L + 1 cycles
+ * later. pull() evaluates that in locals, word by word; the sources
+ * cannot change during the run (DESIGN D12), so reading them early
+ * reads what the port would. The wait for the last word is credited
+ * to the DMA tallies before the operand wait, in the reference's
+ * per-cycle order.
+ *
+ * The batch breaks BEFORE any other externally visible op: sends to
+ * tiles or shared ports, dynamic-network ops, halt, loads/stores that
+ * reach global DRAM, and pops it cannot serve (off a lane, past the
+ * stream's end, two pops into a one-word FIFO). That op issues
+ * through stepTile at the cursor cycle, so tiles leave the live set
+ * only at the event loop's `now`.
  */
+template <bool OnLane>
 void
 RawMachine::batchTile(unsigned t, Cycles cur)
 {
@@ -729,17 +828,57 @@ RawMachine::batchTile(unsigned t, Cycles cur)
     // pointer, which would otherwise force every op to reload it.
     const Instr *const prog = tile.prog;
     const std::uint32_t len = tile.progLen;
-    const Port *const port = tile.soloPort;
+    Port *const port = tile.soloPort;
     const Cycles limit = cfg.maxCycles;
     unsigned pc = tile.pc;
-    std::uint64_t retired = 0, depCycles = 0, depEvents = 0;
+    const Cycles start = cur;
+    std::uint64_t depCycles = 0, depEvents = 0;
     OpCounts counts;
+    // Lane state: the port's cursor, the DMA wait and the popped
+    // words' FIFO residency.
+    LaneCursor lane;
+    std::uint64_t dmaCycles = 0, residency = 0;
+    if constexpr (OnLane)
+        lane = laneCursor(t);
+    // The batch may queue sendAhead words at its port beyond what is
+    // there now: a port that drains slower than its sender holds a
+    // backlog in the reference too, and the bound must not stop the
+    // batch at every send then.
+    if (port != nullptr)
+        port->sendLimit = port->arrivals.size() + sendAhead;
     for (; cur <= limit; ++cur) {
         if (pc >= len)
             tileFault(t, " ran off its program at pc ", pc);
         const Uop u = std::bit_cast<Uop>(prog[pc]);
-        if (!canBatch(tile, u))
+        // canBatch(), with this instantiation's mask.
+        if ((u.bits & (OnLane ? kBatchBit : kBatchBit | kPopBits))
+                != kBatchBit
+            || (u.send() && port == nullptr)) {
             break;
+        }
+        Word w0 = 0, w1 = 0;
+        Cycles arr0 = 0, arr1 = 0;
+        if constexpr (OnLane) {
+            const unsigned pops = u.pops();
+            if (pops != 0) {
+                // Every reason to stop comes before the first pull.
+                if ((u.op() == Op::Lw || u.op() == Op::Sw)
+                    && (u.popRs() || reachesGlobal(tile, u))) {
+                    break;
+                }
+                if (pops > cfg.fifoCapacity || lane.left < pops)
+                    break;
+                if (u.send() && port->arrivals.size() >= port->sendLimit)
+                    break;
+                arr0 = pull(lane, w0);
+                arr1 = pops == 2 ? pull(lane, w1) : arr0;
+                if (arr1 > cur) {
+                    dmaCycles += arr1 - cur;
+                    hwSamp.addRange(3, cur, arr1);
+                    cur = arr1;
+                }
+            }
+        }
         // The scoreboard is the first stall test such an op meets, so
         // its operand wait is tile-private and accrues here even when
         // the op itself must then issue through stepTile.
@@ -750,31 +889,204 @@ RawMachine::batchTile(unsigned t, Cycles cur)
             hwSamp.addRange(0, cur, rdy);
             cur = rdy;
         }
-        if (u.send() && port->arrivals.size() >= sendAhead)
+        if (u.send() && port->arrivals.size() >= port->sendLimit)
             break;
-        const unsigned next = execute<true>(t, tile, u, pc, cur, counts);
+        Word a = tile.regs[u.rs()];
+        Word b = tile.regs[u.rt()];
+        if constexpr (OnLane) {
+            if (u.popRs()) {
+                a = w0;
+                b = u.popRt() ? w1 : b;
+            } else if (u.popRt()) {
+                b = w0;
+            }
+        }
+        const unsigned next =
+            execute<true, OnLane>(t, tile, u, pc, cur, a, b, counts);
         if (next == kDeclined)
             break;
+        if constexpr (OnLane) {
+            // Record the pops: each frees its word's FIFO slot.
+            const unsigned pops = u.pops();
+            if (pops != 0) {
+                lane.ring[(lane.next - pops) & lane.mask] = cur + 1;
+                residency += cur - arr0;
+                if (pops == 2) {
+                    lane.ring[(lane.next - 1) & lane.mask] = cur + 1;
+                    residency += cur - arr1;
+                }
+            }
+        }
         pc = next;
-        ++retired;
     }
+    // Every cycle of [start, cur) retired an op or was a wait.
     tile.pc = pc;
-    tile.instrs += retired;
+    tile.instrs += cur - start - depCycles - dmaCycles;
     tcDep += depCycles;
     _depStalls += depEvents;
     _fpops += counts.fp;
     _ldst += counts.ldst;
+    portWork += counts.sends;
+    if constexpr (OnLane) {
+        // Nothing is left staged: every pulled word was popped.
+        lanes[t].popped = lane.next;
+        laneStore(t, lane);
+        tcDma += dmaCycles;
+        _netStalls += dmaCycles;
+        fifoWordCycles += residency;
+    }
     // The op at `pc` issues at `cur` through the normal path; every
     // cycle below `cur` is accounted (busy via the per-tile retire
-    // count, waits via tcDep).
+    // count, waits via tcDep and tcDma).
     tile.talliedThrough = cur;
     wake[t] = cur;
+}
+
+RawMachine::LaneCursor
+RawMachine::laneCursor(unsigned t)
+{
+    Lane &ln = lanes[t];
+    const Port &port = *ln.port;
+    LaneCursor c;
+    c.left = ln.left;
+    c.next = ln.popped + hot[t].inFifo.size();
+    c.inFree = port.inFree;
+    c.lastRow = port.inLastRow;
+    if (!port.inQueue.empty()) {
+        const DmaSegment &seg = port.inQueue.front();
+        c.addr = seg.base + Addr{seg.done} * 4;
+        c.segLeft = seg.words - seg.done;
+    }
+    c.lane = &ln;
+    c.ring = ln.free.data();
+    c.mask = laneMask;
+    c.cap = cfg.fifoCapacity;
+    c.dram = global.data();
+    c.rowShift = portRowShift;
+    c.rowPenalty = cfg.portRowMissPenalty;
+    c.hop = cfg.netBaseLatency + 1;
+    return c;
+}
+
+void
+RawMachine::laneStore(unsigned t, const LaneCursor c)
+{
+    Lane &ln = lanes[t];
+    Port &port = *ln.port;
+    port.inFree = c.inFree;
+    port.inLastRow = c.lastRow;
+    if (!port.inQueue.empty()) {
+        DmaSegment &seg = port.inQueue.front();
+        seg.done = seg.words - c.segLeft;
+    }
+    _wordsDmaIn += ln.left - c.left;
+    ln.left = c.left;
+}
+
+inline Cycles
+RawMachine::pull(LaneCursor &c, Word &v)
+{
+    // The port pushes word `next` once it is free and the FIFO has a
+    // slot for it, which the pop of word next - cap frees.
+    const Cycles q =
+        std::max(c.inFree, c.ring[(c.next - c.cap) & c.mask]);
+    std::memcpy(&v, c.dram + c.addr, 4);
+    Cycles cost = 1;
+    const Addr row = c.addr >> c.rowShift;
+    if (row != c.lastRow) {
+        cost += c.rowPenalty;
+        c.lastRow = row;
+    }
+    c.inFree = q + cost;
+    c.addr += 4;
+    ++c.next;
+    --c.left;
+    if (--c.segLeft == 0)
+        std::tie(c.addr, c.segLeft) = laneNextSegment(*c.lane);
+    return q + c.hop;
+}
+
+std::pair<Addr, unsigned>
+RawMachine::laneNextSegment(const Lane &ln)
+{
+    InQueue &queue = ln.port->inQueue;
+    queue.pop_front();
+    --portWork;
+    if (queue.empty())
+        return {0, 0};
+    const DmaSegment &seg = queue.front();
+    return {seg.base + Addr{seg.done} * 4, seg.words - seg.done};
+}
+
+void
+RawMachine::laneStage(unsigned t, unsigned pops)
+{
+    // Word next = popped + staged needs the pop of word next - cap,
+    // which has happened while fewer than cap words are staged.
+    TileHot &tile = hot[t];
+    LaneCursor c = laneCursor(t);
+    while (tile.inFifo.size() < pops
+           && tile.inFifo.size() < cfg.fifoCapacity && c.left != 0) {
+        Word v = 0;
+        const Cycles arrival = pull(c, v);
+        tile.inFifo.emplace_back(arrival, v);
+    }
+    laneStore(t, c);
+}
+
+void
+RawMachine::laneFlush(unsigned t, Cycles now)
+{
+    // The stepped port would have pushed on until `now` while the
+    // FIFO had room; those words sit in the FIFO of the halted tile
+    // (the run's residual FIFO residency counts them). From now + 1
+    // the port steps again, so a stream left over keeps the
+    // reference's final cycle, or its deadlock.
+    TileHot &tile = hot[t];
+    Lane &ln = lanes[t];
+    LaneCursor c = laneCursor(t);
+    while (c.left != 0 && tile.inFifo.size() < cfg.fifoCapacity
+           && std::max(c.inFree,
+                       ln.free[(c.next - cfg.fifoCapacity) & laneMask])
+                  <= now) {
+        Word v = 0;
+        const Cycles arrival = pull(c, v);
+        tile.inFifo.emplace_back(arrival, v);
+    }
+    laneStore(t, c);
+    tile.batchMask = kBatchBit | kPopBits;
+    if (!ln.port->inQueue.empty())
+        busyPortMask |= bitOf(static_cast<unsigned>(ln.port - ports.data()));
+    ln.port = nullptr;
+}
+
+inline void
+RawMachine::drainOne(Port &port, Cycles now)
+{
+    DmaSegment &seg = port.outQueue.front();
+    const Word v = port.arrivals.front().second;
+    port.arrivals.pop_front();
+    --portWork;
+    const Addr a = seg.base + static_cast<Addr>(seg.done) * 4;
+    std::memcpy(global.data() + a, &v, 4);
+    ++_wordsDmaOut;
+
+    Cycles cost = 1;
+    const Addr row = rowOf(a);
+    if (row != port.outLastRow) {
+        cost += cfg.portRowMissPenalty;
+        port.outLastRow = row;
+    }
+    port.outFree = now + cost;
+    if (++seg.done == seg.words) {
+        port.outQueue.pop_front();
+        --portWork;
+    }
 }
 
 inline void
 RawMachine::stepPort(Port &port, Cycles now)
 {
-    std::uint8_t *const dram = global.data();
     // DMA in: stream one word per cycle into the tile FIFO.
     if (!port.inQueue.empty() && port.inFree <= now) {
         DmaSegment &seg = port.inQueue.front();
@@ -782,7 +1094,7 @@ RawMachine::stepPort(Port &port, Cycles now)
         if (dst.inFifo.size() < cfg.fifoCapacity) {
             const Addr a = seg.base + static_cast<Addr>(seg.done) * 4;
             Word v = 0;
-            std::memcpy(&v, dram + a, 4);
+            std::memcpy(&v, global.data() + a, 4);
             dst.inFifo.emplace_back(now + cfg.netBaseLatency + 1, v);
             noteFifoPush(seg.dstTile);
             ++_wordsDmaIn;
@@ -801,42 +1113,81 @@ RawMachine::stepPort(Port &port, Cycles now)
         }
     }
 
-    // DMA out: drain one arrived word per cycle to memory.
-    if (!port.outQueue.empty() && port.outFree <= now
+    // DMA out: drain one arrived word per cycle to memory, unless
+    // this run drains lazily.
+    if (!streams && !port.outQueue.empty() && port.outFree <= now
         && !port.arrivals.empty()
         && port.arrivals.front().first <= now) {
-        DmaSegment &seg = port.outQueue.front();
-        const Word v = port.arrivals.front().second;
-        port.arrivals.pop_front();
-        --portWork;
-        const Addr a = seg.base + static_cast<Addr>(seg.done) * 4;
-        std::memcpy(dram + a, &v, 4);
-        ++_wordsDmaOut;
-
-        Cycles cost = 1;
-        const Addr row = rowOf(a);
-        if (row != port.outLastRow) {
-            cost += cfg.portRowMissPenalty;
-            port.outLastRow = row;
-        }
-        port.outFree = now + cost;
-        if (++seg.done == seg.words) {
-            port.outQueue.pop_front();
-            --portWork;
-        }
+        drainOne(port, now);
     }
+}
+
+Cycles
+RawMachine::settle(unsigned p, Cycles upTo)
+{
+    Port &port = ports[p];
+    Cycles end = 0;
+    while (!port.outQueue.empty() && !port.arrivals.empty()) {
+        const Cycles d =
+            std::max(port.outFree, port.arrivals.front().first);
+        if (d > upTo)
+            return end;
+        drainOne(port, d);
+        end = d + 1;
+    }
+    if (port.outQueue.empty())
+        drainMask &= ~bitOf(p);
+    return end;
+}
+
+void
+RawMachine::settleAll(Cycles upTo)
+{
+    for (std::uint64_t m = drainMask; m != 0;)
+        settle(popLowBit(m), upTo);
+}
+
+void
+RawMachine::checkSourceStore(unsigned t, Addr off)
+{
+    if (srcRanges.empty()) {
+        for (const Port &port : ports) {
+            for (const DmaSegment &seg : port.inQueue.segs)
+                srcRanges.emplace_back(seg.base,
+                                       seg.base + Addr{seg.words} * 4);
+        }
+        std::sort(srcRanges.begin(), srcRanges.end());
+        std::size_t n = 0;
+        for (const auto &r : srcRanges) {
+            if (n != 0 && r.first <= srcRanges[n - 1].second)
+                srcRanges[n - 1].second =
+                    std::max(srcRanges[n - 1].second, r.second);
+            else
+                srcRanges[n++] = r;
+        }
+        srcRanges.resize(n);
+    }
+    // The last source starting below the word's end is the only one
+    // that can overlap it: the merged ranges are disjoint.
+    const auto it = std::upper_bound(
+        srcRanges.begin(), srcRanges.end(), off + 3,
+        [](Addr v, const std::pair<Addr, Addr> &r) { return v < r.first; });
+    if (it != srcRanges.begin() && std::prev(it)->second > off)
+        tileFault(t, " sw into a DMA-in source during the run @",
+                  globalBase + off);
 }
 
 inline void
 RawMachine::stepPorts(Cycles now)
 {
     // Ports with no queued segment cannot act (arrivals wait for an
-    // out segment), so only the busy ones step, in port order.
+    // out segment), so only the busy ones step, in port order. Under
+    // lazy drains a port steps only for its DMA-in half.
     for (std::uint64_t m = busyPortMask; m != 0;) {
         const unsigned p = popLowBit(m);
         Port &port = ports[p];
         stepPort(port, now);
-        if (port.inQueue.empty() && port.outQueue.empty())
+        if (port.inQueue.empty() && (streams || port.outQueue.empty()))
             busyPortMask &= ~bitOf(p);
     }
 }
@@ -932,7 +1283,8 @@ RawMachine::nextEventCycle(Cycles from) const
                    < cfg.fifoCapacity) {
             next = std::min(next, std::max(port.inFree, from));
         }
-        if (!port.outQueue.empty() && !port.arrivals.empty()) {
+        if (!streams && !port.outQueue.empty()
+            && !port.arrivals.empty()) {
             next = std::min(
                 next, std::max({port.outFree,
                                 port.arrivals.front().first, from}));
@@ -943,19 +1295,156 @@ RawMachine::nextEventCycle(Cycles from) const
     return next;
 }
 
+bool
+RawMachine::streamsExact() const
+{
+    // Each port's DMA-out segments: their hull, and whether they come
+    // in ascending address order without overlapping.
+    struct Hull
+    {
+        Addr lo = ~Addr{0}, hi = 0;
+        bool sorted = true;
+    };
+    std::array<Hull, 64> hulls;
+    Addr outLo = ~Addr{0}, outHi = 0;
+    unsigned outPorts = 0;
+    bool sorted = true;
+    for (unsigned p = 0; p < ports.size(); ++p) {
+        const RingQueue<DmaSegment> &q = ports[p].outQueue;
+        Hull &h = hulls[outPorts];
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            const Addr lo = q[i].base + Addr{q[i].done} * 4;
+            if (i != 0 && q[i - 1].base + Addr{q[i - 1].words} * 4 > lo)
+                sorted = false;
+            h.lo = std::min(h.lo, lo);
+            h.hi = std::max(h.hi, q[i].base + Addr{q[i].words} * 4);
+        }
+        if (!q.empty()) {
+            outLo = std::min(outLo, h.lo);
+            outHi = std::max(outHi, h.hi);
+            ++outPorts;
+        }
+    }
+    // A DMA-in source that a DMA-out port writes would be read by a
+    // lane before the port writes it; tested on the hulls, so an
+    // interleaving that only looks like one also steps.
+    if (srcSpan != 0 && outLo < outHi && outLo < srcLo + srcSpan
+        && srcLo < outHi) {
+        return false;
+    }
+    // Lazy drains settle port by port, so two ports writing one word
+    // could land in the wrong order. Ports with disjoint hulls cannot.
+    std::sort(hulls.begin(), hulls.begin() + outPorts,
+              [](const Hull &a, const Hull &b) { return a.lo < b.lo; });
+    bool disjoint = true;
+    for (unsigned i = 1; i < outPorts; ++i)
+        disjoint = disjoint && hulls[i - 1].hi <= hulls[i].lo;
+    if (disjoint)
+        return true;
+    // Otherwise merge the ports' lists by address (each must be
+    // ascending and disjoint) and require every segment to start at
+    // or after the end of all segments before it.
+    if (!sorted)
+        return false;
+    std::array<std::size_t, 64> at{};
+    std::array<std::pair<Addr, unsigned>, 64> heap;
+    std::size_t n = 0;
+    for (unsigned p = 0; p < ports.size(); ++p) {
+        if (!ports[p].outQueue.empty())
+            heap[n++] = {ports[p].outQueue[0].base, p};
+    }
+    const auto later = std::greater<std::pair<Addr, unsigned>>();
+    std::make_heap(heap.begin(), heap.begin() + n, later);
+    Addr maxEnd = 0;
+    while (n != 0) {
+        std::pop_heap(heap.begin(), heap.begin() + n, later);
+        const unsigned p = heap[n - 1].second;
+        const RingQueue<DmaSegment> &q = ports[p].outQueue;
+        const DmaSegment &seg = q[at[p]++];
+        if (seg.base + Addr{seg.done} * 4 < maxEnd)
+            return false;
+        maxEnd = std::max(maxEnd, seg.base + Addr{seg.words} * 4);
+        if (at[p] < q.size()) {
+            heap[n - 1] = {q[at[p]].base, p};
+            std::push_heap(heap.begin(), heap.begin() + n, later);
+        } else {
+            --n;
+        }
+    }
+    return true;
+}
+
+void
+RawMachine::openStreams()
+{
+    streams = streamsExact();
+    if (!streams)
+        return;
+    const unsigned n = static_cast<unsigned>(ports.size());
+    // The tiles each port feeds, and the tiles some tile routes to.
+    std::array<std::uint64_t, 64> feeds{};
+    std::uint64_t routed = 0;
+    for (const TileHot &h : hot) {
+        if (h.route < cfg.tiles())
+            routed |= bitOf(h.route);
+    }
+    busyPortMask = 0;
+    drainMask = 0;
+    for (unsigned p = 0; p < n; ++p) {
+        const InQueue &q = ports[p].inQueue;
+        for (std::size_t i = q.head; i < q.segs.size(); ++i)
+            feeds[p] |= bitOf(q.segs[i].dstTile);
+        if (!q.empty())
+            busyPortMask |= bitOf(p);
+        if (!ports[p].outQueue.empty())
+            drainMask |= bitOf(p);
+    }
+    const std::size_t slots = std::bit_ceil(std::max(cfg.fifoCapacity, 1u));
+    laneMask = slots - 1;
+    // A lane: one port feeds the live tile, that port feeds nothing
+    // else, no tile routes to it and its FIFO starts empty.
+    for (unsigned p = 0; p < n; ++p) {
+        if (!std::has_single_bit(feeds[p]))
+            continue;
+        const unsigned t =
+            static_cast<unsigned>(std::countr_zero(feeds[p]));
+        TileHot &tile = hot[t];
+        unsigned feeders = 0;
+        for (unsigned q = 0; q < n; ++q)
+            feeders += (feeds[q] >> t) & 1;
+        if (feeders != 1 || (routed & bitOf(t)) != 0
+            || (liveTileMask & bitOf(t)) == 0 || !tile.inFifo.empty()
+            || cfg.fifoCapacity == 0) {
+            continue;
+        }
+        const InQueue &q = ports[p].inQueue;
+        std::uint64_t words = 0;
+        for (std::size_t i = q.head; i < q.segs.size(); ++i)
+            words += q.segs[i].words - q.segs[i].done;
+        Lane &ln = lanes[t];
+        ln.free.assign(slots, 0);
+        ln.port = &ports[p];
+        ln.popped = 0;
+        ln.left = words;
+        tile.batchMask = kBatchBit;
+        busyPortMask &= ~bitOf(p);
+    }
+}
+
 Cycles
 RawMachine::runEvent()
 {
     // Re-arm the scheduler state (a machine can run more than once):
-    // tallies restart at cycle 0, and a tile left with a pending
-    // stall window re-enters through stepTile's stallUntil branch
-    // exactly like the reference loop re-polling it from cycle 0.
+    // tallies restart at cycle 0 (run() has cleared the cycle stamps
+    // the previous run left).
     for (unsigned t = 0; t < cfg.tiles(); ++t) {
         hot[t].talliedThrough = 0;
         hot[t].waitPops = 0;
         hot[t].waitDyn = false;
         wake[t] = hot[t].halted ? kNever : 0;
     }
+    if (batching)
+        openStreams();
 
     Cycles now = 0;
     while (liveTileMask != 0 || portWork != 0) {
@@ -977,7 +1466,9 @@ RawMachine::runEvent()
             triarch_fatal("Raw simulation exceeded ", cfg.maxCycles,
                           " cycles — deadlock or runaway program");
         }
-        if (liveTileMask == 0 && portWork == 0)
+        // Lazy drains have no events: once the tiles and the stepped
+        // ports are done, they settle below.
+        if (liveTileMask == 0 && (streams ? busyPortMask : portWork) == 0)
             break;
         const Cycles next = nextEventCycle(now);
         if (next > cfg.maxCycles) {
@@ -987,6 +1478,23 @@ RawMachine::runEvent()
                           " cycles — deadlock or runaway program");
         }
         now = next;
+    }
+
+    if (streams) {
+        // Run end settles every drain; the run lasts until the last
+        // one, and a word or segment left unmatched is the
+        // reference's endless wait.
+        for (std::uint64_t m = drainMask; m != 0;)
+            now = std::max(now, settle(popLowBit(m), kNever));
+        if (portWork != 0 || now > cfg.maxCycles) {
+            triarch_fatal("Raw simulation exceeded ", cfg.maxCycles,
+                          " cycles — deadlock or runaway program");
+        }
+        streams = false;
+        for (unsigned t = 0; t < cfg.tiles(); ++t) {
+            lanes[t].port = nullptr;
+            hot[t].batchMask = kBatchBit | kPopBits;
+        }
     }
 
     // Settle the books: cycles [talliedThrough, now) of every tile
@@ -1019,8 +1527,41 @@ RawMachine::run()
         h.soloPort = p < ports.size() && senders[p] == 1 ? &ports[p]
                                                          : nullptr;
     }
+    // Every run counts from cycle 0, so nothing stamped in an earlier
+    // run's cycles carries over: stall windows, scoreboard ready
+    // times, the ports' free cycles, the arrival of words left in a
+    // FIFO. (A batch absorbs its waits without opening a stall window,
+    // so a carried window would also differ from the witness's.)
+    for (TileHot &tile : hot) {
+        tile.stallUntil = 0;
+        tile.ready.fill(0);
+        for (std::size_t i = 0; i < tile.inFifo.size(); ++i)
+            tile.inFifo[i].first = 0;
+        for (std::size_t i = 0; i < tile.dynFifo.size(); ++i)
+            tile.dynFifo[i].first = 0;
+    }
+    for (Port &port : ports)
+        port.inFree = port.outFree = 0;
+
+    // During the run a DMA-in source belongs to its stream (D12):
+    // execute() checks every global sw against the sources' hull.
+    Addr lo = ~Addr{0}, hi = 0;
+    for (const Port &port : ports) {
+        for (const DmaSegment &seg : port.inQueue.segs) {
+            lo = std::min(lo, seg.base);
+            hi = std::max(hi, seg.base + Addr{seg.words} * 4);
+        }
+    }
+    srcLo = lo < hi ? lo : 0;
+    srcSpan = lo < hi ? hi - lo : 0;
+    srcRanges.clear();
+
     const Cycles now = loop();
     _cycles.set(now);
+    for (Port &port : ports)
+        port.inQueue = {};
+    srcLo = srcSpan = 0;
+    srcRanges.clear();
 
     // Close the FIFO-residency integral: words still queued at the
     // end of the run occupied their FIFO from arrival to the final

@@ -16,6 +16,9 @@
  * stepper keeps a next-wake cycle per tile, jumps `now` to the
  * minimum pending wake of the live tiles and busy ports, and credits
  * the skipped cycles to the sleeping tiles' stall tallies in bulk.
+ * DMA streams leave that loop where they can: a tile fed by one port
+ * alone pulls its words by the port's push recurrence, and DMA-out
+ * ports drain lazily, settled only when something could observe it.
  * Its witness lives in the tests: ReferenceRawMachine
  * (tests/raw_reference.hh) overrides loop() to spin one cycle at a
  * time calling every tile, and must produce bit-identical cycle
@@ -92,7 +95,9 @@ class RawMachine
 
     /**
      * Queue a DMA-in segment: port @p port streams @p words global
-     * words from @p base into tile @p dstTile's input FIFO.
+     * words from @p base into tile @p dstTile's input FIFO. During
+     * the run those words belong to the stream: a tile sw to any of
+     * them is a program fault (DESIGN D12).
      */
     void dmaIn(unsigned port, unsigned dstTile, Addr base,
                unsigned words);
@@ -224,6 +229,20 @@ class RawMachine
         unsigned done = 0;
     };
 
+    /** A port's DMA-in segments in queue order. A run consumes them
+     *  front to back but keeps them until it ends, so the ownership
+     *  rule can still find the words a finished segment read. */
+    struct InQueue
+    {
+        std::vector<DmaSegment> segs;
+        std::size_t head = 0;
+
+        bool empty() const { return head == segs.size(); }
+        DmaSegment &front() { return segs[head]; }
+        const DmaSegment &front() const { return segs[head]; }
+        void pop_front() { ++head; }
+    };
+
     /** Why a tile is not retiring this cycle (for the account). */
     enum class TileStall : std::uint8_t { None, Dep, Cache, Net, Dma };
 
@@ -255,12 +274,18 @@ class RawMachine
         unsigned rd() const { return bits >> 8 & 31; }
         unsigned rs() const { return bits >> 13 & 31; }
         unsigned rt() const { return bits >> 18 & 31; }
-        /** No $csti pop, no dynamic-network op, no halt: a batch
-         *  may run it (a $csto send only to a single-sender port). */
-        bool batch() const { return bits >> 23 & 1; }
+        /** $csti words the op pops (0, 1 or 2). */
+        unsigned pops() const { return popRs() + popRt(); }
         Cycles lat() const { return bits >> 24; }
     };
     static_assert(sizeof(Uop) == sizeof(Instr));
+
+    /** Uop::bits' pop bits, and its batch bit: no dynamic-network op,
+     *  no halt. A batch may run an op whose bits masked by the tile's
+     *  TileHot::batchMask equal kBatchBit, so a tile that is not a
+     *  lane never batches a pop. */
+    static constexpr std::uint32_t kPopBits = 3u << 5;
+    static constexpr std::uint32_t kBatchBit = 1u << 23;
 
     /** Where results with no register home land: $csti's slot,
      *  never read, because a $csti operand decodes to a pop. */
@@ -299,6 +324,12 @@ class RawMachine
         /** Event stepper: blocked on an empty dynamic-network FIFO. */
         bool waitDyn = false;
         unsigned route = ~0u;
+        /** canBatch's mask: kBatchBit | kPopBits, or kBatchBit alone
+         *  on a lane (a tile that pulls its own DMA-in stream, see
+         *  Lane), whose batches pop $csti too. It fills padding, so
+         *  the fields the interpreter reads keep their places. */
+        std::uint32_t batchMask = kBatchBit | kPopBits;
+        bool lane() const { return batchMask == kBatchBit; }
         /** The port this tile alone routes $csto to, set by run();
          *  null when the route is a tile or a shared port. */
         Port *soloPort = nullptr;
@@ -315,6 +346,22 @@ class RawMachine
         RingQueue<std::pair<Cycles, Word>> dynFifo; //!< dynamic net
     };
 
+    /**
+     * A lane's stream state (set by runEvent, kept out of TileHot so
+     * the interpreter's hot fields stay put): the one port that feeds
+     * the tile, the words popped this run and still to pull, and the
+     * ring (bit_ceil(fifoCapacity) slots, by word index) of pop
+     * cycle + 1, the cycle from which the popped word's FIFO slot is
+     * free again.
+     */
+    struct Lane
+    {
+        Port *port = nullptr;
+        std::uint64_t popped = 0;
+        std::uint64_t left = 0;
+        std::vector<Cycles> free;
+    };
+
     struct TileCold
     {
         /** Owns the op stream behind TileHot::prog. */
@@ -326,19 +373,82 @@ class RawMachine
 
     struct Port
     {
-        RingQueue<DmaSegment> inQueue;
+        InQueue inQueue;
         RingQueue<DmaSegment> outQueue;
         RingQueue<std::pair<Cycles, Word>> arrivals; //!< from tiles
         Cycles inFree = 0;
         Cycles outFree = 0;
         Addr inLastRow = ~Addr{0};
         Addr outLastRow = ~Addr{0};
+        /** The arrival-queue size a batch sending here stops at. */
+        std::size_t sendLimit = 0;
     };
+
+    /** Fatal unless the segment's words [base, base + 4 words) lie
+     *  inside global DRAM. */
+    void checkSegment(Addr base, unsigned words) const;
 
     /** Step one tile by one cycle; records one tally and refreshes
      *  the tile's next-wake cycle (ignored by the test witness). */
     void stepTile(unsigned t, Cycles now);
-    void batchTile(unsigned t, Cycles cur);
+    /** Run tile @p t's batchable ops from cycle @p cur, ahead of the
+     *  event loop; an OnLane batch pops $csti too. Cache-line
+     *  aligned: where the linker put the loop moved CSLC's host time
+     *  by ~15% between otherwise identical builds. */
+    template <bool OnLane>
+    [[gnu::aligned(64)]] void batchTile(unsigned t, Cycles cur);
+
+    /**
+     * A lane's DMA-in engine in locals: the next word's byte offset
+     * and the words left in its segment and in the whole stream, the
+     * port's inFree and row, and the stream's word index, plus the
+     * constants pull() reads. A batch keeps it in a local that never
+     * escapes, so SRAM stores (byte pointers, which may alias
+     * anything addressable) do not force it back to memory.
+     */
+    struct LaneCursor
+    {
+        Addr addr = 0;
+        unsigned segLeft = 0;
+        std::uint64_t left = 0;
+        std::uint64_t next = 0;
+        Cycles inFree = 0;
+        Addr lastRow = 0;
+        const Lane *lane = nullptr;
+        Cycles *ring = nullptr;
+        std::uint64_t mask = 0;
+        unsigned cap = 0;
+        const std::uint8_t *dram = nullptr;
+        unsigned rowShift = 0;
+        Cycles rowPenalty = 0;
+        Cycles hop = 0;     //!< push to FIFO arrival, netBaseLatency + 1
+    };
+    /** The cursor of lane tile @p t; its staged words (pulled, in
+     *  the FIFO, not yet popped) count as pulled. */
+    LaneCursor laneCursor(unsigned t);
+    /** Store @p c back into lane @p t's port. */
+    void laneStore(unsigned t, LaneCursor c);
+    /**
+     * Pull the next word of the lane's stream at the cycle the port
+     * would push it, q = max(inFree, pop(next - cap) + 1), and charge
+     * the port its row cost. Stores the word in @p v and returns its
+     * FIFO arrival cycle, q + netBaseLatency + 1.
+     */
+    [[gnu::always_inline]] Cycles pull(LaneCursor &c, Word &v);
+    /** The lane's segment ran out: retire it and return the next
+     *  one's first word and length (0, 0 at the stream's end). */
+    std::pair<Addr, unsigned> laneNextSegment(const Lane &ln);
+    /** Pull into lane @p t's FIFO the words its op at pc pops, as far
+     *  as the stream and the FIFO's capacity allow, for stepTile. */
+    void laneStage(unsigned t, unsigned pops);
+    /** Lane @p t halts at @p now: push the words the port would have
+     *  pushed by then, and hand the rest of the stream back to the
+     *  stepped port. */
+    void laneFlush(unsigned t, Cycles now);
+
+    /** Pop one $csti word of tile @p t at @p now (stepTile). */
+    [[gnu::always_inline]] Word popWord(unsigned t, TileHot &tile,
+                                        Cycles now);
 
     /** fp_ops and loads_stores of the ops one stepTile or batch
      *  executed: kept in registers, added to the stats on exit. */
@@ -346,25 +456,29 @@ class RawMachine
     {
         std::uint64_t fp = 0;
         std::uint64_t ldst = 0;
+        std::uint64_t sends = 0;    //!< batched port sends (portWork)
     };
 
     /**
-     * Execute @p u, the op at @p pc of tile @p t, at cycle @p now:
-     * the one place that holds the opcode semantics. The caller has
-     * checked that the op's operands and network resources are ready,
-     * and it advances the tile's pc and retire count. Returns the
-     * next pc. A Batch call declines (returns kDeclined, no side
-     * effect) a load or store that reaches global DRAM.
+     * Execute @p u, the op at @p pc of tile @p t, at cycle @p now,
+     * on operands @p a (rs) and @p b (rt), which the caller read or
+     * popped: the one place that holds the opcode semantics. The
+     * caller has checked that the op's operands and network resources
+     * are ready, and it advances the tile's pc and retire count.
+     * Returns the next pc. A Batch call declines (returns kDeclined,
+     * no side effect) a load or store that reaches global DRAM, and
+     * sends to the tile's solo port: inline OnLane, whose batches
+     * stream, out of line otherwise.
      */
-    template <bool Batch>
+    template <bool Batch, bool OnLane = false>
     [[gnu::always_inline]] unsigned execute(unsigned t, TileHot &tile,
                                             Uop u, unsigned pc,
-                                            Cycles now,
+                                            Cycles now, Word a, Word b,
                                             OpCounts &counts);
     static constexpr unsigned kDeclined = ~0u;
 
-    /** A batch may reach @p u: it has the batch bit and sends only
-     *  to a port the tile alone feeds. */
+    /** A batch may reach @p u: it has the batch bit, pops only on a
+     *  lane, and sends only to a port the tile alone feeds. */
     bool canBatch(const TileHot &tile, Uop u) const;
 
     /** @p u loads or stores global DRAM, which a batch never runs.
@@ -379,8 +493,41 @@ class RawMachine
     /** Advance DMA engines for one cycle. */
     [[gnu::always_inline]] void stepPorts(Cycles now);
 
-    /** Advance one DMA engine for one cycle. */
+    /** Advance one DMA engine for one cycle (its DMA-out half only
+     *  while drains are stepped, not lazy). */
     [[gnu::always_inline]] void stepPort(Port &port, Cycles now);
+
+    /** Write the port's front arrival to its DMA-out segment at
+     *  @p now (the port's outFree and the word's arrival have come). */
+    [[gnu::always_inline]] void drainOne(Port &port, Cycles now);
+
+    /**
+     * Lazy drains: perform port @p p's DMA-out writes due at or
+     * before @p upTo. Drain i happens at max(outFree, arrival i),
+     * exactly when the stepped port would do it. Returns the cycle
+     * after the last drain performed (0 if none).
+     */
+    Cycles settle(unsigned p, Cycles upTo);
+    /** settle() every port with lazy DMA-out work, up to @p upTo:
+     *  before a tile's global lw/sw at @p upTo reads or writes DRAM. */
+    void settleAll(Cycles upTo);
+
+    /** Sw of tile @p t to global byte offset @p off, inside the DMA-in
+     *  source hull: fatal if a DMA-in segment of the run reads it. */
+    void checkSourceStore(unsigned t, Addr off);
+
+    /** Whether this run may pull lanes and drain lazily: no word is
+     *  both a DMA-in source and a DMA-out target, and no two ports'
+     *  DMA-out segments overlap. */
+    bool streamsExact() const;
+    /** Set up this run's lanes and lazy drains (runEvent). */
+    void openStreams();
+
+    /** A batched send of @p value to @p port at @p now. */
+    [[gnu::always_inline]] void soloSend(Port &port, Word value,
+                                         Cycles now);
+    [[gnu::noinline]] void soloSendCold(Port &port, Word value,
+                                        Cycles now);
 
     /** Deliver a $csto write from tile @p t. */
     [[gnu::always_inline]] void send(unsigned t, Word value, Cycles now);
@@ -409,6 +556,8 @@ class RawMachine
     /** Per-tile next-wake cycles, contiguous for the min-scan. */
     std::vector<Cycles> wake;
     std::vector<Port> ports;
+    /** Per tile; meaningful while the tile is a lane. */
+    std::vector<Lane> lanes;
     /** Global DRAM: lazily-faulted zero pages, so constructing the
      *  64 MB model costs microseconds, not a 64 MB memset. */
     ZeroBuffer global;
@@ -422,7 +571,9 @@ class RawMachine
     /** Result latency by class (int, mul, fp, load), for decode(). */
     std::array<std::uint8_t, 4> latency;
     /** Run-ahead bound of batched port sends: a batch stops sending
-     *  while this many words (one DRAM row) wait at the port. */
+     *  once it has queued this many words (one DRAM row) at the port
+     *  (Port::sendLimit), and an unbatched send settles lazy drains
+     *  while this many wait there. */
     std::size_t sendAhead = 0;
     /** Bit t set while tile t has a program and has not halted
      *  (the constructor caps tiles() at 64). The event loop steps
@@ -435,6 +586,21 @@ class RawMachine
     /** Undrained port work items (queued DMA segments and in-flight
      *  port arrivals). */
     std::uint64_t portWork = 0;
+
+    /** This run pulls lanes and drains lazily (runEvent; never in the
+     *  cycle-at-a-time witness). */
+    bool streams = false;
+    /** Bit p set while port p has lazy DMA-out work. */
+    std::uint64_t drainMask = 0;
+    /** Slot i of a lane's ring is i & laneMask. */
+    std::uint64_t laneMask = 0;
+    /** The run's DMA-in source hull, as global byte offsets
+     *  [srcLo, srcLo + srcSpan); srcSpan is 0 without DMA-in. */
+    Addr srcLo = 0;
+    Addr srcSpan = 0;
+    /** The run's DMA-in sources merged and sorted, built on the first
+     *  sw into the hull. */
+    std::vector<std::pair<Addr, Addr>> srcRanges;
 
     /** Epoch channels mirroring the stall tallies (busy is derived
      *  at finalize time as the tile-cycle residual). The event loop

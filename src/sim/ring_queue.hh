@@ -39,6 +39,7 @@ class RingQueue
     {
         return buf_[(head_ + i) & mask_];
     }
+    T &operator[](std::size_t i) { return buf_[(head_ + i) & mask_]; }
 
     /** Ensure capacity for @p n elements without further growth. */
     void reserve(std::size_t n)
@@ -49,7 +50,7 @@ class RingQueue
 
     void push_back(const T &v)
     {
-        if (count_ == buf_.size())
+        if (count_ == buf_.size()) [[unlikely]]
             grow(buf_.empty() ? 8 : buf_.size() * 2);
         buf_[(head_ + count_) & mask_] = v;
         ++count_;
@@ -74,7 +75,8 @@ class RingQueue
     }
 
   private:
-    void grow(std::size_t cap)
+    /** Out of line, so push_back stays small enough to inline. */
+    [[gnu::noinline]] void grow(std::size_t cap)
     {
         std::vector<T> next(cap);
         for (std::size_t i = 0; i < count_; ++i)

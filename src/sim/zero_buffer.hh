@@ -29,7 +29,9 @@
  * ASan's heap redzones do not cover mmap'd memory, so an overrun of
  * this buffer is not caught by the sanitizer. The machines guard it
  * with their own triarch_assert bounds checks on every host poke and
- * peek, every simulated lw/sw and every DMA segment; keep them.
+ * peek, every simulated load and store, every Raw DMA segment (when
+ * it is queued: dmaIn/dmaOut take its byte length in 64 bits) and
+ * every Imagine stream load and store; keep them.
  */
 
 #ifndef TRIARCH_SIM_ZERO_BUFFER_HH

@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <functional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "kernels/corner_turn.hh"
@@ -642,6 +645,450 @@ TEST(RawEventDifferential, DebugTraceRunMatchesBatchedRun)
     EXPECT_EQ(quiet.hwCell(quietCycles, quietSplit),
               traced.hwCell(tracedCycles, tracedSplit));
     EXPECT_EQ(statsText(quiet), statsText(traced));
+}
+
+// ----------------------------------------------------------------
+// Lanes (pulled DMA-in feeds, batched $csti pops) and lazy DMA-out
+// drains, DESIGN D12. A tile that one port alone feeds pulls its
+// words itself; every such run must still match the witness.
+// ----------------------------------------------------------------
+
+/** Global words 1 + i * 7 at a fresh allocation of @p words words. */
+Addr
+streamSource(RawMachine &m, unsigned words, const std::string &what)
+{
+    const Addr base = m.allocGlobal(std::uint64_t{words} * 4, what);
+    std::vector<Word> data(words);
+    for (unsigned i = 0; i < words; ++i)
+        data[i] = 1 + i * 7;
+    m.pokeGlobal(base, data);
+    return base;
+}
+
+TEST(RawLaneDifferential, SlowConsumerFillsTheFifo)
+{
+    // Latency padding between pops lets the port run cap words ahead,
+    // so every later push waits for the pop that frees its slot (the
+    // pop(k - cap) + 1 term of the pull recurrence). Segments are
+    // scattered over DRAM rows, and results leave through the solo
+    // port.
+    constexpr unsigned segWords = 37, segs = 6;
+    Addr out = 0;
+    const auto setup = [&](RawMachine &m) {
+        const Addr in = streamSource(m, 4096, "in");
+        out = m.allocGlobal(segWords * segs * 4, "out");
+        for (unsigned s = 0; s < segs; ++s)
+            m.dmaIn(3, 3, in + (s * 613 % 3500) * 4, segWords);
+        m.dmaOut(3, out, segWords * segs);
+        m.setRoute(3, portEndpoint(3));
+        Assembler as;
+        as.li(1, static_cast<std::int32_t>(floatToWord(1.5f)));
+        as.li(2, segWords * segs);
+        Label loop = as.label();
+        as.bind(loop);
+        as.add(4, regCsti, 0);
+        as.fmul(5, 1, 1);
+        as.fmul(5, 5, 5);
+        as.fmul(5, 5, 5);
+        as.add(regCsto, 4, 0);
+        as.addi(2, 2, -1);
+        as.bne(2, 0, loop);
+        as.halt();
+        m.setProgram(3, as.finish());
+    };
+    const auto readback = [&](const RawMachine &m) {
+        return m.peekGlobal(out, segWords * segs);
+    };
+    for (const unsigned cap : {1u, 3u, 8u}) {
+        SCOPED_TRACE(cap);
+        RawConfig cfg;
+        cfg.fifoCapacity = cap;
+        expectSteppersAgree(setup, cfg, readback);
+    }
+}
+
+/** Pop two words per op from a one-word FIFO, capped at 5000 cycles:
+ *  the second word can never arrive. */
+template <typename Machine>
+void
+runTwoPopsIntoOneWordFifo()
+{
+    RawConfig cfg;
+    cfg.fifoCapacity = 1;
+    cfg.maxCycles = 5000;
+    Machine m(cfg);
+    const Addr in = streamSource(m, 16, "in");
+    m.dmaIn(0, 0, in, 16);
+    Assembler as;
+    as.add(1, regCsti, regCsti);
+    as.halt();
+    m.setProgram(0, as.finish());
+    m.run();
+}
+
+TEST(RawLaneDifferential, TwoPopsIntoOneWordFifoIsFatalInBothMachines)
+{
+    EXPECT_DEATH(runTwoPopsIntoOneWordFifo<ReferenceRawMachine>(),
+                 "deadlock");
+    EXPECT_DEATH(runTwoPopsIntoOneWordFifo<RawMachine>(), "deadlock");
+}
+
+TEST(RawLaneDifferential, HaltWithWordsLeftInTheFifo)
+{
+    // The tile pops 6 of 12 words and halts. Quickly, the port still
+    // has words to push after the halt (the flush hands them back to
+    // the stepped port); after a long dependency chain, every word
+    // is already in the FIFO. Either way the words left there count
+    // in the FIFO residency up to the final cycle.
+    for (const bool wait : {false, true}) {
+        SCOPED_TRACE(wait);
+        expectSteppersAgree([&](RawMachine &m) {
+            const Addr in = streamSource(m, 12, "in");
+            m.dmaIn(2, 2, in, 12);
+            Assembler as;
+            for (int i = 0; i < 6; ++i)
+                as.add(1, regCsti, 1);
+            as.li(3, static_cast<std::int32_t>(floatToWord(1.0f)));
+            for (int i = 0; wait && i < 20; ++i)
+                as.fmul(3, 3, 3);
+            as.halt();
+            m.setProgram(2, as.finish());
+        });
+    }
+}
+
+/** A tile program that polls global @p addr until it reads a
+ *  non-zero word, after @p skew cycles of delay. */
+std::vector<Instr>
+pollProgram(Addr addr, int skew)
+{
+    Assembler as;
+    for (int i = 0; i < skew; ++i)
+        as.addi(0, 0, 0);
+    as.li(1, static_cast<std::int32_t>(addr));
+    Label poll = as.label();
+    as.bind(poll);
+    as.lw(4, 1, 0);
+    as.beq(4, 0, poll);
+    as.halt();
+    return as.finish();
+}
+
+TEST(RawLaneDifferential, GlobalLoadSeesLazyDrainsOfItsCycle)
+{
+    // Tile 0 streams through its port (a lane, drained lazily) while
+    // four tiles poll one of the words it writes, at every phase of
+    // their four-cycle loop: one of them loads the word in exactly
+    // the cycle the port writes it, and must see it then (drains due
+    // by a load's cycle land before it). A fifth tile stores into
+    // another output word before the port writes it, so the final
+    // image shows the order too.
+    constexpr unsigned words = 400;
+    Addr out = 0;
+    const auto setup = [&](RawMachine &m) {
+        const Addr in = streamSource(m, words, "in");
+        out = m.allocGlobal(words * 4, "out");
+        m.dmaIn(0, 0, in, words);
+        m.dmaOut(0, out, words);
+        m.setRoute(0, portEndpoint(0));
+        Assembler as;
+        as.li(2, words);
+        Label loop = as.label();
+        as.bind(loop);
+        as.add(regCsto, regCsti, 0);
+        as.addi(2, 2, -1);
+        as.bne(2, 0, loop);
+        as.halt();
+        m.setProgram(0, as.finish());
+        for (int skew = 0; skew < 4; ++skew)
+            m.setProgram(4 + skew, pollProgram(out + 300 * 4, skew));
+        Assembler store;
+        store.li(1, static_cast<std::int32_t>(out + 350 * 4));
+        store.li(2, 99);
+        store.sw(2, 1, 0);
+        store.halt();
+        m.setProgram(9, store.finish());
+    };
+    const auto readback = [&](const RawMachine &m) {
+        return m.peekGlobal(out, words);
+    };
+    expectSteppersAgree(setup, RawConfig{}, readback);
+}
+
+TEST(RawLaneDifferential, DramPipelineThroughTwoPortsSteps)
+{
+    // Port 0 writes what port 1 streams in: a DMA-in source is a
+    // DMA-out target, so this run keeps every port and tile stepped.
+    constexpr unsigned words = 300;
+    Addr mid = 0, out = 0;
+    const auto setup = [&](RawMachine &m) {
+        const Addr in = streamSource(m, words, "in");
+        mid = m.allocGlobal(words * 4, "mid");
+        out = m.allocGlobal(words * 4, "out");
+        m.dmaIn(0, 0, in, words);
+        m.dmaOut(0, mid, words);
+        m.dmaIn(1, 1, mid, words);
+        m.dmaOut(1, out, words);
+        for (const unsigned t : {0u, 1u}) {
+            m.setRoute(t, portEndpoint(t));
+            Assembler as;
+            as.li(2, words);
+            Label loop = as.label();
+            as.bind(loop);
+            as.addi(regCsto, regCsti, static_cast<std::int32_t>(t + 1));
+            as.addi(2, 2, -1);
+            as.bne(2, 0, loop);
+            as.halt();
+            m.setProgram(t, as.finish());
+        }
+    };
+    const auto readback = [&](const RawMachine &m) {
+        std::vector<Word> got = m.peekGlobal(mid, words);
+        const std::vector<Word> tail = m.peekGlobal(out, words);
+        got.insert(got.end(), tail.begin(), tail.end());
+        return got;
+    };
+    expectSteppersAgree(setup, RawConfig{}, readback);
+}
+
+/** A tile program that pops @p pops words per op (1 or 2), @p ops
+ *  times, and halts. */
+std::vector<Instr>
+popProgram(unsigned pops, unsigned ops)
+{
+    Assembler as;
+    as.li(2, static_cast<std::int32_t>(ops));
+    Label loop = as.label();
+    as.bind(loop);
+    if (pops == 2)
+        as.add(1, regCsti, regCsti);
+    else
+        as.add(1, regCsti, 1);
+    as.addi(2, 2, -1);
+    as.bne(2, 0, loop);
+    as.halt();
+    return as.finish();
+}
+
+TEST(RawLaneDifferential, SharedAndTileFedFifosAreNotLanes)
+{
+    // Tile 2 takes words from ports 0 and 1; tile 5 from port 5 and
+    // from tile 4's $csto. Neither FIFO has one feeder, so both keep
+    // today's stepping, beside a lane on tile 8.
+    expectSteppersAgree([](RawMachine &m) {
+        const Addr in = streamSource(m, 600, "in");
+        m.dmaIn(0, 2, in, 100);
+        m.dmaIn(1, 2, in + 400, 100);
+        m.dmaIn(5, 5, in + 800, 100);
+        m.dmaIn(8, 8, in + 1200, 100);
+        m.setProgram(2, popProgram(2, 100));
+        m.setRoute(4, 5);
+        m.setProgram(4, senderProgram(1, 100));
+        m.setProgram(5, popProgram(2, 100));
+        m.setProgram(8, popProgram(1, 100));
+    });
+}
+
+TEST(RawLaneDifferential, OneMachineRunsTwice)
+{
+    // The first run leaves words in tile 1's FIFO, so in the second
+    // its FIFO does not start empty and it is no lane; tile 0 is a
+    // lane in both runs.
+    Addr out = 0;
+    const Drive drive = [&](RawMachine &m) {
+        const Addr in = streamSource(m, 400, "in");
+        out = m.allocGlobal(400 * 4, "out");
+        Cycles total = 0;
+        for (unsigned run = 0; run < 2; ++run) {
+            m.dmaIn(0, 0, in + run * 800, 100);
+            m.dmaOut(0, out + run * 400, 100);
+            m.setRoute(0, portEndpoint(0));
+            Assembler as;
+            as.li(2, 100);
+            Label loop = as.label();
+            as.bind(loop);
+            as.add(regCsto, regCsti, regCsti);
+            as.addi(2, 2, -1);
+            as.bne(2, 0, loop);
+            as.halt();
+            m.dmaIn(0, 0, in + run * 800 + 400, 100);
+            m.setProgram(0, as.finish());
+            m.dmaIn(1, 1, in + 1200, 6);
+            Assembler few;
+            few.add(1, regCsti, regCsti);
+            few.halt();
+            m.setProgram(1, few.finish());
+            total += m.run();
+        }
+        return total;
+    };
+    expectRunsAgree(drive, RawConfig{}, [&](const RawMachine &m) {
+        return m.peekGlobal(out, 200);
+    });
+}
+
+/** Tile 1 stores into a word that tile 0's DMA-in stream reads. */
+template <typename Machine>
+void
+runStoreIntoDmaSource()
+{
+    Machine m;
+    const Addr in = streamSource(m, 64, "in");
+    m.dmaIn(0, 0, in, 64);
+    Assembler reader;
+    for (int i = 0; i < 64; ++i)
+        reader.add(1, regCsti, 1);
+    reader.halt();
+    m.setProgram(0, reader.finish());
+    Assembler writer;
+    writer.li(1, static_cast<std::int32_t>(in + 40 * 4));
+    writer.sw(0, 1, 0);
+    writer.halt();
+    m.setProgram(1, writer.finish());
+    m.run();
+}
+
+TEST(RawLaneDifferential, StoreIntoDmaSourceIsFatalInBothMachines)
+{
+    // During a run a DMA-in source belongs to its stream (D12); the
+    // rule holds the same way in the witness.
+    EXPECT_DEATH(runStoreIntoDmaSource<ReferenceRawMachine>(),
+                 "DMA-in source");
+    EXPECT_DEATH(runStoreIntoDmaSource<RawMachine>(), "DMA-in source");
+}
+
+TEST(RawLaneDifferential, DmaSegmentsPastGlobalDramDie)
+{
+    RawConfig cfg;
+    cfg.globalBytes = 1 << 20;
+    const Addr end = globalBase + cfg.globalBytes;
+    RawMachine m(cfg);
+    m.dmaIn(0, 0, end - 16, 4);     // the last four words: fine
+    m.dmaOut(0, end - 16, 4);
+    EXPECT_DEATH(m.dmaIn(0, 0, end - 16, 5), "outside global DRAM");
+    EXPECT_DEATH(m.dmaOut(1, end - 12, 4), "outside global DRAM");
+    // 4 * 0x40000001 wraps to 4 in 32 bits.
+    EXPECT_DEATH(m.dmaIn(2, 2, end - 16, 0x40000001u),
+                 "outside global DRAM");
+    EXPECT_DEATH(m.dmaOut(2, end + 4, 1), "outside global DRAM");
+}
+
+/**
+ * A seeded stream program: 1-4 lanes on random tiles, each fed by
+ * its own port through 1-5 segments of 1-70 words at random bases
+ * across DRAM rows, consumed by a loop of 1- and 2-pop ops with
+ * optional latency chains; half the lanes send each result to their
+ * solo port, whose DMA-out segments cover the sends. Words may be
+ * left unpopped at halt.
+ */
+void
+seededStreamProgram(RawMachine &m, std::uint64_t seed, Addr &out,
+                    unsigned &outWords)
+{
+    Rng rng(seed);
+    const RawConfig &cfg = m.config();
+    const Addr in = streamSource(m, 8192, "in");
+    out = m.allocGlobal(8192 * 4, "out");
+    outWords = 0;
+    const unsigned lanes = 1 + static_cast<unsigned>(rng.nextBelow(4));
+    unsigned tilesUsed = 0, portsUsed = 0;
+    for (unsigned l = 0; l < lanes; ++l) {
+        unsigned t = 0, p = 0;
+        do {
+            t = static_cast<unsigned>(rng.nextBelow(cfg.tiles()));
+        } while (tilesUsed >> t & 1);
+        do {
+            p = static_cast<unsigned>(rng.nextBelow(cfg.tiles()));
+        } while (portsUsed >> p & 1);
+        tilesUsed |= 1u << t;
+        portsUsed |= 1u << p;
+        // Two-pop ops only where the FIFO holds two words.
+        const bool pairs = cfg.fifoCapacity >= 2 && rng.nextBelow(2);
+        const unsigned segs = 1 + static_cast<unsigned>(rng.nextBelow(5));
+        unsigned words = 0;
+        for (unsigned s = 0; s < segs; ++s) {
+            unsigned len = 1 + static_cast<unsigned>(rng.nextBelow(70));
+            len += pairs && len % 2;
+            const Addr base =
+                in + rng.nextBelow(8192 - len) * 4;
+            m.dmaIn(p, t, base, len);
+            words += len;
+        }
+        const unsigned perOp = pairs ? 2 : 1;
+        const unsigned left = rng.nextBelow(3) == 0
+                                  ? static_cast<unsigned>(rng.nextBelow(
+                                        std::min(words, cfg.fifoCapacity)
+                                        / perOp + 1)) * perOp
+                                  : 0;
+        const unsigned ops = (words - left) / perOp;
+        const bool sends = rng.nextBelow(2) == 1;
+        const unsigned chain = static_cast<unsigned>(rng.nextBelow(4));
+        Assembler as;
+        as.li(7, static_cast<std::int32_t>(floatToWord(1.25f)));
+        if (ops > 0) {
+            as.li(2, static_cast<std::int32_t>(ops));
+            Label loop = as.label();
+            as.bind(loop);
+            if (pairs)
+                as.add(4, regCsti, regCsti);
+            else
+                as.add(4, regCsti, 4);
+            for (unsigned c = 0; c < chain; ++c)
+                as.fmul(7, 7, 7);
+            if (sends)
+                as.add(regCsto, 4, 0);
+            as.addi(2, 2, -1);
+            as.bne(2, 0, loop);
+        }
+        as.halt();
+        m.setProgram(t, as.finish());
+        if (sends && ops > 0) {
+            m.setRoute(t, portEndpoint(p));
+            // Cover the sends with 1-3 segments at row-crossing bases.
+            unsigned done = 0;
+            while (done < ops) {
+                const unsigned len = std::min(
+                    ops - done,
+                    1 + static_cast<unsigned>(rng.nextBelow(ops)));
+                m.dmaOut(p, out + (outWords + rng.nextBelow(8)) * 4, len);
+                outWords += len + 8;
+                done += len;
+            }
+        }
+    }
+}
+
+TEST(RawLaneDifferential, SeededStreamProgramsAcrossSteppers)
+{
+    // As many seeded programs as fit in about a second (at least 24):
+    // FIFO capacity 1-8, row-miss penalty 0 or 12.
+    const auto start = std::chrono::steady_clock::now();
+    unsigned checked = 0;
+    for (std::uint64_t seed = 1; checked < 400; ++seed) {
+        const double secs = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+        if (checked >= 24 && secs > 1.0)
+            break;
+        RawConfig cfg;
+        cfg.fifoCapacity = 1 + static_cast<unsigned>(seed % 8);
+        cfg.portRowMissPenalty = seed % 3 == 0 ? 0 : 12;
+        Addr out = 0;
+        unsigned outWords = 0;
+        SCOPED_TRACE(seed);
+        expectSteppersAgree(
+            [&](RawMachine &m) {
+                seededStreamProgram(m, seed, out, outWords);
+            },
+            cfg,
+            [&](const RawMachine &m) {
+                return m.peekGlobal(out, outWords);
+            });
+        ++checked;
+        if (testing::Test::HasFailure())
+            break;
+    }
+    EXPECT_GE(checked, 24u);
 }
 
 } // namespace
