@@ -26,14 +26,22 @@ BenchContext::BenchContext(BenchOptions run_options)
     cfg.seed = opts.seed;
 }
 
-BenchContext::~BenchContext() = default;
+BenchContext::~BenchContext()
+{
+    // The runner's scheduler group is captured when it dies; the
+    // cache's final counts go next to it for --stats.
+    if (par) {
+        metrics::MetricsRegistry::global().capture(memo.statGroup(),
+                                                   "result_cache");
+    }
+}
 
 study::ParallelRunner &
 BenchContext::runner()
 {
     if (!par) {
-        par = std::make_unique<study::ParallelRunner>(cfg,
-                                                      opts.threads);
+        par = std::make_unique<study::ParallelRunner>(
+            cfg, opts.threads, nullptr, &memo);
     }
     return *par;
 }

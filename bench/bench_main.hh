@@ -79,7 +79,9 @@ class BenchContext
     /** The paper's workload parameters with the --seed applied. */
     const study::StudyConfig &config() const { return cfg; }
 
-    /** Parallel, cache-backed runner over config(). */
+    /** Parallel runner over config(), backed by this context's
+     *  ResultCache: a body that re-asks for a cell (claims rows call
+     *  run() repeatedly) simulates it once. */
     study::ParallelRunner &runner();
 
     /** Results for the selected machines x kernels, computed
@@ -103,6 +105,7 @@ class BenchContext
   private:
     BenchOptions opts;
     study::StudyConfig cfg;
+    study::ResultCache memo;    //!< outlives par, which points at it
     std::unique_ptr<study::ParallelRunner> par;
     std::unique_ptr<study::ResultSink> out;
     std::vector<study::RunResult> cellResults;

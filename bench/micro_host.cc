@@ -50,9 +50,8 @@ main(int argc, char **argv)
         measureHostSection(cfg, args.cells, args.measure);
 
     if (args.json) {
-        // One simulated run per cell for the cycle half of the
-        // document (cache-backed; the host block above measured
-        // uncached mapping executions).
+        // One more simulated run per cell for the cycle half of
+        // the document (the host block above keeps only timings).
         ParallelRunner runner(cfg, 1);
         ResultSink sink(cfg);
         sink.metadata("bench", "micro_host");

@@ -46,9 +46,7 @@ run(bench::BenchContext &ctx)
     auto t0 = std::chrono::steady_clock::now();
     // A temporary, so the scheduler counts captured for --stats are
     // the multi-threaded runner's below.
-    auto serialResults = ParallelRunner(ctx.config(), 1, nullptr,
-                                        ParallelRunner::noCache())
-                             .runAll();
+    auto serialResults = ParallelRunner(ctx.config(), 1).runAll();
     const double serialMs = msSince(t0);
 
     // Private cache: the cold pass below must actually compute.

@@ -445,13 +445,6 @@ RawMachine::stepTile(unsigned t, Cycles now)
     }
     if (tile.stallUntil > now) {
         tallyStall(tile.stallKind, now);
-        // The scalar has to agree with the tallies: re-stall cycles
-        // of a network-kind stall (Dsend injection occupancy) are
-        // network stall cycles too.
-        if (tile.stallKind == TileStall::Net
-            || tile.stallKind == TileStall::Dma) {
-            ++_netStalls;
-        }
         wake[t] = tile.stallUntil;
         return;
     }
@@ -468,7 +461,6 @@ RawMachine::stepTile(unsigned t, Cycles now)
             laneStage(t, pops);
         if (tile.inFifo.size() < pops
             || tile.inFifo[pops - 1].first > now) {
-            ++_netStalls;
             tile.stallKind =
                 tile.dmaFed ? TileStall::Dma : TileStall::Net;
             tallyStall(tile.stallKind, now);
@@ -486,7 +478,6 @@ RawMachine::stepTile(unsigned t, Cycles now)
     // Dynamic-network receive availability.
     if (u.op() == Op::Drecv
         && (tile.dynFifo.empty() || tile.dynFifo.front().first > now)) {
-        ++_netStalls;
         tile.stallKind = TileStall::Net;
         tallyStall(tile.stallKind, now);
         tile.stallUntil = now + 1;
@@ -515,7 +506,6 @@ RawMachine::stepTile(unsigned t, Cycles now)
     // it happens to pop), so re-poll every cycle like the reference.
     if (u.send() && tile.route < 1000
         && hot[tile.route].inFifo.size() >= cfg.fifoCapacity) {
-        ++_netStalls;
         tile.stallKind = TileStall::Net;
         tallyStall(tile.stallKind, now);
         tile.stallUntil = now + 1;
@@ -932,7 +922,6 @@ RawMachine::batchTile(unsigned t, Cycles cur)
         lanes[t].popped = lane.next;
         laneStore(t, lane);
         tcDma += dmaCycles;
-        _netStalls += dmaCycles;
         fifoWordCycles += residency;
     }
     // The op at `pc` issues at `cur` through the normal path; every
@@ -1229,9 +1218,8 @@ RawMachine::creditSleep(unsigned t, Cycles now)
     // tallies exactly what a cycle-at-a-time loop would have: idle
     // for halted tiles, otherwise the recorded stall kind. The
     // event-count scalars (dep_stalls, cache_stall_cycles) were
-    // already bumped when the stall began; net_stalls counts
-    // per-cycle and follows the tally. The epoch samples land on the
-    // same cycles the reference loop's per-cycle tallies would.
+    // already bumped when the stall began. The epoch samples land on
+    // the same cycles the reference loop's per-cycle tallies would.
     if (tile.halted) {
         tcIdle += delta;
         hwSamp.addRange(4, from, now);
@@ -1246,11 +1234,9 @@ RawMachine::creditSleep(unsigned t, Cycles now)
         break;
       case TileStall::Net:
         tcNet += delta;
-        _netStalls += delta;
         break;
       case TileStall::Dma:
         tcDma += delta;
-        _netStalls += delta;
         break;
       case TileStall::None:
         triarch_panic("Raw tile slept with no recorded stall kind");
@@ -1595,12 +1581,10 @@ RawMachine::run()
         }
     }
 
-    // The net_stalls scalar counts per stalled cycle, so it must
-    // track the network tile-cycle tallies exactly.
-    triarch_assert(_netStalls.value() == tcNet + tcDma,
-                   "net_stalls (", _netStalls.value(),
-                   ") out of sync with network tile-cycle tallies (",
-                   tcNet + tcDma, ")");
+    // net_stalls counts network- and DMA-stalled tile-cycles, which
+    // are exactly those two tallies (cumulative across runs, as the
+    // scalar is).
+    _netStalls.set(tcNet + tcDma);
     return now;
 }
 

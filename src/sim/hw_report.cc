@@ -594,17 +594,6 @@ HwRegistry::clear()
     cells.clear();
 }
 
-std::optional<HwCell>
-HwRegistry::find(const std::string &machine,
-                 const std::string &kernel) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cells.find(machine + "." + kernel);
-    if (it == cells.end())
-        return std::nullopt;
-    return it->second;
-}
-
 HwReport
 HwRegistry::report(std::string config_hash) const
 {

@@ -267,10 +267,6 @@ class HwRegistry
     std::size_t size() const;
     void clear();
 
-    /** The captured cell for (machine, kernel) tokens, if any. */
-    std::optional<HwCell> find(const std::string &machine,
-                               const std::string &kernel) const;
-
     /** Snapshot every captured cell into a report. */
     HwReport report(std::string config_hash = {}) const;
 

@@ -1,6 +1,5 @@
 #include "metrics.hh"
 
-#include <algorithm>
 #include <fstream>
 
 #include "sim/json.hh"
@@ -64,23 +63,6 @@ writeGroup(json::Writer &w, const std::string &label,
 } // namespace
 
 void
-MetricsRegistry::registerLive(const stats::StatGroup *group)
-{
-    triarch_assert(group != nullptr, "null live stat group");
-    std::lock_guard<std::mutex> lock(mu);
-    if (std::find(live.begin(), live.end(), group) == live.end())
-        live.push_back(group);
-}
-
-void
-MetricsRegistry::unregisterLive(const stats::StatGroup *group)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    live.erase(std::remove(live.begin(), live.end(), group),
-               live.end());
-}
-
-void
 MetricsRegistry::capture(const stats::StatGroup &group,
                          const std::string &label)
 {
@@ -93,7 +75,7 @@ std::size_t
 MetricsRegistry::size() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return snapshots.size() + live.size();
+    return snapshots.size();
 }
 
 void
@@ -101,28 +83,17 @@ MetricsRegistry::clear()
 {
     std::lock_guard<std::mutex> lock(mu);
     snapshots.clear();
-    live.clear();
 }
 
 void
 MetricsRegistry::writeJson(std::ostream &os) const
 {
-    // Merge live groups (read now) into the snapshot map so the
-    // document comes out in one label-sorted sweep regardless of
-    // registration order.
-    std::map<std::string, GroupSnapshot> merged;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        merged = snapshots;
-        for (const stats::StatGroup *g : live)
-            merged.insert_or_assign(g->name(), snapshotOf(*g));
-    }
-
+    std::lock_guard<std::mutex> lock(mu);
     json::Writer w(os);
     w.beginObject();
     w.member("schema", "triarch.stats.v1");
     w.key("groups").beginArray();
-    for (const auto &[label, snap] : merged)
+    for (const auto &[label, snap] : snapshots)
         writeGroup(w, label, snap);
     w.endArray();
     w.endObject();

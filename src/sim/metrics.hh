@@ -1,12 +1,12 @@
 /**
  * @file
- * Machine-readable stats export: a MetricsRegistry that knows every
- * interesting StatGroup — long-lived groups (experiment scheduler,
- * result cache) registered live, short-lived groups (the per-cell
- * machine models, destroyed when their mapping returns) captured as
- * snapshots — and serializes them all as one versioned
- * "triarch.stats.v1" JSON document next to the per-cell
- * "triarch.results.v2".
+ * Machine-readable stats export: a MetricsRegistry of labelled
+ * StatGroup snapshots — each per-cell machine model's groups,
+ * captured when its mapping returns, and the scheduler and result
+ * cache groups, captured when their owner ends — serialized as one
+ * versioned "triarch.stats.v1" JSON document next to the per-cell
+ * "triarch.results.v2". Nothing is read live: a group is in the
+ * document as it was when captured.
  *
  * Unlike trace.hh, this document is fully deterministic: it carries
  * only simulated counts, never wall-clock, so the same study config
@@ -50,16 +50,6 @@ class MetricsRegistry
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
     /**
-     * Track a process-lifetime group; it is read afresh at every
-     * writeJson(). The caller must unregister (or clear the
-     * registry) before the group dies. Labeled by the group's name.
-     */
-    void registerLive(const stats::StatGroup *group);
-
-    /** Stop tracking a live group. */
-    void unregisterLive(const stats::StatGroup *group);
-
-    /**
      * Snapshot @p group now under @p label (e.g. "viram.ct" for the
      * VIRAM machine that ran corner turn). Re-capturing a label
      * replaces the previous snapshot — per-cell simulation is
@@ -68,10 +58,10 @@ class MetricsRegistry
      */
     void capture(const stats::StatGroup &group, const std::string &label);
 
-    /** Number of snapshots + live groups currently held. */
+    /** Number of snapshots currently held. */
     std::size_t size() const;
 
-    /** Drop all snapshots and live registrations. */
+    /** Drop all snapshots. */
     void clear();
 
     /** Render the "triarch.stats.v1" document. */
@@ -86,7 +76,6 @@ class MetricsRegistry
   private:
     mutable std::mutex mu;
     std::map<std::string, GroupSnapshot> snapshots;
-    std::vector<const stats::StatGroup *> live;
 };
 
 } // namespace triarch::metrics

@@ -184,10 +184,8 @@ checkConfigDifferential(const StudyConfig &cfg,
 {
     const std::vector<Cell> cells = selectedCells(opts);
 
-    ParallelRunner serial(cfg, 1, opts.mappings,
-                          ParallelRunner::noCache());
-    ParallelRunner par(cfg, opts.threads, opts.mappings,
-                       ParallelRunner::noCache());
+    ParallelRunner serial(cfg, 1, opts.mappings);
+    ParallelRunner par(cfg, opts.threads, opts.mappings);
     const std::vector<RunResult> serialResults = serial.runCells(cells);
     const std::vector<RunResult> parallel = par.runCells(cells);
 

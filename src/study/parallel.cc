@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "sim/host_clock.hh"
-#include "sim/hw_report.hh"
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "study/machine_info.hh"
@@ -35,12 +34,6 @@ selectCells(const std::vector<MachineId> &machines,
     return cells;
 }
 
-ResultCache *
-ParallelRunner::defaultCache()
-{
-    return &ResultCache::global();
-}
-
 ParallelRunner::ParallelRunner(StudyConfig run_config,
                                unsigned num_threads,
                                const MappingRegistry *mappings,
@@ -65,7 +58,6 @@ ParallelRunner::ParallelRunner(StudyConfig run_config,
         schedGroup.addAtomicScalar("queue_wait_ns", &queueWaitNs,
                                    "host ns cells waited for a worker");
     }
-    metrics::MetricsRegistry::global().registerLive(&schedGroup);
 }
 
 ParallelRunner::~ParallelRunner()
@@ -74,7 +66,6 @@ ParallelRunner::~ParallelRunner()
     // after the runner is gone.
     metrics::MetricsRegistry::global().capture(schedGroup,
                                                "scheduler");
-    metrics::MetricsRegistry::global().unregisterLive(&schedGroup);
 }
 
 RunResult
@@ -183,36 +174,6 @@ ParallelRunner::runCells(const std::vector<Cell> &cells)
                     "scheduler.cells_done",
                     static_cast<double>(nCellsRun.value()
                                         + nCellsCached.value()));
-                // Epoch-sampled hardware counters for the cell the
-                // mapping just captured, placed across the measured
-                // execution window in simulated-epoch order so
-                // Perfetto draws each channel as a counter track.
-                if (auto cellHw = hw::HwRegistry::global().find(
-                        machineToken(cell.machine),
-                        kernelToken(cell.kernel))) {
-                    const double spanUs = ts->nowUs() - execUs;
-                    const std::size_t epochs =
-                        cellHw->timeline.epochs();
-                    for (const hw::EpochChannel &ch :
-                         cellHw->timeline.channels) {
-                        const std::string name =
-                            cellLabel(cell) + ".hw." + ch.name;
-                        for (std::size_t e = 0; e < epochs; ++e) {
-                            const double atUs =
-                                epochs > 1
-                                    ? execUs + spanUs
-                                                   * static_cast<
-                                                       double>(e)
-                                                   / static_cast<
-                                                       double>(epochs
-                                                               - 1)
-                                    : execUs;
-                            ts->counterAt(
-                                name, atUs,
-                                static_cast<double>(ch.counts[e]));
-                        }
-                    }
-                }
             }
         }
     };

@@ -58,13 +58,13 @@ class ParallelRunner
      *        concurrency, capped at the number of scheduled cells
      * @param mappings dispatch table; defaults to
      *        MappingRegistry::builtin()
-     * @param cache cell cache; defaults to ResultCache::global().
-     *        Pass noCache() to force every cell to recompute.
+     * @param cache the caller's cell memo; noCache() (the default)
+     *        recomputes every cell
      */
     explicit ParallelRunner(StudyConfig run_config = {},
                             unsigned num_threads = 0,
                             const MappingRegistry *mappings = nullptr,
-                            ResultCache *cache = defaultCache());
+                            ResultCache *cache = noCache());
     ~ParallelRunner();
 
     const StudyConfig &config() const { return cfg; }
@@ -93,16 +93,13 @@ class ParallelRunner
      *  is fatal there. */
     std::vector<RunResult> runCells(const std::vector<Cell> &cells);
 
-    /** Sentinel distinguishing "default cache" from "no cache". */
-    static ResultCache *defaultCache();
-
-    /** Pass as @p cache to disable caching entirely. */
+    /** The @p cache argument that disables caching (the default). */
     static ResultCache *noCache() { return nullptr; }
 
     /**
-     * Scheduler progress counters ("scheduler" group, live-registered
-     * in the global MetricsRegistry for this runner's lifetime):
-     * batches submitted, cells executed / served from cache. Counts
+     * Scheduler progress counters ("scheduler" group, captured into
+     * the global MetricsRegistry when the runner dies): batches
+     * submitted, cells executed / served from cache. Counts
      * only — no wall clock — so the values are identical at any
      * worker-thread count. When host profiling is enabled
      * (host::setProfiling) at construction the group additionally

@@ -13,6 +13,7 @@
 #include "sim/hw_report.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
+#include "sim/trace.hh"
 #include "viram/kernels_viram.hh"
 
 namespace triarch::study
@@ -48,9 +49,9 @@ namespace
  * Snapshot the machine model's stats into the global MetricsRegistry
  * — the main group under "<machine-token>.<kernel-token>" and every
  * component group (caches, TLB, DRAM channels, ports) under
- * "<machine>.<kernel>.<component>" — and the model's rolled-up
- * hardware cell (utilization metrics, verdict, epoch timeline) into
- * the global HwRegistry, before the model dies with its mapping.
+ * "<machine>.<kernel>.<component>" — and roll them up into the
+ * cell's hardware report (utilization metrics, verdict, epoch
+ * timeline), before the model dies with its mapping.
  * With host profiling on, the cell's exact setup / run / readback
  * host nanoseconds go under "<machine>.<kernel>.host".
  * Per-cell simulation is deterministic, so re-running a cell
@@ -58,7 +59,7 @@ namespace
  * result.breakdown to be final.
  */
 template <typename Machine>
-void
+hw::HwCell
 captureCell(Machine &m, const RunResult &result,
             const std::optional<host::PhaseNs> &phases)
 {
@@ -85,6 +86,38 @@ captureCell(Machine &m, const RunResult &result,
     hw::HwCell cell = m.hwCell(result.cycles, result.breakdown);
     cell.machine = machineToken(result.machine);
     cell.kernel = kernelToken(result.kernel);
+    return cell;
+}
+
+/**
+ * Capture @p cell into the global HwRegistry. With a trace session
+ * @p ts, each epoch channel first becomes the counter track
+ * "<machine>/<kernel>.hw.<channel>": one sample per epoch, in
+ * simulated-epoch order, spread evenly over the kernel's run window
+ * [@p run_start_us, @p run_end_us] so Perfetto draws it under the
+ * cell's span.
+ */
+void
+captureHwCell(hw::HwCell cell, trace::TraceSession *ts,
+              double run_start_us, double run_end_us)
+{
+    if (ts) {
+        const std::size_t epochs = cell.timeline.epochs();
+        const double step =
+            epochs > 1 ? (run_end_us - run_start_us)
+                             / static_cast<double>(epochs - 1)
+                       : 0.0;
+        for (const hw::EpochChannel &ch : cell.timeline.channels) {
+            const std::string track =
+                cell.machine + "/" + cell.kernel + ".hw." + ch.name;
+            for (std::size_t e = 0; e < epochs; ++e) {
+                ts->counterAt(track,
+                              run_start_us
+                                  + step * static_cast<double>(e),
+                              static_cast<double>(ch.counts[e]));
+            }
+        }
+    }
     hw::HwRegistry::global().capture(std::move(cell));
 }
 
@@ -120,31 +153,44 @@ cell(MappingRegistry &r, MachineId machine, Run run, NotesFn notes,
               RunResult result;
               result.machine = machine;
               result.kernel = Kernel;
-              host::PhaseSplit split;
-              Machine m;
-              KernelOutput<Kernel> out;
-              split.startRun();
-              const auto ran = run(m, cfg, work, out);
-              split.startReadback();
-              if constexpr (std::is_same_v<std::decay_t<decltype(ran)>,
-                                           raw::RawCslcResult>) {
-                  // Report the paper's load-balance extrapolation;
-                  // the account rescales the measured wall clock.
-                  result.cycles = ran.balancedCycles;
-                  result.measuredUnbalanced = ran.cycles;
-              } else {
-                  result.cycles = ran;
-              }
-              result.notes = notes(m, ran);
-              if constexpr (Kernel == KernelId::CornerTurn)
-                  result.validated =
-                      kernels::isTransposeOf(work.matrix, out);
-              else if constexpr (Kernel == KernelId::Cslc)
-                  result.validated = cslcOutputValid(cfg, work, out, algo);
-              else
-                  result.validated = out == work.beamRef;
-              result.breakdown = m.cycleBreakdown(result.cycles);
-              captureCell(m, result, split.finish());
+              trace::TraceSession *ts = trace::TraceSession::active();
+              double runUs = 0.0, ranUs = 0.0;
+              // The machine and its output are freed before the
+              // counter tracks grow the trace buffer, so the two never
+              // add up in the peak RSS.
+              hw::HwCell hwCell = [&] {
+                  host::PhaseSplit split;
+                  Machine m;
+                  KernelOutput<Kernel> out;
+                  split.startRun();
+                  runUs = ts ? ts->nowUs() : 0.0;
+                  const auto ran = run(m, cfg, work, out);
+                  ranUs = ts ? ts->nowUs() : 0.0;
+                  split.startReadback();
+                  if constexpr (std::is_same_v<
+                                    std::decay_t<decltype(ran)>,
+                                    raw::RawCslcResult>) {
+                      // Report the paper's load-balance
+                      // extrapolation; the account rescales the
+                      // measured wall clock.
+                      result.cycles = ran.balancedCycles;
+                      result.measuredUnbalanced = ran.cycles;
+                  } else {
+                      result.cycles = ran;
+                  }
+                  result.notes = notes(m, ran);
+                  if constexpr (Kernel == KernelId::CornerTurn)
+                      result.validated =
+                          kernels::isTransposeOf(work.matrix, out);
+                  else if constexpr (Kernel == KernelId::Cslc)
+                      result.validated =
+                          cslcOutputValid(cfg, work, out, algo);
+                  else
+                      result.validated = out == work.beamRef;
+                  result.breakdown = m.cycleBreakdown(result.cycles);
+                  return captureCell(m, result, split.finish());
+              }();
+              captureHwCell(std::move(hwCell), ts, runUs, ranUs);
               return result;
           });
 }

@@ -1,7 +1,5 @@
 #include "result_cache.hh"
 
-#include "sim/metrics.hh"
-
 namespace triarch::study
 {
 
@@ -46,18 +44,6 @@ ResultCache::size() const
 {
     std::lock_guard<std::mutex> lock(mu);
     return cells.size();
-}
-
-ResultCache &
-ResultCache::global()
-{
-    static ResultCache cache;
-    static const bool registered = [] {
-        metrics::MetricsRegistry::global().registerLive(&cache.group);
-        return true;
-    }();
-    (void)registered;
-    return cache;
 }
 
 } // namespace triarch::study

@@ -2,11 +2,12 @@
  * @file
  * Per-cell result memo keyed by (machine, kernel, config-hash): a
  * cell measured once under a given StudyConfig is never recomputed
- * within the process. A harness process runs one config, so the
- * process-wide memo holds at most the 15 Table-3 cells; sweeps over
- * many configs (perfbench's sweep, parallel_speedup) pass a private
- * memo or none. Safe for concurrent use by the ParallelRunner's
- * worker threads. Nothing is evicted and nothing is persisted.
+ * by a runner that shares the memo. There is no process-wide memo:
+ * whoever re-asks for cells owns one and passes it to its
+ * ParallelRunner (a bench's BenchContext, perfbench's sweep,
+ * parallel_speedup); every other runner recomputes. Safe for
+ * concurrent use by the ParallelRunner's worker threads. Nothing is
+ * evicted and nothing is persisted.
  */
 
 #ifndef TRIARCH_STUDY_RESULT_CACHE_HH
@@ -47,10 +48,6 @@ class ResultCache
 
     /** The "result_cache" group: hits, misses, entries. */
     const stats::StatGroup &statGroup() const { return group; }
-
-    /** The process-wide memo shared by default by every runner; its
-     *  stat group is live-registered in the global MetricsRegistry. */
-    static ResultCache &global();
 
   private:
     using Key = std::tuple<unsigned, unsigned, std::uint64_t>;

@@ -110,7 +110,8 @@ row(const std::string &id)
 
 TEST(Claims, EveryValueAndStatusIsPinned)
 {
-    ParallelRunner runner;
+    ResultCache cache;          // rows re-ask for Table-3 cells
+    ParallelRunner runner({}, 0, nullptr, &cache);
     for (const Pin &pin : pins) {
         const Claim &claim = row(pin.id);
         const double value = measureClaim(claim, runner);

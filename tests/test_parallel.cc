@@ -203,6 +203,18 @@ TEST(ResultCacheTest, SecondSweepIsServedFromCache)
     EXPECT_EQ(first, second);
 }
 
+TEST(ResultCacheTest, DefaultRunnersShareNoMemo)
+{
+    // Two runners on one config with the cache argument defaulted:
+    // neither may be served from a memo the other filled.
+    for (int i = 0; i < 2; ++i) {
+        ParallelRunner par(smallConfig());
+        par.runAll();
+        EXPECT_EQ(par.statGroup().scalar("cells_run"), 15u) << i;
+        EXPECT_EQ(par.statGroup().scalar("cells_cached"), 0u) << i;
+    }
+}
+
 TEST(ResultCacheTest, DistinctConfigsDoNotCollide)
 {
     ResultCache cache;

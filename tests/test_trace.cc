@@ -3,13 +3,16 @@
  * Tests for the tracing + metrics subsystem: the Chrome trace-event
  * document is syntactically valid JSON with well-nested spans on
  * every lane, the per-cell scheduler spans carry their queue-wait
- * attribution, StatGroup deltas ride on machine phase spans, the
- * triarch.stats.v1 document is bit-identical at any worker-thread
- * count, and the disabled fast path performs no allocation.
+ * attribution, each executed cell draws one epoch counter track per
+ * hw channel inside its execute span, StatGroup deltas ride on
+ * machine phase spans, the triarch.stats.v1 document is
+ * bit-identical at any worker-thread count, and the disabled fast
+ * path performs no allocation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/hw_report.hh"
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "study/parallel.hh"
@@ -390,6 +394,94 @@ TEST(TraceSessionTest, SweepEmitsValidWellNestedDocument)
     }
 }
 
+TEST(TraceSessionTest, ExecutedCellsDrawTheirEpochCounterTracks)
+{
+    const StudyConfig cfg = smallConfig();
+    hw::HwRegistry::global().clear();
+    trace::TraceSession sess;
+    sess.start();
+    std::vector<study::RunResult> computed;
+    {
+        ParallelRunner par(cfg, 4);         // uncached: all execute
+        computed = par.runAll();
+    }
+    auto hwSamples = [&] {
+        std::ostringstream os;
+        sess.writeJson(os);
+        const auto events = extractEvents(os.str());
+        return std::count_if(events.begin(), events.end(),
+                             [](const FlatEvent &e) {
+                                 return e.phase == 'C'
+                                        && e.name.find(".hw.")
+                                               != std::string::npos;
+                             });
+    };
+    const auto afterSweep = hwSamples();
+    {
+        // Every cell is already in the memo: nothing executes, so
+        // nothing may add a hardware counter sample.
+        ResultCache cache;
+        for (const study::RunResult &r : computed)
+            cache.put(r, study::studyConfigHash(cfg));
+        ParallelRunner par(cfg, 4, nullptr, &cache);
+        par.runAll();
+        EXPECT_EQ(par.statGroup().scalar("cells_cached"), 15u);
+    }
+    EXPECT_EQ(hwSamples(), afterSweep)
+        << "a cache-served cell drew hardware counter samples";
+    sess.stop();
+
+    std::ostringstream os;
+    sess.writeJson(os);
+    const auto events = extractEvents(os.str());
+    std::map<std::string, std::vector<const FlatEvent *>> tracks;
+    for (const auto &e : events) {
+        if (e.phase == 'C' && e.name.find(".hw.") != std::string::npos)
+            tracks[e.name].push_back(&e);
+    }
+
+    const hw::HwReport report = hw::HwRegistry::global().report();
+    ASSERT_EQ(report.cells.size(), 15u);
+    std::size_t channels = 0;
+    for (const hw::HwCell &cell : report.cells) {
+        const std::string label = cell.machine + "/" + cell.kernel;
+        // The cell's span (it carries the queue wait) and the
+        // "execute" span nested in it on the same lane.
+        const FlatEvent *cellSpan = nullptr;
+        for (const auto &e : events) {
+            if (e.phase == 'X' && e.name == label
+                && e.line.find("\"queue_wait_us\"") != std::string::npos)
+                cellSpan = &e;
+        }
+        ASSERT_NE(cellSpan, nullptr) << label;
+        const FlatEvent *exec = nullptr;
+        for (const auto &e : events) {
+            if (e.phase == 'X' && e.name == "execute"
+                && e.tid == cellSpan->tid && cellSpan->ts <= e.ts
+                && e.ts + e.dur <= cellSpan->ts + cellSpan->dur)
+                exec = &e;
+        }
+        ASSERT_NE(exec, nullptr) << label;
+
+        const std::size_t epochs = cell.timeline.epochs();
+        ASSERT_GT(epochs, 0u) << label;
+        for (const hw::EpochChannel &ch : cell.timeline.channels) {
+            ++channels;
+            const std::string name = label + ".hw." + ch.name;
+            const auto it = tracks.find(name);
+            ASSERT_NE(it, tracks.end()) << "no counter track " << name;
+            EXPECT_EQ(it->second.size(), epochs) << name;
+            for (const FlatEvent *sample : it->second) {
+                EXPECT_GE(sample->ts, exec->ts) << name;
+                EXPECT_LE(sample->ts, exec->ts + exec->dur) << name;
+            }
+        }
+    }
+    // No track beyond one per channel of an executed cell.
+    EXPECT_EQ(tracks.size(), channels);
+    hw::HwRegistry::global().clear();
+}
+
 TEST(TraceSessionTest, SpanArgsAndEscapingSurviveSerialization)
 {
     trace::TraceSession sess;
@@ -488,9 +580,10 @@ TEST(MetricsDeterminism, StatsJsonBitIdenticalAcrossThreadCounts)
     const StudyConfig cfg = smallConfig();
     auto statsDoc = [&](unsigned threads) {
         metrics::MetricsRegistry::global().clear();
-        ResultCache cache;          // private: every cell computes
-        ParallelRunner par(cfg, threads, nullptr, &cache);
-        par.runAll();
+        {
+            ParallelRunner par(cfg, threads);
+            par.runAll();
+        }                           // captures its scheduler group
         std::ostringstream os;
         metrics::MetricsRegistry::global().writeJson(os);
         return os.str();
@@ -506,7 +599,8 @@ TEST(MetricsDeterminism, StatsJsonBitIdenticalAcrossThreadCounts)
     EXPECT_TRUE(validator.valid()) << "stats doc is not valid JSON";
     EXPECT_NE(at1.find("\"schema\": \"triarch.stats.v1\""),
               std::string::npos);
-    // Every machine ran every kernel; the scheduler group is live.
+    // Every machine ran every kernel; the scheduler group was
+    // captured when its runner died.
     // The mem-subsystem component groups (caches, bus, TLB, DRAM
     // channels, per-tile D-caches) are captured uniformly per cell.
     for (const char *label :
@@ -519,41 +613,30 @@ TEST(MetricsDeterminism, StatsJsonBitIdenticalAcrossThreadCounts)
     metrics::MetricsRegistry::global().clear();
 }
 
-TEST(MetricsRegistryTest, LiveAndSnapshotGroupsMerge)
+TEST(MetricsRegistryTest, SnapshotsRenderAsCaptured)
 {
     metrics::MetricsRegistry reg;
-
-    stats::Scalar depth;
-    stats::StatGroup liveGroup("queue");
-    liveGroup.addScalar("depth", &depth);
-    depth += 4;
-    reg.registerLive(&liveGroup);
 
     stats::Scalar cycles;
     stats::StatGroup machineGroup("viram");
     machineGroup.addScalar("cycles", &cycles, "total cycles");
     cycles += 123;
     reg.capture(machineGroup, "viram.ct");
-    EXPECT_EQ(reg.size(), 2u);
+    EXPECT_EQ(reg.size(), 1u);
 
+    // A snapshot holds the values at capture time, not write time.
+    cycles += 1;
     std::ostringstream os;
     reg.writeJson(os);
     const std::string doc = os.str();
     JsonValidator validator(doc);
     EXPECT_TRUE(validator.valid());
-    EXPECT_NE(doc.find("\"queue\""), std::string::npos);
-    EXPECT_NE(doc.find("\"depth\": 4"), std::string::npos);
     EXPECT_NE(doc.find("\"viram.ct\""), std::string::npos);
+    EXPECT_NE(doc.find("\"group\": \"viram\""), std::string::npos);
     EXPECT_NE(doc.find("\"cycles\": 123"), std::string::npos);
 
-    // Live groups are read at write time, not registration time.
-    depth += 1;
-    std::ostringstream os2;
-    reg.writeJson(os2);
-    EXPECT_NE(os2.str().find("\"depth\": 5"), std::string::npos);
-
-    reg.unregisterLive(&liveGroup);
-    EXPECT_EQ(reg.size(), 1u);
+    reg.clear();
+    EXPECT_EQ(reg.size(), 0u);
 }
 
 } // namespace
