@@ -101,8 +101,85 @@ constexpr Format formats[] = {
 };
 static_assert(std::size(formats) == static_cast<unsigned>(Op::Drecv) + 1,
               "formats must cover every opcode");
+static_assert(formats[static_cast<unsigned>(Op::Halt)].step
+                  && formats[static_cast<unsigned>(Op::Dsend)].step
+                  && formats[static_cast<unsigned>(Op::Drecv)].step,
+              "the stepTile-only opcodes come last, from Halt on");
 
-/** The Uop latency field holds 8 bits. */
+/**
+ * What tile-local opcode O computes from its operands a (rs) and b
+ * (rt) and its immediate: the result of an ALU op, or whether a
+ * branch is taken. The one place that holds these opcodes' semantics,
+ * for RawMachine::execute() and a block's value run alike.
+ */
+template <Op O>
+[[gnu::always_inline]] inline Word
+local(Word a, Word b, std::uint32_t imm)
+{
+    const auto sa = static_cast<std::int32_t>(a);
+    const auto sb = static_cast<std::int32_t>(b);
+    if constexpr (O == Op::Add) return a + b;
+    else if constexpr (O == Op::Addi) return a + imm;
+    else if constexpr (O == Op::Sub) return a - b;
+    else if constexpr (O == Op::Mul) return a * b;
+    else if constexpr (O == Op::Sll) return a << (imm & 31);
+    else if constexpr (O == Op::Sra) return static_cast<Word>(sa >> (imm & 31));
+    else if constexpr (O == Op::Srl) return a >> (imm & 31);
+    else if constexpr (O == Op::And) return a & b;
+    else if constexpr (O == Op::Or) return a | b;
+    else if constexpr (O == Op::Xor) return a ^ b;
+    else if constexpr (O == Op::Li) return imm;
+    else if constexpr (O == Op::FAdd)
+        return floatToWord(wordToFloat(a) + wordToFloat(b));
+    else if constexpr (O == Op::FSub)
+        return floatToWord(wordToFloat(a) - wordToFloat(b));
+    else if constexpr (O == Op::FMul)
+        return floatToWord(wordToFloat(a) * wordToFloat(b));
+    else if constexpr (O == Op::Beq) return a == b;
+    else if constexpr (O == Op::Bne) return a != b;
+    else if constexpr (O == Op::Blt) return sa < sb;
+    else if constexpr (O == Op::Bge) return sa >= sb;
+    else static_assert(O == Op::Add, "not a tile-local ALU op or branch");
+}
+
+/**
+ * A tile's lw / sw of local SRAM byte @p addr: false, touching
+ * nothing, when @p addr lies in global DRAM, and fatal past the SRAM.
+ * @p end is RawMachine::sramEnd, so one test passes a local access.
+ */
+[[gnu::always_inline]] inline bool
+sramLoad(unsigned t, const std::uint8_t *sram, Addr end, Addr addr,
+         Word &v)
+{
+    if (addr + 4 > end) [[unlikely]] {
+        if (addr >= globalBase)
+            return false;
+        tileFault(t, " lw outside SRAM @", addr);
+    }
+    std::memcpy(&v, sram + addr, 4);
+    return true;
+}
+
+[[gnu::always_inline]] inline bool
+sramStore(unsigned t, std::uint8_t *sram, Addr end, Addr addr, Word v)
+{
+    if (addr + 4 > end) [[unlikely]] {
+        if (addr >= globalBase)
+            return false;
+        tileFault(t, " sw outside SRAM @", addr);
+    }
+    std::memcpy(sram + addr, &v, 4);
+    return true;
+}
+
+/** @p op ends a block: a conditional branch or a jump. */
+constexpr bool
+branches(Op op)
+{
+    return op >= Op::Beq && op <= Op::Jump;
+}
+
+/** RawMachine::opLatency holds 8 bits. */
 std::uint8_t
 latencyByte(Cycles lat)
 {
@@ -117,11 +194,16 @@ RawMachine::RawMachine(const RawConfig &machine_config)
     : cfg(checkMeshSize(machine_config)), hot(cfg.tiles()),
       cold(cfg.tiles()),
       wake(cfg.tiles(), kNever), ports(cfg.tiles()), lanes(cfg.tiles()),
-      global(cfg.globalBytes),
-      latency{latencyByte(cfg.intLatency), latencyByte(cfg.mulLatency),
-              latencyByte(cfg.fpLatency), latencyByte(cfg.loadLatency)},
-      sendAhead(cfg.portRowBytes / 4), group("raw")
+      global(cfg.globalBytes), sendAhead(cfg.portRowBytes / 4),
+      group("raw")
 {
+    const std::array<std::uint8_t, 4> byClass{
+        latencyByte(cfg.intLatency), latencyByte(cfg.mulLatency),
+        latencyByte(cfg.fpLatency), latencyByte(cfg.loadLatency)};
+    for (std::size_t op = 0; op < std::size(formats); ++op)
+        opLatency[op] = byClass[formats[op].lat];
+    // Below globalBase an address is local: sramEnd ends both.
+    sramEnd = std::min<Addr>(cfg.sramBytes, globalBase + 3);
     triarch_assert(isPowerOf2(cfg.portRowBytes),
                    "Raw port row size must be a power of two");
     portRowShift = floorLog2(cfg.portRowBytes);
@@ -207,7 +289,7 @@ RawMachine::peekGlobalInto(Addr addr, std::span<Word> out) const
         std::memcpy(out.data(), global.data() + off, out.size() * 4);
 }
 
-inline std::uint32_t
+inline RawMachine::Uop
 RawMachine::decode(const Instr &in) const
 {
     triarch_assert(static_cast<unsigned>(in.op) < std::size(formats)
@@ -223,11 +305,11 @@ RawMachine::decode(const Instr &in) const
     const unsigned popRt = rt == regCsti;
     const unsigned send = rd == regCsto;
     const unsigned sink = (rd == 0) | send;
-    const unsigned batch = !f.step;
-    return static_cast<unsigned>(in.op) | popRs << 5 | popRt << 6
-           | send << 7 | (sink ? regSink : rd) << 8
-           | (popRs ? 0 : rs) << 13 | (popRt ? 0 : rt) << 18
-           | batch << 23 | unsigned{latency[f.lat]} << 24;
+    const auto byte = [](unsigned v) { return static_cast<std::uint8_t>(v); };
+    return {byte(static_cast<unsigned>(in.op) | popRs << 5 | popRt << 6
+                 | send << 7),
+            byte(sink ? regSink : rd), byte(popRs ? 0 : rs),
+            byte(popRt ? 0 : rt), in.imm};
 }
 
 void
@@ -249,9 +331,40 @@ RawMachine::setProgram(unsigned tile, std::vector<Instr> program)
     TileHot &h = hot[tile];
     // Decode in place: a Uop is Instr-sized, so the op stream reuses
     // the program's buffer, cache-hot and already paged in.
-    for (Instr &in : program)
-        in = std::bit_cast<Instr>(Uop{decode(in), in.imm});
+    for (Instr &in : program) {
+        const Uop u = decode(in);
+        in = {static_cast<Op>(u.code), u.rdReg, u.rsReg, u.rtReg, u.imm};
+    }
     c.program = std::move(program);
+    // Programs that differ only in immediates other than branch
+    // targets (a tile's share of the work, say) schedule alike; the
+    // kernels load them tile after tile.
+    const auto alike = [&c](const TileCold &o) {
+        return o.program.size() == c.program.size()
+               && std::equal(o.program.begin(), o.program.end(),
+                             c.program.begin(),
+                             [](const Instr &i, const Instr &j) {
+                                 if (std::bit_cast<std::uint64_t>(i)
+                                     == std::bit_cast<std::uint64_t>(j)) {
+                                     return true;
+                                 }
+                                 const Uop x = uop(i), y = uop(j);
+                                 return x.code == y.code
+                                        && x.rdReg == y.rdReg
+                                        && x.rsReg == y.rsReg
+                                        && x.rtReg == y.rtReg
+                                        && !branches(x.op());
+                             });
+    };
+    c.blocks = nullptr;
+    for (const TileCold &o : cold) {
+        if (o.blocks != nullptr && alike(o)) {
+            c.blocks = o.blocks;
+            break;
+        }
+    }
+    if (c.blocks == nullptr)
+        c.blocks = buildBlocks(c.program);
     h.prog = c.program.data();
     h.progLen = static_cast<std::uint32_t>(c.program.size());
     h.pc = 0;
@@ -260,6 +373,168 @@ RawMachine::setProgram(unsigned tile, std::vector<Instr> program)
         liveTileMask &= ~bitOf(tile);
     else
         liveTileMask |= bitOf(tile);
+}
+
+std::shared_ptr<const RawMachine::BlockTable>
+RawMachine::buildBlocks(const std::vector<Instr> &prog) const
+{
+    const auto n = static_cast<std::uint32_t>(prog.size());
+    const auto bit = [](unsigned r) { return std::uint32_t{1} << r; };
+    // The registers that may hold a word loaded from memory or the
+    // network, by a walk in program order. A load or store based on
+    // one may reach global DRAM, which ends a value run, so it stays
+    // out of blocks (a heuristic: such an op just runs op by op).
+    std::uint32_t loaded = 0;
+    const auto inBlock = [&loaded, &bit](Uop u) {
+        return (u.code & (kOpBits | kPopBits)) < kStepOnly
+               && !((u.op() == Op::Lw || u.op() == Op::Sw)
+                    && (loaded & bit(u.rs())) != 0);
+    };
+    // A block starts at pc 0, at a branch target, after a branch, and
+    // after an op a batch cannot run: a batch enters there once
+    // stepTile has issued that op.
+    std::vector<std::uint8_t> leader(n, 0);
+    for (const Instr &slot : prog) {
+        const Uop u = uop(slot);
+        const auto target = static_cast<std::uint32_t>(u.imm);
+        if (branches(u.op()) && target < n)
+            leader[target] = 1;
+    }
+
+    // The program as units: each block, and each op between blocks.
+    // A unit's uses are the registers it reads before writing them.
+    struct Unit
+    {
+        std::uint32_t first, last;
+        std::uint32_t uses = 0, writes = 0, liveIn = 0;
+        std::uint32_t fall = ~0u, taken = ~0u;  //!< successor units
+        bool block = false;
+    };
+    std::vector<Unit> units;
+    for (std::uint32_t pc = 0; pc < n;) {
+        Unit unit;
+        unit.first = pc;
+        unit.block = inBlock(uop(prog[pc]));
+        for (;;) {
+            const Uop u = uop(prog[pc++]);
+            const std::uint32_t reads = bit(u.rs()) | bit(u.rt());
+            unit.uses |= reads & ~unit.writes & ~1u;
+            if (!u.send()) {
+                unit.writes |= bit(u.rd());
+                const bool load = u.op() == Op::Lw || u.op() == Op::Drecv
+                                  || u.pops() != 0
+                                  || (u.op() != Op::Li && (loaded & reads));
+                loaded = load ? loaded | bit(u.rd()) : loaded & ~bit(u.rd());
+            }
+            if (!unit.block || branches(u.op()) || pc == n || leader[pc]
+                || !inBlock(uop(prog[pc])) || pc - unit.first == kMaxBlockOps)
+                break;
+        }
+        unit.last = pc - 1;
+        units.push_back(unit);
+    }
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        Unit &unit = units[i];
+        const Uop u = uop(prog[unit.last]);
+        const auto target = static_cast<std::uint32_t>(u.imm);
+        if (u.op() != Op::Jump && u.op() != Op::Halt && i + 1 < units.size())
+            unit.fall = static_cast<std::uint32_t>(i + 1);
+        if (branches(u.op()) && target < n) {
+            unit.taken = static_cast<std::uint32_t>(
+                std::ranges::lower_bound(units, target, {}, &Unit::first)
+                - units.begin());
+        }
+    }
+
+    // Liveness: the registers whose ready time some path from a
+    // unit's exit reads before writing. Only operand reads read a
+    // ready time, so a block writes back the ready times of these
+    // alone. Units are visited backwards until nothing changes.
+    const auto liveOut = [&units](const Unit &unit) {
+        return (unit.fall != ~0u ? units[unit.fall].liveIn : 0)
+               | (unit.taken != ~0u ? units[unit.taken].liveIn : 0);
+    };
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (std::size_t i = units.size(); i-- > 0;) {
+            Unit &unit = units[i];
+            const std::uint32_t in =
+                unit.uses | (liveOut(unit) & ~unit.writes);
+            changed = changed || in != unit.liveIn;
+            unit.liveIn = in;
+        }
+    }
+
+    // Schedule each block in order with every live-in ready at entry:
+    // ready offsets start at 0, so only in-block writes can stall.
+    auto table = std::make_shared<BlockTable>();
+    BlockTable &bt = *table;
+    bt.entry.assign(n, 0);
+    for (const Unit &unit : units) {
+        if (!unit.block || bt.blocks.size() == 0xffff)
+            continue;
+        Block b;
+        b.ops = unit.last + 1 - unit.first;
+        b.win = static_cast<std::uint32_t>(bt.windows.size());
+        b.send = static_cast<std::uint32_t>(bt.sendAt.size());
+        std::array<std::uint32_t, numRegs> ready{}, first{};
+        std::uint32_t seen = 0, cur = 0;
+        for (std::uint32_t pc = unit.first; pc <= unit.last; ++pc, ++cur) {
+            const Uop u = uop(prog[pc]);
+            const std::uint32_t rdy = std::max(ready[u.rs()], ready[u.rt()]);
+            if (rdy > cur) {
+                bt.windows.push_back({cur, rdy - cur});
+                b.depCycles += rdy - cur;
+                cur = rdy;
+            }
+            // First reads, without data-dependent branches.
+            const std::uint32_t fresh =
+                (bit(u.rs()) | bit(u.rt())) & unit.uses & ~seen;
+            first[u.rs()] = fresh & bit(u.rs()) ? cur : first[u.rs()];
+            first[u.rt()] = fresh & bit(u.rt()) ? cur : first[u.rt()];
+            seen |= fresh;
+            if (u.send()) {
+                bt.sendAt.push_back(cur);
+                ++b.sends;
+            } else {
+                ready[u.rd()] = cur + opLatency[u.code & kOpBits];
+            }
+            b.fp += u.op() >= Op::FAdd && u.op() <= Op::FMul;
+            b.ldst += u.op() == Op::Lw || u.op() == Op::Sw;
+        }
+        b.cycles = cur;
+        b.wins = static_cast<std::uint32_t>(bt.windows.size()) - b.win;
+        if (b.wins != 0) {
+            b.winFirst = bt.windows[b.win].at;
+            b.winEnd = bt.windows.back().at + bt.windows.back().len;
+        }
+        b.in = static_cast<std::uint32_t>(bt.regs.size());
+        for (std::uint32_t m = unit.uses; m != 0; m &= m - 1) {
+            const auto r = static_cast<unsigned>(std::countr_zero(m));
+            bt.regs.push_back(first[r] << 5 | r);
+        }
+        b.ins = static_cast<std::uint32_t>(bt.regs.size()) - b.in;
+        b.out = static_cast<std::uint32_t>(bt.regs.size());
+        for (std::uint32_t m = unit.writes & liveOut(unit); m != 0;
+             m &= m - 1) {
+            const auto r = static_cast<unsigned>(std::countr_zero(m));
+            bt.regs.push_back(ready[r] << 5 | r);
+        }
+        b.outs = static_cast<std::uint32_t>(bt.regs.size()) - b.out;
+        // A block that branches to itself stays exact on the next
+        // entry, `cycles` later, when each live-in it writes is ready
+        // by its first use then; the others only grow older.
+        const Uop last = uop(prog[unit.last]);
+        b.loops = b.sends == 0 && branches(last.op())
+                  && static_cast<std::uint32_t>(last.imm) == unit.first;
+        for (std::uint32_t m = unit.uses & unit.writes; m != 0; m &= m - 1) {
+            const auto r = static_cast<unsigned>(std::countr_zero(m));
+            b.loops = b.loops && ready[r] <= b.cycles + first[r];
+        }
+        bt.blocks.push_back(b);
+        bt.entry[unit.first] = static_cast<std::uint16_t>(bt.blocks.size());
+    }
+    return table;
 }
 
 void
@@ -576,54 +851,32 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
     };
 
     Word v = 0;
-    Cycles lat = u.lat();
+    Cycles lat = opLatency[u.code & kOpBits];
     unsigned next = pc + 1;
     switch (u.op()) {
       case Op::Nop:
         break;
-      case Op::Add:
-        v = a + b;
-        break;
-      case Op::Addi:
-        v = a + imm;
-        break;
-      case Op::Sub:
-        v = a - b;
-        break;
-      case Op::Mul:
-        v = a * b;
-        break;
-      case Op::Sll:
-        v = a << (imm & 31);
-        break;
-      case Op::Sra:
-        v = static_cast<Word>(static_cast<std::int32_t>(a) >> (imm & 31));
-        break;
-      case Op::Srl:
-        v = a >> (imm & 31);
-        break;
-      case Op::And:
-        v = a & b;
-        break;
-      case Op::Or:
-        v = a | b;
-        break;
-      case Op::Xor:
-        v = a ^ b;
-        break;
-      case Op::Li:
-        v = imm;
-        break;
+      case Op::Add: v = local<Op::Add>(a, b, imm); break;
+      case Op::Addi: v = local<Op::Addi>(a, b, imm); break;
+      case Op::Sub: v = local<Op::Sub>(a, b, imm); break;
+      case Op::Mul: v = local<Op::Mul>(a, b, imm); break;
+      case Op::Sll: v = local<Op::Sll>(a, b, imm); break;
+      case Op::Sra: v = local<Op::Sra>(a, b, imm); break;
+      case Op::Srl: v = local<Op::Srl>(a, b, imm); break;
+      case Op::And: v = local<Op::And>(a, b, imm); break;
+      case Op::Or: v = local<Op::Or>(a, b, imm); break;
+      case Op::Xor: v = local<Op::Xor>(a, b, imm); break;
+      case Op::Li: v = local<Op::Li>(a, b, imm); break;
       case Op::FAdd:
-        v = floatToWord(wordToFloat(a) + wordToFloat(b));
+        v = local<Op::FAdd>(a, b, imm);
         ++counts.fp;
         break;
       case Op::FSub:
-        v = floatToWord(wordToFloat(a) - wordToFloat(b));
+        v = local<Op::FSub>(a, b, imm);
         ++counts.fp;
         break;
       case Op::FMul:
-        v = floatToWord(wordToFloat(a) * wordToFloat(b));
+        v = local<Op::FMul>(a, b, imm);
         ++counts.fp;
         break;
       case Op::Lw: {
@@ -643,9 +896,7 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
             std::memcpy(&v, global.data() + off, 4);
             lat += billCache(addr, false);
         } else {
-            if (addr + 4 > cfg.sramBytes)
-                tileFault(t, " lw outside SRAM @", addr);
-            std::memcpy(&v, tile.sram + addr, 4);
+            sramLoad(t, tile.sram, sramEnd, addr, v);
         }
         ++counts.ldst;
         break;
@@ -667,29 +918,15 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
             std::memcpy(global.data() + off, &b, 4);
             billCache(addr, true);
         } else {
-            if (addr + 4 > cfg.sramBytes)
-                tileFault(t, " sw outside SRAM @", addr);
-            std::memcpy(tile.sram + addr, &b, 4);
+            sramStore(t, tile.sram, sramEnd, addr, b);
         }
         ++counts.ldst;
         break;
       }
-      case Op::Beq:
-        if (a == b)
-            next = imm;
-        break;
-      case Op::Bne:
-        if (a != b)
-            next = imm;
-        break;
-      case Op::Blt:
-        if (static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b))
-            next = imm;
-        break;
-      case Op::Bge:
-        if (static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b))
-            next = imm;
-        break;
+      case Op::Beq: next = local<Op::Beq>(a, b, imm) ? imm : next; break;
+      case Op::Bne: next = local<Op::Bne>(a, b, imm) ? imm : next; break;
+      case Op::Blt: next = local<Op::Blt>(a, b, imm) ? imm : next; break;
+      case Op::Bge: next = local<Op::Bge>(a, b, imm) ? imm : next; break;
       case Op::Jump:
         next = imm;
         break;
@@ -723,6 +960,9 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
         v = tile.dynFifo.front().second;
         tile.dynFifo.pop_front();
         break;
+      default:
+        // decode() admits no other opcode.
+        __builtin_unreachable();
     }
 
     if (u.send()) {
@@ -754,7 +994,7 @@ RawMachine::execute(unsigned t, TileHot &tile, const Uop u, unsigned pc,
 inline bool
 RawMachine::canBatch(const TileHot &tile, const Uop u) const
 {
-    return (u.bits & tile.batchMask) == kBatchBit
+    return (u.code & tile.batchMask) < kStepOnly
            && (!u.send() || tile.soloPort != nullptr);
 }
 
@@ -766,6 +1006,82 @@ RawMachine::reachesGlobal(const TileHot &tile, const Uop u) const
     return (u.op() == Op::Lw || u.op() == Op::Sw)
            && Addr{tile.regs[u.rs()] + static_cast<Word>(u.imm)}
                   >= globalBase;
+}
+
+template <bool Sends>
+inline bool
+RawMachine::runValues(unsigned t, TileHot &tile, unsigned &pc,
+                      const unsigned end, const std::uint32_t *sendAt,
+                      const Cycles at)
+{
+    // Locals, as in batchTile: SRAM stores go through a byte pointer.
+    const Instr *const prog = tile.prog;
+    const Instr *op = prog + pc;
+    const Instr *const stop = prog + end;
+    Word *const reg = tile.regs.data();
+    std::uint8_t *const sram = tile.sram;
+    const Addr localEnd = sramEnd;
+    constexpr auto code = [](Op o) { return static_cast<unsigned>(o); };
+    // Only a block's last op branches.
+    unsigned next = end;
+    do {
+        const Uop u = uop(*op);
+        const Word a = reg[u.rs()];
+        const Word b = reg[u.rt()];
+        const auto imm = static_cast<std::uint32_t>(u.imm);
+        switch (u.code) {
+          case code(Op::Nop): continue;
+          case code(Op::Add): reg[u.rd()] = local<Op::Add>(a, b, imm); continue;
+          case code(Op::Addi): reg[u.rd()] = local<Op::Addi>(a, b, imm); continue;
+          case code(Op::Sub): reg[u.rd()] = local<Op::Sub>(a, b, imm); continue;
+          case code(Op::Mul): reg[u.rd()] = local<Op::Mul>(a, b, imm); continue;
+          case code(Op::Sll): reg[u.rd()] = local<Op::Sll>(a, b, imm); continue;
+          case code(Op::Sra): reg[u.rd()] = local<Op::Sra>(a, b, imm); continue;
+          case code(Op::Srl): reg[u.rd()] = local<Op::Srl>(a, b, imm); continue;
+          case code(Op::And): reg[u.rd()] = local<Op::And>(a, b, imm); continue;
+          case code(Op::Or): reg[u.rd()] = local<Op::Or>(a, b, imm); continue;
+          case code(Op::Xor): reg[u.rd()] = local<Op::Xor>(a, b, imm); continue;
+          case code(Op::Li): reg[u.rd()] = local<Op::Li>(a, b, imm); continue;
+          case code(Op::FAdd): reg[u.rd()] = local<Op::FAdd>(a, b, imm); continue;
+          case code(Op::FSub): reg[u.rd()] = local<Op::FSub>(a, b, imm); continue;
+          case code(Op::FMul): reg[u.rd()] = local<Op::FMul>(a, b, imm); continue;
+          case code(Op::Lw):
+            if (!sramLoad(t, sram, localEnd, a + imm, reg[u.rd()]))
+                break;
+            continue;
+          case code(Op::Sw):
+            if (!sramStore(t, sram, localEnd, a + imm, b))
+                break;
+            continue;
+          case code(Op::Beq): next = local<Op::Beq>(a, b, imm) ? imm : end; continue;
+          case code(Op::Bne): next = local<Op::Bne>(a, b, imm) ? imm : end; continue;
+          case code(Op::Blt): next = local<Op::Blt>(a, b, imm) ? imm : end; continue;
+          case code(Op::Bge): next = local<Op::Bge>(a, b, imm) ? imm : end; continue;
+          case code(Op::Jump): next = imm; continue;
+          default:
+            if constexpr (Sends) {
+                // A send, issued at its offset in the schedule (its
+                // counts come from the block).
+                OpCounts none;
+                const auto opPc = static_cast<unsigned>(op - prog);
+                if (execute<true>(t, tile, u, opPc, at + *sendAt, a, b,
+                                  none)
+                    == kDeclined) {
+                    break;
+                }
+                ++sendAt;
+                continue;
+            } else {
+                // A block without sends holds only the codes above.
+                __builtin_unreachable();
+            }
+        }
+        // A load or store reached global DRAM.
+        pc = static_cast<unsigned>(op - prog);
+        return false;
+    } while (++op != stop);
+    pc = next;
+    return true;
 }
 
 /**
@@ -785,8 +1101,8 @@ RawMachine::reachesGlobal(const TileHot &tile, const Uop u) const
  * port sends to single senders only; sendAhead bounds how far ahead
  * the queue may grow. Lazy drains are settled by stepTile's sends at
  * the event loop's `now`, never by a batch: a drain writes DRAM that
- * tiles at earlier cycles may still read. The batch therefore commutes with the rest of the cycle
- * interleaving, and every counter lands on the value the
+ * tiles at earlier cycles may still read. The batch therefore
+ * commutes with the rest of the cycle interleaving, and every counter lands on the value the
  * cycle-at-a-time reference accrues: busy cycles are the retired
  * instruction count, and operand-latency gaps add to tcDep in bulk
  * with one dep_stalls event each, like the reference's stall entry
@@ -801,6 +1117,18 @@ RawMachine::reachesGlobal(const TileHot &tile, const Uop u) const
  * reads what the port would. The wait for the last word is credited
  * to the DMA tallies before the operand wait, in the reference's
  * per-cycle order.
+ *
+ * Any other batch that reaches the start of a block (buildBlocks)
+ * runs the block's values through execute() with no timing, then
+ * applies its schedule: the cursor, the live-outs' ready times, the
+ * dep tallies and each stall window. The schedule assumed every
+ * live-in ready at entry; it is exact when each live-in r has
+ * ready[r] <= cursor + firstUse[r], because then no read waits on it
+ * and every issue cycle is the one the scoreboard gives. Otherwise
+ * (and on entry mid-block) the ops run one at a time as above, with
+ * the same result. A load or store that reaches global DRAM inside a
+ * block stops the value run there; the ops before it then take their
+ * timing one at a time, and it meets the per-op path.
  *
  * The batch breaks BEFORE any other externally visible op: sends to
  * tiles or shared ports, dynamic-network ops, halt, loads/stores that
@@ -818,6 +1146,12 @@ RawMachine::batchTile(unsigned t, Cycles cur)
     // pointer, which would otherwise force every op to reload it.
     const Instr *const prog = tile.prog;
     const std::uint32_t len = tile.progLen;
+    const BlockTable &blocks = *cold[t].blocks;
+    const std::uint16_t *const entries = blocks.entry.data();
+    const Block *const blockAt = blocks.blocks.data();
+    const RegAt *const regAt = blocks.regs.data();
+    const Window *const windows = blocks.windows.data();
+    const std::uint32_t *const sendAts = blocks.sendAt.data();
     Port *const port = tile.soloPort;
     const Cycles limit = cfg.maxCycles;
     unsigned pc = tile.pc;
@@ -836,13 +1170,98 @@ RawMachine::batchTile(unsigned t, Cycles cur)
     // batch at every send then.
     if (port != nullptr)
         port->sendLimit = port->arrivals.size() + sendAhead;
-    for (; cur <= limit; ++cur) {
+    // The scoreboard is the first stall test an op meets, so its
+    // operand wait is tile-private and accrues here even when the op
+    // itself must then issue through stepTile.
+    const auto awaitOperands = [&](Uop u) {
+        const Cycles rdy = std::max(tile.ready[u.rs()], tile.ready[u.rt()]);
+        if (rdy > cur) {
+            depCycles += rdy - cur;
+            ++depEvents;
+            hwSamp.addRange(0, cur, rdy);
+            cur = rdy;
+        }
+    };
+    while (cur <= limit) {
         if (pc >= len)
             tileFault(t, " ran off its program at pc ", pc);
-        const Uop u = std::bit_cast<Uop>(prog[pc]);
+        if constexpr (!OnLane) {
+            // A block entered at its start runs whole, values first
+            // and then its schedule, when the schedule is exact here:
+            // no live-in is ready later than its first use, and the
+            // block fits under the cycle cap and the send bound.
+            if (const unsigned entry = entries[pc]; entry != 0) {
+                const Block &blk = blockAt[entry - 1];
+                bool exact = cur + blk.cycles <= limit
+                             && (blk.sends == 0
+                                 || (port != nullptr
+                                     && port->arrivals.size() + blk.sends
+                                            <= port->sendLimit));
+                const RegAt *const in = regAt + blk.in;
+                for (std::uint32_t i = 0; exact && i < blk.ins; ++i)
+                    exact = tile.ready[in[i] & 31] <= cur + (in[i] >> 5);
+                if (exact) {
+                    // A block that loops to itself with its schedule
+                    // still exact (Block::loops) runs again at once.
+                    unsigned begin;
+                    bool done;
+                    do {
+                        begin = pc;
+                        const std::uint32_t *sendAt = sendAts + blk.send;
+                        done = blk.sends == 0
+                                   ? runValues<false>(t, tile, pc,
+                                                      pc + blk.ops, sendAt,
+                                                      cur)
+                                   : runValues<true>(t, tile, pc,
+                                                     pc + blk.ops, sendAt,
+                                                     cur);
+                        if (!done)
+                            break;
+                        const RegAt *const out = regAt + blk.out;
+                        for (std::uint32_t i = 0; i < blk.outs; ++i)
+                            tile.ready[out[i] & 31] = cur + (out[i] >> 5);
+                        // The windows in one epoch are one addition.
+                        if (blk.wins != 0
+                            && !hwSamp.addWithin(0, cur + blk.winFirst,
+                                                 cur + blk.winEnd,
+                                                 blk.depCycles)) {
+                            const Window *w = windows + blk.win;
+                            for (std::uint32_t i = 0; i < blk.wins; ++i)
+                                hwSamp.addRange(0, cur + w[i].at,
+                                                cur + w[i].at + w[i].len);
+                        }
+                        depCycles += blk.depCycles;
+                        depEvents += blk.wins;
+                        counts.fp += blk.fp;
+                        counts.ldst += blk.ldst;
+                        counts.sends += blk.sends;
+                        cur += blk.cycles;
+                    } while (pc == begin && blk.loops
+                             && cur + blk.cycles <= limit);
+                    if (done)
+                        continue;
+                    // A load or store reached global DRAM. The values
+                    // before it ran; their timing and counts are
+                    // applied op by op, and the op itself meets the
+                    // per-op path below.
+                    for (unsigned q = begin; q < pc; ++q) {
+                        const Uop u = uop(prog[q]);
+                        awaitOperands(u);
+                        if (u.send())
+                            ++counts.sends;
+                        else
+                            tile.ready[u.rd()] =
+                                cur + opLatency[u.code & kOpBits];
+                        counts.fp += u.op() >= Op::FAdd && u.op() <= Op::FMul;
+                        counts.ldst += u.op() == Op::Lw || u.op() == Op::Sw;
+                        ++cur;
+                    }
+                }
+            }
+        }
+        const Uop u = uop(prog[pc]);
         // canBatch(), with this instantiation's mask.
-        if ((u.bits & (OnLane ? kBatchBit : kBatchBit | kPopBits))
-                != kBatchBit
+        if ((u.code & (OnLane ? kOpBits : kOpBits | kPopBits)) >= kStepOnly
             || (u.send() && port == nullptr)) {
             break;
         }
@@ -869,16 +1288,7 @@ RawMachine::batchTile(unsigned t, Cycles cur)
                 }
             }
         }
-        // The scoreboard is the first stall test such an op meets, so
-        // its operand wait is tile-private and accrues here even when
-        // the op itself must then issue through stepTile.
-        const Cycles rdy = std::max(tile.ready[u.rs()], tile.ready[u.rt()]);
-        if (rdy > cur) {
-            depCycles += rdy - cur;
-            ++depEvents;
-            hwSamp.addRange(0, cur, rdy);
-            cur = rdy;
-        }
+        awaitOperands(u);
         if (u.send() && port->arrivals.size() >= port->sendLimit)
             break;
         Word a = tile.regs[u.rs()];
@@ -908,6 +1318,7 @@ RawMachine::batchTile(unsigned t, Cycles cur)
             }
         }
         pc = next;
+        ++cur;
     }
     // Every cycle of [start, cur) retired an op or was a wait.
     tile.pc = pc;
@@ -1043,7 +1454,7 @@ RawMachine::laneFlush(unsigned t, Cycles now)
         tile.inFifo.emplace_back(arrival, v);
     }
     laneStore(t, c);
-    tile.batchMask = kBatchBit | kPopBits;
+    tile.batchMask = kOpBits | kPopBits;
     if (!ln.port->inQueue.empty())
         busyPortMask |= bitOf(static_cast<unsigned>(ln.port - ports.data()));
     ln.port = nullptr;
@@ -1412,7 +1823,7 @@ RawMachine::openStreams()
         ln.port = &ports[p];
         ln.popped = 0;
         ln.left = words;
-        tile.batchMask = kBatchBit;
+        tile.batchMask = kOpBits;
         busyPortMask &= ~bitOf(p);
     }
 }
@@ -1479,7 +1890,7 @@ RawMachine::runEvent()
         streams = false;
         for (unsigned t = 0; t < cfg.tiles(); ++t) {
             lanes[t].port = nullptr;
-            hot[t].batchMask = kBatchBit | kPopBits;
+            hot[t].batchMask = kOpBits | kPopBits;
         }
     }
 

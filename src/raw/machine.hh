@@ -252,47 +252,59 @@ class RawMachine
     /**
      * One predecoded instruction, 8 bytes like the Instr it replaces
      * in place. setProgram() resolves once what the interpreter would
-     * otherwise re-derive every step. The low byte of `bits` is the
-     * handler id: the opcode plus the operand-kind bits (pop $csti for
-     * rs / rt, send the result on $csto). Above it sit the register
-     * fields, the batch bit and the result latency. An operand the
+     * otherwise re-derive every step. `code` is the handler id: the
+     * opcode plus the operand-kind bits (pop $csti for rs / rt, send
+     * the result on $csto). The register fields take a byte each, so
+     * the interpreter loads them without shifting. An operand the
      * opcode does not read decodes to r0, and a result with no
      * register home decodes to regSink, so operand reads and the
      * scoreboard check are plain array loads: nothing ever writes
-     * regs[0] or ready[0].
+     * regs[0] or ready[0]. The result latency is opLatency[op()].
      */
     struct Uop
     {
-        std::uint32_t bits;
+        std::uint8_t code;
+        std::uint8_t rdReg;
+        std::uint8_t rsReg;
+        std::uint8_t rtReg;
         std::int32_t imm;
 
-        Op op() const { return static_cast<Op>(bits & 31); }
-        bool popRs() const { return bits >> 5 & 1; }
-        bool popRt() const { return bits >> 6 & 1; }
+        Op op() const { return static_cast<Op>(code & kOpBits); }
+        bool popRs() const { return code >> 5 & 1; }
+        bool popRt() const { return code >> 6 & 1; }
         /** The result is written to $csto. */
-        bool send() const { return bits >> 7 & 1; }
-        unsigned rd() const { return bits >> 8 & 31; }
-        unsigned rs() const { return bits >> 13 & 31; }
-        unsigned rt() const { return bits >> 18 & 31; }
+        bool send() const { return code >> 7; }
+        unsigned rd() const { return rdReg; }
+        unsigned rs() const { return rsReg; }
+        unsigned rt() const { return rtReg; }
         /** $csti words the op pops (0, 1 or 2). */
         unsigned pops() const { return popRs() + popRt(); }
-        Cycles lat() const { return bits >> 24; }
     };
     static_assert(sizeof(Uop) == sizeof(Instr));
+    /** The Uop a decoded program slot holds, field by field (the op
+     *  field holds the code), so the interpreter loads each byte. */
+    static Uop
+    uop(const Instr &slot)
+    {
+        return {static_cast<std::uint8_t>(slot.op), slot.rd, slot.rs,
+                slot.rt, slot.imm};
+    }
 
-    /** Uop::bits' pop bits, and its batch bit: no dynamic-network op,
-     *  no halt. A batch may run an op whose bits masked by the tile's
-     *  TileHot::batchMask equal kBatchBit, so a tile that is not a
-     *  lane never batches a pop. */
+    /** Uop::code's opcode and pop bits. A batch may run an op whose
+     *  code masked by the tile's TileHot::batchMask is below
+     *  kStepOnly (the opcodes from halt on issue only through
+     *  stepTile), so a tile that is not a lane never batches a pop. */
+    static constexpr std::uint32_t kOpBits = 31;
     static constexpr std::uint32_t kPopBits = 3u << 5;
-    static constexpr std::uint32_t kBatchBit = 1u << 23;
+    static constexpr std::uint32_t kStepOnly =
+        static_cast<std::uint32_t>(Op::Halt);
 
     /** Where results with no register home land: $csti's slot,
      *  never read, because a $csti operand decodes to a pop. */
     static constexpr unsigned regSink = regCsti;
 
-    /** Uop::bits for @p in (the immediate carries over as is). */
-    std::uint32_t decode(const Instr &in) const;
+    /** The Uop for @p in (the immediate carries over as is). */
+    Uop decode(const Instr &in) const;
     /** Debug-log @p u, executed by tile @p t at @p now, as the
      *  instruction it was decoded from. Out of line: tracing is
      *  rare and the stepper is hot. */
@@ -313,7 +325,7 @@ class RawMachine
         std::uint32_t progLen = 0;
         /** The decoded program: each Instr-sized slot holds a Uop. */
         const Instr *prog = nullptr;
-        Uop op(unsigned at) const { return std::bit_cast<Uop>(prog[at]); }
+        Uop op(unsigned at) const { return uop(prog[at]); }
         Cycles stallUntil = 0;
         TileStall stallKind = TileStall::None;
         bool halted = false;
@@ -324,12 +336,12 @@ class RawMachine
         /** Event stepper: blocked on an empty dynamic-network FIFO. */
         bool waitDyn = false;
         unsigned route = ~0u;
-        /** canBatch's mask: kBatchBit | kPopBits, or kBatchBit alone
-         *  on a lane (a tile that pulls its own DMA-in stream, see
-         *  Lane), whose batches pop $csti too. It fills padding, so
-         *  the fields the interpreter reads keep their places. */
-        std::uint32_t batchMask = kBatchBit | kPopBits;
-        bool lane() const { return batchMask == kBatchBit; }
+        /** canBatch's mask: kOpBits | kPopBits, or kOpBits alone on
+         *  a lane (a tile that pulls its own DMA-in stream, see Lane),
+         *  whose batches pop $csti too. It fills padding, so the
+         *  fields the interpreter reads keep their places. */
+        std::uint32_t batchMask = kOpBits | kPopBits;
+        bool lane() const { return batchMask == kOpBits; }
         /** The port this tile alone routes $csto to, set by run();
          *  null when the route is a tile or a shared port. */
         Port *soloPort = nullptr;
@@ -362,14 +374,73 @@ class RawMachine
         std::vector<Cycles> free;
     };
 
+    /** A register and a cycle offset from a block's entry, packed as
+     *  offset << 5 | register. */
+    using RegAt = std::uint32_t;
+
+    /** A dep-stall window of a block: its first cycle, as an offset
+     *  from the block's entry, and its length. */
+    struct Window
+    {
+        std::uint32_t at;
+        std::uint32_t len;
+    };
+
+    /**
+     * The exact in-order schedule of one basic block of ops a batch
+     * that pops nothing may run (DESIGN D12 (5)), computed as if every
+     * live-in register were ready at entry. Its lists are slices of
+     * its BlockTable's pools: the live-ins with the offset of their
+     * first use, the registers written and live after it with their
+     * exit ready offset, the dep-stall windows and each send's issue
+     * offset.
+     */
+    struct Block
+    {
+        std::uint32_t ops = 0;      //!< op count; only the last branches
+        std::uint32_t cycles = 0;   //!< entry to the cycle after the last issue
+        std::uint32_t depCycles = 0;    //!< the windows' total length
+        std::uint32_t fp = 0, ldst = 0, sends = 0;  //!< op counts
+        std::uint32_t ins = 0, in = 0;      //!< live-ins: count, first RegAt
+        std::uint32_t outs = 0, out = 0;    //!< live-outs
+        std::uint32_t wins = 0, win = 0;    //!< windows
+        std::uint32_t winFirst = 0, winEnd = 0;  //!< the windows' span
+        std::uint32_t send = 0;             //!< first send's issue offset
+        /** It branches to itself, sends nothing and stays exact on
+         *  the next entry. */
+        bool loops = false;
+    };
+
+    /** A program's block schedules (setProgram). entry[pc] is 1 + the
+     *  index of the block that starts at pc, or 0 (also past the
+     *  65535th block). */
+    struct BlockTable
+    {
+        std::vector<std::uint16_t> entry;
+        std::vector<Block> blocks;
+        std::vector<RegAt> regs;
+        std::vector<Window> windows;
+        std::vector<std::uint32_t> sendAt;
+    };
+
+    /** Longest block: bounds every offset well below 2^27 (RegAt). */
+    static constexpr std::uint32_t kMaxBlockOps = 1024;
+
     struct TileCold
     {
         /** Owns the op stream behind TileHot::prog. */
         std::vector<Instr> program;
+        /** The program's block schedules, for batchTile<false>;
+         *  shared by the tiles whose programs schedule alike. */
+        std::shared_ptr<const BlockTable> blocks;
         std::vector<std::uint8_t> sram;
         std::unique_ptr<mem::SetAssocCache> cache;
         Cycles haltCycle = 0;
     };
+
+    /** Cut decoded program @p prog into blocks and schedule each. */
+    std::shared_ptr<const BlockTable>
+    buildBlocks(const std::vector<Instr> &prog) const;
 
     struct Port
     {
@@ -392,9 +463,11 @@ class RawMachine
      *  the tile's next-wake cycle (ignored by the test witness). */
     void stepTile(unsigned t, Cycles now);
     /** Run tile @p t's batchable ops from cycle @p cur, ahead of the
-     *  event loop; an OnLane batch pops $csti too. Cache-line
-     *  aligned: where the linker put the loop moved CSLC's host time
-     *  by ~15% between otherwise identical builds. */
+     *  event loop; an OnLane batch pops $csti too, and any other runs
+     *  each block it enters at its start whole, by its schedule,
+     *  when the schedule is exact. Cache-line aligned: where the
+     *  linker put the loop moved CSLC's host time by ~15% between
+     *  otherwise identical builds. */
     template <bool OnLane>
     [[gnu::aligned(64)]] void batchTile(unsigned t, Cycles cur);
 
@@ -462,8 +535,9 @@ class RawMachine
     /**
      * Execute @p u, the op at @p pc of tile @p t, at cycle @p now,
      * on operands @p a (rs) and @p b (rt), which the caller read or
-     * popped: the one place that holds the opcode semantics. The
-     * caller has checked that the op's operands and network resources
+     * popped, with its timing and side effects; what a tile-local op
+     * computes comes from local<Op>() in machine.cc. The caller has
+     * checked that the op's operands and network resources
      * are ready, and it advances the tile's pc and retire count.
      * Returns the next pc. A Batch call declines (returns kDeclined,
      * no side effect) a load or store that reaches global DRAM, and
@@ -477,8 +551,23 @@ class RawMachine
                                             OpCounts &counts);
     static constexpr unsigned kDeclined = ~0u;
 
-    /** A batch may reach @p u: it has the batch bit, pops only on a
-     *  lane, and sends only to a port the tile alone feeds. */
+    /**
+     * A block's value run (DESIGN D12 (5)): execute tile @p t's ops
+     * [pc, end) with no timing or counting, each send issuing @p at
+     * plus its offset in @p sendAt, and set @p pc to the last op's
+     * next pc. Returns false with pc at a load or store that reaches
+     * global DRAM, having run the ops before it. Without Sends the
+     * block holds none.
+     */
+    template <bool Sends>
+    [[gnu::always_inline]] bool runValues(unsigned t, TileHot &tile,
+                                          unsigned &pc, unsigned end,
+                                          const std::uint32_t *sendAt,
+                                          Cycles at);
+
+    /** A batch may reach @p u: it is no halt or dynamic-network op,
+     *  pops only on a lane, and sends only to a port the tile alone
+     *  feeds. */
     bool canBatch(const TileHot &tile, Uop u) const;
 
     /** @p u loads or stores global DRAM, which a batch never runs.
@@ -568,8 +657,11 @@ class RawMachine
     /** logLevel() is an out-of-line call; sampled once per run() so
      *  the per-instruction debug check is a flag test. */
     bool debugTrace = false;
-    /** Result latency by class (int, mul, fp, load), for decode(). */
-    std::array<std::uint8_t, 4> latency;
+    /** Result latency by opcode. */
+    std::array<std::uint8_t, 32> opLatency{};
+    /** A word at addr is local SRAM when addr + 4 <= sramEnd: the
+     *  smaller of the SRAM size and globalBase + 3. */
+    Addr sramEnd = 0;
     /** Run-ahead bound of batched port sends: a batch stops sending
      *  once it has queued this many words (one DRAM row) at the port
      *  (Port::sendLimit), and an unbatched send settles lazy drains

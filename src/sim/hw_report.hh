@@ -194,6 +194,25 @@ class EpochSampler
         addRangeSplit(channel, start, end);
     }
 
+    /**
+     * Record @p count events whose cycles all lie in [@p start,
+     * @p end) when that range falls in one epoch already in capacity,
+     * where their exact cycles cannot matter. Returns false, having
+     * recorded nothing, otherwise.
+     */
+    bool
+    addWithin(std::size_t channel, Cycles start, Cycles end,
+              std::uint64_t count)
+    {
+        const Cycles first = start >> shift;
+        if (end <= start || first != (end - 1) >> shift
+            || first >= kEpochSlots) {
+            return false;
+        }
+        slots[channel][first] += count;
+        return true;
+    }
+
     /** Forget all samples (channel names are kept); the machines'
      *  resetTiming() calls this so a kernel starts a fresh timeline. */
     void reset();

@@ -4,10 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <map>
-#include <mutex>
 #include <string_view>
-#include <type_traits>
 
 #include "imagine/kernels_imagine.hh"
 #include "kernels/fft.hh"
@@ -78,22 +75,22 @@ requireValid(bool ok, const std::string &run)
 
 /** A Table-3 cell: cached by the runner, validated by the registry. */
 RunResult
-cell(ParallelRunner &r, MachineId machine, KernelId kernel)
+cell(ClaimRun &r, MachineId machine, KernelId kernel)
 {
-    RunResult result = r.run(machine, kernel);
+    RunResult result = r.runner.run(machine, kernel);
     requireValid(result.validated, "its Table-3 cell");
     return result;
 }
 
 Cycles
-cycles(ParallelRunner &r, MachineId machine, KernelId kernel)
+cycles(ClaimRun &r, MachineId machine, KernelId kernel)
 {
     return cell(r, machine, kernel).cycles;
 }
 
 /** A Table-3 cell's note, in percent. */
 double
-notePct(ParallelRunner &r, MachineId machine, KernelId kernel,
+notePct(ClaimRun &r, MachineId machine, KernelId kernel,
         std::string_view name)
 {
     for (const auto &[key, value] : cell(r, machine, kernel).notes) {
@@ -118,28 +115,6 @@ transposed(Cycles c, const WordMatrix &src, const WordMatrix &dst)
     return c;
 }
 
-/**
- * A mutated run that several rows read (a sweep point's cycles and a
- * ratio over them, one machine's cycles and utilization) executes
- * once per process, config and @p key. The lambda type is unique to
- * its call site, so each call site keeps its own memo.
- */
-template <typename F>
-const std::invoke_result_t<F> &
-once(const ParallelRunner &r, const std::string &key, F run)
-{
-    static std::mutex mu;
-    static std::map<std::pair<std::uint64_t, std::string>,
-                    std::invoke_result_t<F>>
-        memo;
-    std::lock_guard lock(mu);
-    const auto slot = std::make_pair(r.configHash(), key);
-    auto it = memo.find(slot);
-    if (it == memo.end())
-        it = memo.emplace(slot, run()).first;
-    return it->second;
-}
-
 Cycles
 viramCt(const WordMatrix &src, const viram::ViramConfig &cfg,
         unsigned rowBlock = 64)
@@ -154,9 +129,11 @@ viramCt(const WordMatrix &src, const viram::ViramConfig &cfg,
  *  (VIRAM's off-chip DMA path past its 13 MB on chip; Raw's DRAM is
  *  off chip at every size). */
 double
-capacityCt(ParallelRunner &r, MachineId machine, unsigned n)
+capacityCt(ClaimRun &r, MachineId machine, unsigned n)
 {
-    return once(r, machineToken(machine) + std::to_string(n), [&] {
+    const std::string key = "capacity." + machineToken(machine) + "."
+                            + std::to_string(n);
+    return r.once(key, [&] {
         WordMatrix src(n, n), dst;
         kernels::fillMatrix(src, r.config().seed);
         Cycles c = 0;
@@ -184,9 +161,11 @@ struct ImagineRun
 /** Imagine CSLC with an ideal inter-cluster network, or with the
  *  independent per-cluster FFTs the paper did not complete. */
 const ImagineRun &
-imagineCslc(ParallelRunner &r, bool independent)
+imagineCslc(ClaimRun &r, bool independent)
 {
-    return once(r, independent ? "independent" : "ideal", [&] {
+    const std::string key = independent ? "imagine.independent"
+                                        : "imagine.ideal";
+    return r.once(key, [&] {
         const Workloads &work = *r.workloads();
         imagine::ImagineConfig cfg;
         if (!independent)
@@ -214,13 +193,13 @@ struct RawRun
 /** Raw CSLC on @p sets sub-band sets over @p intervals consecutive
  *  intervals (sets dealt round-robin), cached or in stream mode. */
 const RawRun &
-rawCslc(ParallelRunner &r, unsigned sets, unsigned intervals,
+rawCslc(ClaimRun &r, unsigned sets, unsigned intervals,
         bool streamed = false)
 {
-    const std::string key = std::to_string(sets) + "x"
+    const std::string key = "raw." + std::to_string(sets) + "x"
                             + std::to_string(intervals)
                             + (streamed ? "s" : "");
-    return once(r, key, [&] {
+    return r.once(key, [&] {
         StudyConfig cfg = r.config();
         cfg.cslc.subBands = sets;
         cfg.cslc.samples =
@@ -348,7 +327,7 @@ std::vector<Claim>
 buildClaims()
 {
     using enum ClaimUnit;
-    using R = ParallelRunner;
+    using R = ClaimRun;
     std::vector<Claim> rows;
     const auto add = [&rows](Claim c) { rows.push_back(std::move(c)); };
 
@@ -546,10 +525,10 @@ claims()
 }
 
 double
-measureClaim(const Claim &claim, ParallelRunner &runner)
+measureClaim(const Claim &claim, ClaimRun &run)
 {
     measuring = &claim;
-    const double value = claim.measure(runner);
+    const double value = claim.measure(run);
     measuring = nullptr;
     return value;
 }
@@ -623,8 +602,9 @@ runClaims(ParallelRunner &runner, const std::vector<MachineId> &machines,
     t.header({"Id", "Section", "Paper", "Band", "Measured", "Status"});
     std::string deviations;
     unsigned failed = 0;
+    ClaimRun run(runner);
     for (const Claim *c : rows) {
-        const double value = measureClaim(*c, runner);
+        const double value = measureClaim(*c, run);
         const ClaimStatus status = claimStatus(*c, value);
         const auto b = bandFromWording(c->paper);
         const std::string band =

@@ -18,10 +18,14 @@
 #ifndef TRIARCH_STUDY_CLAIMS_HH
 #define TRIARCH_STUDY_CLAIMS_HH
 
+#include <any>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "study/parallel.hh"
@@ -50,6 +54,46 @@ std::optional<Band> bandFromWording(const std::string &wording);
 
 enum class ClaimUnit { Percent, Ratio, CycleCount, CyclesPerWord };
 
+/**
+ * One claims run: the runner its rows read, and the mutated runs
+ * (ideal DRAM, a wider network, a swept size) that several rows
+ * share, each executed once in this run and dropped with it. Another
+ * run, on the same config or not, executes them again; only the
+ * runner's cache carries Table-3 cells over.
+ */
+class ClaimRun
+{
+  public:
+    explicit ClaimRun(ParallelRunner &claim_runner) : runner(claim_runner) {}
+    ClaimRun(const ClaimRun &) = delete;
+    ClaimRun &operator=(const ClaimRun &) = delete;
+
+    ParallelRunner &runner;
+
+    const StudyConfig &config() const { return runner.config(); }
+    const std::shared_ptr<const Workloads> &workloads() const
+    {
+        return runner.workloads();
+    }
+
+    /** What @p make() returns, made on this run's first call with
+     *  @p key; a key always names values of one type. */
+    template <typename F>
+    const std::invoke_result_t<F> &
+    once(const std::string &key, F make)
+    {
+        std::lock_guard lock(mu);
+        auto it = memo.find(key);
+        if (it == memo.end())
+            it = memo.emplace(key, make()).first;
+        return std::any_cast<const std::invoke_result_t<F> &>(it->second);
+    }
+
+  private:
+    std::mutex mu;
+    std::map<std::string, std::any> memo;
+};
+
 struct Claim
 {
     std::string id;       //!< e.g. "viram.ct.precharge_tlb"
@@ -58,7 +102,7 @@ struct Claim
     ClaimUnit unit;
     std::vector<MachineId> machines;
     std::optional<KernelId> kernel;
-    std::function<double(ParallelRunner &)> measure;
+    std::function<double(ClaimRun &)> measure;
     /** Why the value sits outside its band; empty = in band. */
     std::string deviation = {};
 };
@@ -66,8 +110,9 @@ struct Claim
 /** Every row, in print order. */
 const std::vector<Claim> &claims();
 
-/** Run @p claim's measure(), naming it in any fatal error. */
-double measureClaim(const Claim &claim, ParallelRunner &runner);
+/** Run @p claim's measure() in @p run, naming it in any fatal
+ *  error. */
+double measureClaim(const Claim &claim, ClaimRun &run);
 
 enum class ClaimStatus
 {
@@ -90,7 +135,8 @@ bool claimSelected(const Claim &claim,
 
 /**
  * The bench/claims body: run the Table-3 cells behind the selected
- * rows concurrently (recorded in @p sink), measure the rows and print
+ * rows concurrently (recorded in @p sink), measure the rows in one
+ * ClaimRun and print
  * them (as CSV with @p csv), then each known deviation's reason.
  * Returns 1 if a row failed, 2 if the selection matches no row.
  */

@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 
+#include "sim/trace.hh"
 #include "study/claims.hh"
 
 namespace triarch::study
@@ -112,9 +114,10 @@ TEST(Claims, EveryValueAndStatusIsPinned)
 {
     ResultCache cache;          // rows re-ask for Table-3 cells
     ParallelRunner runner({}, 0, nullptr, &cache);
+    ClaimRun run(runner);
     for (const Pin &pin : pins) {
         const Claim &claim = row(pin.id);
-        const double value = measureClaim(claim, runner);
+        const double value = measureClaim(claim, run);
         if (claim.unit == ClaimUnit::CycleCount) {
             EXPECT_EQ(static_cast<Cycles>(value),
                       static_cast<Cycles>(pin.value))
@@ -127,6 +130,53 @@ TEST(Claims, EveryValueAndStatusIsPinned)
         }
         EXPECT_EQ(claimStatus(claim, value), pin.status) << pin.id;
     }
+}
+
+/** How many "imagine.load_stream" spans @p session has recorded. */
+std::size_t
+imagineStreamLoads(const trace::TraceSession &session)
+{
+    std::ostringstream os;
+    session.writeJson(os);
+    const std::string text = os.str();
+    const std::string name = "\"name\": \"imagine.load_stream\"";
+    std::size_t n = 0;
+    for (auto at = text.find(name); at != std::string::npos;
+         at = text.find(name, at + 1)) {
+        ++n;
+    }
+    return n;
+}
+
+TEST(Claims, EachRunExecutesItsOwnMutatedRuns)
+{
+    // Two claims runs of the Imagine CSLC rows on one runner and one
+    // config: the second finds its Table-3 cell in the runner's
+    // cache, but executes the ideal-network and independent-FFT
+    // variants again rather than reading the first run's results,
+    // and prints the same table.
+    ResultCache cache;
+    ParallelRunner runner({}, 1, nullptr, &cache);
+    trace::TraceSession session;
+    session.start();
+    std::string tables[2];
+    std::size_t loads[2];
+    for (int i = 0; i < 2; ++i) {
+        ResultSink sink;
+        std::ostringstream os;
+        EXPECT_EQ(runClaims(runner, {MachineId::Imagine},
+                            {KernelId::Cslc}, true, sink, os),
+                  0);
+        tables[i] = os.str();
+        loads[i] = imagineStreamLoads(session);
+    }
+    session.stop();
+    // The two variants make two thirds of the first run's transfers,
+    // the Table-3 cell the rest.
+    const std::size_t second = loads[1] - loads[0];
+    EXPECT_GT(second, loads[0] / 2);
+    EXPECT_LT(second, loads[0]);
+    EXPECT_EQ(tables[0], tables[1]);
 }
 
 TEST(ClaimBands, DerivedFromThePapersWording)

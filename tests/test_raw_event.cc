@@ -1091,6 +1091,303 @@ TEST(RawLaneDifferential, SeededStreamProgramsAcrossSteppers)
     EXPECT_GE(checked, 24u);
 }
 
+// ----------------------------------------------------------------
+// Block schedules (DESIGN D12 (5)): a batch that enters a basic block
+// at its start runs the block's values, then applies the timing
+// computed once for it, when no live-in is ready later than its first
+// use. Every such run must still match the witness.
+// ----------------------------------------------------------------
+
+TEST(RawEventDifferential, BlockLiveInsReadyAroundFirstUse)
+{
+    // A block ends with a result of latency `lat` and a jump; the next
+    // block reads it after `fill` independent ops. Its ready time then
+    // lands before, at or after its first use (lat - 2 - fill cycles
+    // after), so the schedule is exact, exact at the edge, or not, and
+    // a result left one cycle short would show.
+    for (unsigned lat = 1; lat <= 6; ++lat) {
+        for (unsigned fill = 0; fill <= 4; ++fill) {
+            SCOPED_TRACE(testing::Message() << "lat " << lat << ", fill "
+                                            << fill);
+            RawConfig cfg;
+            cfg.fpLatency = lat;
+            cfg.loadLatency = lat;
+            expectSteppersAgree(
+                [&](RawMachine &m) {
+                    Assembler as;
+                    Label top = as.label(), body = as.label(),
+                          next = as.label();
+                    as.li(1, 3);
+                    as.li(2, static_cast<std::int32_t>(floatToWord(1.5f)));
+                    as.jump(top);
+                    as.bind(top);
+                    as.fmul(3, 2, 2);
+                    as.lw(4, 0, 64);
+                    as.jump(body);
+                    as.bind(body);
+                    for (unsigned k = 0; k < fill; ++k)
+                        as.addi(5 + k, 1, static_cast<std::int32_t>(k));
+                    as.fadd(2, 3, 4);
+                    as.sw(2, 0, 64);
+                    as.fmul(10, 2, 2);
+                    as.jump(next);
+                    as.bind(next);
+                    as.fadd(11, 10, 10);
+                    as.addi(1, 1, -1);
+                    as.bne(1, 0, top);
+                    as.sw(11, 0, 68);
+                    as.halt();
+                    m.setProgram(0, as.finish());
+                },
+                cfg,
+                [](const RawMachine &m) { return m.peekLocal(0, 64, 2); });
+        }
+    }
+}
+
+/**
+ * A seeded program per live tile for the block schedules: sections of
+ * random ALU, FP and SRAM ops, straight or in bounded loops, each
+ * ending in a result of random latency that the next section reads
+ * after a few other ops; cached-global lw/sw on a base the program
+ * computed (so they land mid-block) or loaded (so they run op by op),
+ * some on a region every tile shares; and $csto sends to a port the
+ * tile feeds alone or shares. The registers are stored to SRAM before
+ * the halt. @p words global words from @p global hold everything the
+ * programs write there.
+ *
+ * FP ops read and write r9-r12 only, which hold floats and are loaded
+ * only from SRAM words FP registers stored. Every NaN they make is then
+ * the FPU's default NaN: which payload an op on two different NaNs
+ * keeps depends on the host compiler's operand order.
+ */
+void
+seededBlockProgram(RawMachine &m, std::uint64_t seed, Addr &global,
+                   unsigned &words)
+{
+    Rng rng(seed);
+    const auto below = [&rng](unsigned n) {
+        return static_cast<unsigned>(rng.nextBelow(n));
+    };
+    const RawConfig &cfg = m.config();
+    const unsigned tiles = cfg.tiles();
+    constexpr unsigned region = 256;        // words per tile
+    constexpr unsigned outWords = 4096;     // DMA-out area per port
+    words = (tiles + 1) * region + tiles * outWords;
+    global = m.allocGlobal(std::uint64_t{words} * 4, "blocks");
+    std::vector<Word> init(words);
+    for (unsigned i = 0; i < words; ++i)
+        init[i] = static_cast<Word>(rng.next());
+    m.pokeGlobal(global, init);
+    const Addr shared = global + tiles * region * 4;
+    const Addr out = global + (tiles + 1) * region * 4;
+
+    // r1-r8 integers, r9-r12 floats, r13 loop counter, r14 address
+    // mask, r15 SRAM base (integer words at +0, floats at +1024), r16
+    // this tile's global region, r17/r18 computed SRAM/global
+    // addresses, r19 the shared region.
+    std::vector<unsigned> sends(tiles, 0);
+    std::vector<unsigned> route(tiles, ~0u);
+    for (unsigned t = 0; t < tiles; ++t) {
+        if (below(4) == 0)
+            continue;       // an idle tile
+        if (below(2) == 0)
+            route[t] = below(tiles);
+        const auto intReg = [&] { return 1 + below(8); };
+        const auto fpReg = [&] { return 9 + below(4); };
+        const auto anyReg = [&] { return 1 + below(12); };
+        const auto off = [&] {
+            return static_cast<std::int32_t>(4 * below(region));
+        };
+        Assembler as;
+        unsigned trips = 1;     // of the loop being emitted
+        // One random op writing neither `keep` nor r0.
+        const auto op = [&](unsigned keep) {
+            const auto dst = [&](bool fp) {
+                unsigned rd = fp ? fpReg() : intReg();
+                while (rd == keep)
+                    rd = fp ? fpReg() : intReg();
+                return rd;
+            };
+            const unsigned a = intReg(), b = anyReg();
+            switch (below(20)) {
+              case 0: as.add(dst(false), a, b); break;
+              case 1: as.addi(dst(false), a, static_cast<std::int32_t>(below(64)) - 32); break;
+              case 2: as.sub(dst(false), a, b); break;
+              case 3: as.mul(dst(false), a, b); break;
+              case 4: as.sll(dst(false), a, below(32)); break;
+              case 5: as.sra(dst(false), b, below(32)); break;
+              case 6: as.xor_(dst(false), a, b); break;
+              case 7: as.li(dst(false), static_cast<std::int32_t>(rng.next())); break;
+              case 8: as.fadd(dst(true), fpReg(), fpReg()); break;
+              case 9: as.fsub(dst(true), fpReg(), fpReg()); break;
+              case 10: as.fmul(dst(true), fpReg(), fpReg()); break;
+              case 11:
+                below(2) ? as.lw(dst(false), 15, off())
+                         : as.lw(dst(true), 15, 1024 + off());
+                break;
+              case 12:
+                below(2) ? as.sw(b, 15, off()) : as.sw(fpReg(), 15, 1024 + off());
+                break;
+              case 13:
+                as.and_(17, a, 14);
+                as.add(17, 17, 15);
+                below(2) ? as.lw(dst(false), 17, 0) : as.sw(b, 17, 0);
+                break;
+              case 14: as.lw(dst(false), 16, off()); break;
+              case 15: as.sw(b, 16, off()); break;
+              case 16:
+                as.and_(18, a, 14);
+                as.add(18, 18, 16);
+                below(2) ? as.lw(dst(false), 18, 0) : as.sw(b, 18, 0);
+                break;
+              case 17:
+                below(2) ? as.lw(dst(false), 19, off() % 256)
+                         : as.sw(b, 19, off() % 256);
+                break;
+              default:
+                if (route[t] != ~0u && sends[t] + trips <= outWords / 2) {
+                    as.add(regCsto, a, b);
+                    sends[t] += trips;
+                } else {
+                    as.or_(dst(false), a, b);
+                }
+            }
+        };
+        Label start = as.label();
+        as.jump(start);
+        as.bind(start);
+        for (unsigned r = 1; r <= 8; ++r)
+            as.li(r, static_cast<std::int32_t>(rng.next()));
+        for (unsigned r = 9; r <= 12; ++r) {
+            const float f = static_cast<float>(below(2000)) / 64.0f - 15.0f;
+            as.li(r, static_cast<std::int32_t>(floatToWord(f)));
+        }
+        as.li(14, static_cast<std::int32_t>((region - 1) * 4));
+        as.li(15, 256);
+        as.li(16, static_cast<std::int32_t>(global + t * region * 4));
+        as.li(19, static_cast<std::int32_t>(shared));
+        unsigned carried = fpReg();     // last section's slow result
+        for (unsigned sec = 2 + below(5); sec > 0; --sec) {
+            const bool loop = below(2) == 1;
+            Label top = as.label(), next = as.label();
+            trips = 1;
+            if (loop) {
+                trips = 1 + below(6);
+                as.li(13, static_cast<std::int32_t>(trips));
+                as.bind(top);
+            }
+            // A few ops, then the first read of the slow result.
+            for (unsigned k = below(4); k > 0; --k)
+                op(carried);
+            if (carried >= 9)
+                as.fadd(fpReg(), carried, fpReg());
+            else
+                as.add(intReg(), carried, anyReg());
+            for (unsigned k = below(16); k > 0; --k)
+                op(0);
+            // The slow result the next section reads.
+            switch (below(3)) {
+              case 0:
+                carried = fpReg();
+                as.fmul(carried, fpReg(), fpReg());
+                break;
+              case 1:
+                carried = intReg();
+                as.mul(carried, intReg(), anyReg());
+                break;
+              default:
+                carried = intReg();
+                as.lw(carried, 15, off());
+            }
+            if (loop) {
+                as.addi(13, 13, -1);
+                as.bne(13, 0, top);
+            } else {
+                as.jump(next);
+            }
+            as.bind(next);
+        }
+        for (unsigned r = 1; r <= 12; ++r)
+            as.sw(r, 0, static_cast<std::int32_t>(3072 + 4 * r));
+        as.halt();
+        m.setProgram(t, as.finish());
+    }
+    // Each port's DMA-out segments cover exactly its senders' words.
+    std::vector<unsigned> portSends(tiles, 0);
+    for (unsigned t = 0; t < tiles; ++t) {
+        if (route[t] != ~0u && sends[t] != 0) {
+            m.setRoute(t, portEndpoint(route[t]));
+            portSends[route[t]] += sends[t];
+        }
+    }
+    for (unsigned p = 0; p < tiles; ++p) {
+        Addr at = out + Addr{p} * outWords * 4;
+        for (unsigned left = portSends[p]; left != 0;) {
+            const unsigned len = std::min(left, 1 + below(left));
+            m.dmaOut(p, at, len);
+            at += Addr{len} * 4;
+            left -= len;
+        }
+    }
+}
+
+TEST(RawEventDifferential, SeededBlockProgramsAcrossSteppers)
+{
+    // As many seeded programs as fit in about a second (at least 40),
+    // on 1- to 16-tile meshes with random latencies and send bounds;
+    // every fourth runs with maxCycles at or just above its length.
+    const auto start = std::chrono::steady_clock::now();
+    unsigned checked = 0;
+    for (std::uint64_t seed = 1; checked < 400; ++seed) {
+        const double secs = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+        if (checked >= 40 && secs > 1.0)
+            break;
+        Rng rng(seed * 0x9e3779b97f4a7c15ull);
+        const auto below = [&rng](unsigned n) {
+            return static_cast<unsigned>(rng.nextBelow(n));
+        };
+        RawConfig cfg;
+        cfg.meshWidth = 1 + below(4);
+        cfg.meshHeight = 1 + below(4);
+        cfg.intLatency = 1 + below(2);
+        cfg.mulLatency = 1 + below(4);
+        cfg.fpLatency = 1 + below(6);
+        cfg.loadLatency = 1 + below(5);
+        cfg.portRowBytes = 16u << below(5);
+        cfg.sramBytes = 4096;
+        cfg.globalBytes = 1 << 21;
+        Addr global = 0;
+        unsigned words = 0;
+        const auto setup = [&](RawMachine &m) {
+            seededBlockProgram(m, seed, global, words);
+        };
+        if (seed % 4 == 0) {
+            RawMachine probe(cfg);
+            setup(probe);
+            cfg.maxCycles = probe.run() + seed % 3;
+        }
+        SCOPED_TRACE(testing::Message() << "seed " << seed << ", "
+                                        << cfg.meshWidth << "x"
+                                        << cfg.meshHeight);
+        expectSteppersAgree(setup, cfg, [&](const RawMachine &m) {
+            std::vector<Word> image = m.peekGlobal(global, words);
+            for (unsigned t = 0; t < m.config().tiles(); ++t) {
+                const std::vector<Word> sram =
+                    m.peekLocal(t, 0, m.config().sramBytes / 4);
+                image.insert(image.end(), sram.begin(), sram.end());
+            }
+            return image;
+        });
+        ++checked;
+        if (testing::Test::HasFailure())
+            break;
+    }
+    EXPECT_GE(checked, 40u);
+}
+
 } // namespace
 } // namespace triarch::raw
 
