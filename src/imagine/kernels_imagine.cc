@@ -1,9 +1,10 @@
 #include "kernels_imagine.hh"
 
-#include <cstring>
+#include <array>
 #include <span>
 
 #include "kernels/fft.hh"
+#include "kernels/word_codec.hh"
 #include "sim/bitutil.hh"
 #include "sim/logging.hh"
 
@@ -98,32 +99,6 @@ cornerTurnImagine(ImagineMachine &machine,
 namespace
 {
 
-/** Copy a 128-point complex block out of an SRF stream. */
-std::vector<cfloat>
-readComplex(const ImagineMachine &machine, const StreamRef &ref)
-{
-    auto data = machine.srfData(ref);
-    std::vector<cfloat> x(data.size() / 2);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        x[i] = cfloat(wordToFloat(data[2 * i]),
-                      wordToFloat(data[2 * i + 1]));
-    }
-    return x;
-}
-
-/** Write a complex block into an SRF stream (interleaved). */
-void
-writeComplex(ImagineMachine &machine, const StreamRef &ref,
-             const std::vector<cfloat> &x)
-{
-    auto data = machine.srfData(ref);
-    triarch_assert(data.size() == 2 * x.size(), "stream size mismatch");
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        data[2 * i] = floatToWord(x[i].real());
-        data[2 * i + 1] = floatToWord(x[i].imag());
-    }
-}
-
 /**
  * VLIW schedule model for the parallelized mixed-radix 128-point
  * FFT: 7 butterfly-equivalent stages x 64 butterflies over 8
@@ -147,6 +122,147 @@ fft128Desc(const char *name)
     return desc;
 }
 
+/** The functional half of a 128-point transform kernel. */
+void
+fftStream(ImagineMachine &machine, const StreamRef &from,
+          const StreamRef &to, bool inverse)
+{
+    auto x = kernels::decodeComplex(machine.srfData(from));
+    if (inverse)
+        kernels::ifftMixed128(x);
+    else
+        kernels::fftMixed128(x);
+    kernels::encodeComplex(x, machine.srfData(to));
+}
+
+constexpr unsigned blockWords = 256;    // one 128-point complex block
+
+/**
+ * DRAM image of one CSLC interval, interleaved complex throughout:
+ * channel time series (aux0, aux1, main0, main1), weights [main][aux]
+ * and one output block per main channel.
+ */
+struct CslcImage
+{
+    std::array<Addr, 4> ch;
+    std::array<std::array<Addr, 2>, 2> w;
+    std::array<Addr, 2> out;
+};
+
+/**
+ * Place one interval's inputs, weights and outputs in DRAM, then
+ * reset the timing. The Table-3 mapping places the main channels
+ * first and the independent one the aux channels: the DRAM model is
+ * address-sensitive, so each keeps its own order.
+ */
+CslcImage
+placeCslc(ImagineMachine &machine, const kernels::CslcConfig &cfg,
+          const kernels::CslcInput &in,
+          const kernels::CslcWeights &weights, bool auxFirst)
+{
+    triarch_assert(cfg.subBandLen == 128,
+                   "Imagine CSLC mapping is built for 128-point bands");
+    triarch_assert(cfg.mainChannels == 2 && cfg.auxChannels == 2,
+                   "Imagine CSLC mapping assumes 2 main + 2 aux "
+                   "channels");
+    CslcImage img;
+    const auto poke = [&machine](Addr &at, std::uint64_t bytes,
+                                 const char *what,
+                                 const std::vector<cfloat> &x) {
+        at = machine.allocMem(bytes, what);
+        machine.pokeWords(at, kernels::encodeComplex(x));
+    };
+    for (unsigned i = 0; i < 4; ++i) {
+        const unsigned c = auxFirst ? i : (i + 2) % 4;
+        poke(img.ch[c], cfg.samples * 8ULL,
+             c < 2 ? "cslc aux" : "cslc main",
+             c < 2 ? in.aux[c] : in.main[c - 2]);
+    }
+    const std::uint64_t bandBytes =
+        static_cast<std::uint64_t>(cfg.subBands) * 128 * 8;
+    for (unsigned m = 0; m < 2; ++m) {
+        for (unsigned a = 0; a < 2; ++a)
+            poke(img.w[m][a], bandBytes, "cslc weights", weights.w[m][a]);
+    }
+    for (Addr &o : img.out)
+        o = machine.allocMem(bandBytes, "cslc out");
+    machine.resetTiming();
+    return img;
+}
+
+/** The weight streams and the result of one weight application. */
+struct Cancelled
+{
+    StreamRef w[2];
+    StreamRef out;
+};
+
+/**
+ * Load sub-band @p b's weights for main channel @p m and run the
+ * weight-application kernel on the spectra: per iteration each
+ * cluster handles one bin, two complex multiplies (8 mults + 4 adds)
+ * plus two complex subtracts (4 adds); 12 SRF words in, 2 out. The
+ * caller frees the returned streams.
+ */
+Cancelled
+cancelBand(ImagineMachine &machine, const CslcImage &img, unsigned m,
+           unsigned b, const StreamRef &mainSpec, const StreamRef &aux0,
+           const StreamRef &aux1)
+{
+    KernelDesc desc;
+    desc.name = "cslc_weights";
+    desc.iterations = 16;
+    desc.adds = 8;
+    desc.mults = 8;
+    desc.srfWords = 14;
+    desc.pipelineDepth = 16;
+    desc.usefulFlops = 128 * 16;
+
+    Cancelled c;
+    for (unsigned a = 0; a < 2; ++a) {
+        c.w[a] = machine.allocStream(blockWords, "weights");
+        machine.loadStream(
+            c.w[a], MemPattern::sequential(
+                img.w[m][a] + static_cast<Addr>(b) * 128 * 8,
+                blockWords));
+    }
+    c.out = machine.allocStream(blockWords, "cancelled");
+    machine.runKernel(
+        desc, {&mainSpec, &aux0, &aux1, &c.w[0], &c.w[1]}, {&c.out},
+        [&] {
+            auto ms = kernels::decodeComplex(machine.srfData(mainSpec));
+            const auto a0 = kernels::decodeComplex(machine.srfData(aux0));
+            const auto a1 = kernels::decodeComplex(machine.srfData(aux1));
+            const auto w0 = kernels::decodeComplex(machine.srfData(c.w[0]));
+            const auto w1 = kernels::decodeComplex(machine.srfData(c.w[1]));
+            // Subtract the aux products one at a time, in the
+            // reference's operation order: summing them first rounds
+            // differently, which shows up when a degenerate config
+            // (e.g. 2 sub-bands) lets the canceller null the output
+            // entirely and only rounding noise remains.
+            for (unsigned k = 0; k < 128; ++k) {
+                ms[k] -= w0[k] * a0[k];
+                ms[k] -= w1[k] * a1[k];
+            }
+            kernels::encodeComplex(ms, machine.srfData(c.out));
+        });
+    return c;
+}
+
+/** The run's cycles, with the cancelled mains read back into @p out. */
+Cycles
+finishCslc(ImagineMachine &machine, const kernels::CslcConfig &cfg,
+           const CslcImage &img, kernels::CslcOutput &out)
+{
+    const Cycles cycles = machine.completionTime();
+    out.main.clear();
+    for (const Addr o : img.out) {
+        out.main.push_back(kernels::decodeComplex(machine.peekWords(
+            o, static_cast<std::size_t>(cfg.subBands) * 2 * 128)));
+    }
+    return cycles;
+}
+
 } // namespace
 
 Cycles
@@ -155,178 +271,64 @@ cslcImagine(ImagineMachine &machine, const kernels::CslcConfig &cfg,
             const kernels::CslcWeights &weights,
             kernels::CslcOutput &out)
 {
-    triarch_assert(cfg.subBandLen == 128,
-                   "Imagine CSLC mapping is built for 128-point bands");
+    const CslcImage img = placeCslc(machine, cfg, in, weights, false);
 
-    // DRAM layout: channel time series, weights, output blocks, all
-    // interleaved complex.
-    auto pokeComplex = [&machine](Addr base,
-                                  const std::vector<cfloat> &x) {
-        std::vector<Word> words(2 * x.size());
-        for (std::size_t i = 0; i < x.size(); ++i) {
-            words[2 * i] = floatToWord(x[i].real());
-            words[2 * i + 1] = floatToWord(x[i].imag());
-        }
-        machine.pokeWords(base, words);
-    };
-
-    std::vector<Addr> mainBase(cfg.mainChannels), auxBase(cfg.auxChannels);
-    for (unsigned m = 0; m < cfg.mainChannels; ++m) {
-        mainBase[m] = machine.allocMem(cfg.samples * 8ULL, "cslc main");
-        pokeComplex(mainBase[m], in.main[m]);
-    }
-    for (unsigned a = 0; a < cfg.auxChannels; ++a) {
-        auxBase[a] = machine.allocMem(cfg.samples * 8ULL, "cslc aux");
-        pokeComplex(auxBase[a], in.aux[a]);
-    }
-
-    std::vector<std::vector<Addr>> wBase(cfg.mainChannels,
-        std::vector<Addr>(cfg.auxChannels));
-    for (unsigned m = 0; m < cfg.mainChannels; ++m) {
-        for (unsigned a = 0; a < cfg.auxChannels; ++a) {
-            wBase[m][a] = machine.allocMem(
-                static_cast<std::uint64_t>(cfg.subBands) * 128 * 8,
-                "cslc weights");
-            pokeComplex(wBase[m][a], weights.w[m][a]);
-        }
-    }
-
-    std::vector<Addr> outBase(cfg.mainChannels);
-    for (unsigned m = 0; m < cfg.mainChannels; ++m) {
-        outBase[m] = machine.allocMem(
-            static_cast<std::uint64_t>(cfg.subBands) * 128 * 8,
-            "cslc out");
-    }
-
-    machine.resetTiming();
-
-    // Weight application: per iteration each cluster handles one
-    // bin: two complex multiplies (8 mults + 4 adds) plus two
-    // complex subtracts (4 adds); 12 SRF words in, 2 out.
-    KernelDesc weightDesc;
-    weightDesc.name = "cslc_weights";
-    weightDesc.iterations = 16;
-    weightDesc.adds = 8;
-    weightDesc.mults = 8;
-    weightDesc.srfWords = 14;
-    weightDesc.pipelineDepth = 16;
-    weightDesc.usefulFlops = 128 * 16;
-
-    const unsigned blockWords = 256;
     for (unsigned b = 0; b < cfg.subBands; ++b) {
         const Addr off = static_cast<Addr>(b) * cfg.subBandStride * 8;
 
         // Load and transform the aux channels.
         StreamRef auxTime[2], auxSpec[2];
-        for (unsigned a = 0; a < cfg.auxChannels; ++a) {
+        for (unsigned a = 0; a < 2; ++a) {
             auxTime[a] = machine.allocStream(blockWords, "aux time");
             auxSpec[a] = machine.allocStream(blockWords, "aux spec");
             machine.loadStream(
                 auxTime[a],
-                MemPattern::sequential(auxBase[a] + off, blockWords));
+                MemPattern::sequential(img.ch[a] + off, blockWords));
             machine.runKernel(
                 fft128Desc("cslc_fft_aux"), {&auxTime[a]}, {&auxSpec[a]},
-                [&] {
-                    auto x = readComplex(machine, auxTime[a]);
-                    kernels::fftMixed128(x);
-                    writeComplex(machine, auxSpec[a], x);
-                });
+                [&] { fftStream(machine, auxTime[a], auxSpec[a], false); });
         }
 
-        for (unsigned m = 0; m < cfg.mainChannels; ++m) {
+        for (unsigned m = 0; m < 2; ++m) {
             StreamRef mainTime =
                 machine.allocStream(blockWords, "main time");
             StreamRef mainSpec =
                 machine.allocStream(blockWords, "main spec");
             machine.loadStream(
                 mainTime,
-                MemPattern::sequential(mainBase[m] + off, blockWords));
+                MemPattern::sequential(img.ch[2 + m] + off, blockWords));
             machine.runKernel(
                 fft128Desc("cslc_fft_main"), {&mainTime}, {&mainSpec},
-                [&] {
-                    auto x = readComplex(machine, mainTime);
-                    kernels::fftMixed128(x);
-                    writeComplex(machine, mainSpec, x);
-                });
+                [&] { fftStream(machine, mainTime, mainSpec, false); });
 
-            // Load this sub-band's weights for both aux channels.
-            StreamRef w[2];
-            for (unsigned a = 0; a < cfg.auxChannels; ++a) {
-                w[a] = machine.allocStream(blockWords, "weights");
-                machine.loadStream(
-                    w[a], MemPattern::sequential(
-                        wBase[m][a] + static_cast<Addr>(b) * 128 * 8,
-                        blockWords));
-            }
-
-            StreamRef cancelled =
-                machine.allocStream(blockWords, "cancelled");
-            machine.runKernel(
-                weightDesc,
-                {&mainSpec, &auxSpec[0], &auxSpec[1], &w[0], &w[1]},
-                {&cancelled},
-                [&] {
-                    auto ms = readComplex(machine, mainSpec);
-                    auto a0 = readComplex(machine, auxSpec[0]);
-                    auto a1 = readComplex(machine, auxSpec[1]);
-                    auto w0 = readComplex(machine, w[0]);
-                    auto w1 = readComplex(machine, w[1]);
-                    // Subtract the aux products one at a time, in
-                    // the reference's operation order: summing them
-                    // first rounds differently, which shows up when
-                    // a degenerate config (e.g. 2 sub-bands) lets
-                    // the canceller null the output entirely and
-                    // only rounding noise remains.
-                    for (unsigned k = 0; k < 128; ++k) {
-                        ms[k] -= w0[k] * a0[k];
-                        ms[k] -= w1[k] * a1[k];
-                    }
-                    writeComplex(machine, cancelled, ms);
-                });
+            const Cancelled c = cancelBand(machine, img, m, b, mainSpec,
+                                           auxSpec[0], auxSpec[1]);
 
             StreamRef outTime =
                 machine.allocStream(blockWords, "out time");
             machine.runKernel(
-                fft128Desc("cslc_ifft"), {&cancelled}, {&outTime},
-                [&] {
-                    auto x = readComplex(machine, cancelled);
-                    kernels::ifftMixed128(x);
-                    writeComplex(machine, outTime, x);
-                });
+                fft128Desc("cslc_ifft"), {&c.out}, {&outTime},
+                [&] { fftStream(machine, c.out, outTime, true); });
 
             machine.storeStream(
                 outTime, MemPattern::sequential(
-                    outBase[m] + static_cast<Addr>(b) * 128 * 8,
+                    img.out[m] + static_cast<Addr>(b) * 128 * 8,
                     blockWords));
 
             machine.freeStream(mainTime);
             machine.freeStream(mainSpec);
-            machine.freeStream(w[0]);
-            machine.freeStream(w[1]);
-            machine.freeStream(cancelled);
+            machine.freeStream(c.w[0]);
+            machine.freeStream(c.w[1]);
+            machine.freeStream(c.out);
             machine.freeStream(outTime);
         }
 
-        for (unsigned a = 0; a < cfg.auxChannels; ++a) {
+        for (unsigned a = 0; a < 2; ++a) {
             machine.freeStream(auxTime[a]);
             machine.freeStream(auxSpec[a]);
         }
     }
-
-    const Cycles cycles = machine.completionTime();
-
-    out.main.assign(cfg.mainChannels,
-        std::vector<cfloat>(static_cast<std::size_t>(cfg.subBands)
-                            * 128));
-    for (unsigned m = 0; m < cfg.mainChannels; ++m) {
-        auto words = machine.peekWords(
-            outBase[m], static_cast<std::size_t>(cfg.subBands) * 256);
-        for (std::size_t i = 0; i < out.main[m].size(); ++i) {
-            out.main[m][i] = cfloat(wordToFloat(words[2 * i]),
-                                    wordToFloat(words[2 * i + 1]));
-        }
-    }
-    return cycles;
+    return finishCslc(machine, cfg, img, out);
 }
 
 Cycles
@@ -336,47 +338,7 @@ cslcImagineIndependent(ImagineMachine &machine,
                        const kernels::CslcWeights &weights,
                        kernels::CslcOutput &out)
 {
-    triarch_assert(cfg.subBandLen == 128,
-                   "Imagine CSLC mapping is built for 128-point bands");
-
-    auto pokeComplex = [&machine](Addr base,
-                                  const std::vector<cfloat> &x) {
-        std::vector<Word> words(2 * x.size());
-        for (std::size_t i = 0; i < x.size(); ++i) {
-            words[2 * i] = floatToWord(x[i].real());
-            words[2 * i + 1] = floatToWord(x[i].imag());
-        }
-        machine.pokeWords(base, words);
-    };
-
-    std::vector<Addr> chBase(4);
-    for (unsigned a = 0; a < cfg.auxChannels; ++a) {
-        chBase[a] = machine.allocMem(cfg.samples * 8ULL, "cslc aux");
-        pokeComplex(chBase[a], in.aux[a]);
-    }
-    for (unsigned m = 0; m < cfg.mainChannels; ++m) {
-        chBase[2 + m] =
-            machine.allocMem(cfg.samples * 8ULL, "cslc main");
-        pokeComplex(chBase[2 + m], in.main[m]);
-    }
-
-    std::vector<std::vector<Addr>> wBase(2, std::vector<Addr>(2));
-    for (unsigned m = 0; m < 2; ++m) {
-        for (unsigned a = 0; a < 2; ++a) {
-            wBase[m][a] = machine.allocMem(
-                static_cast<std::uint64_t>(cfg.subBands) * 128 * 8,
-                "cslc weights");
-            pokeComplex(wBase[m][a], weights.w[m][a]);
-        }
-    }
-    std::vector<Addr> outBase(2);
-    for (unsigned m = 0; m < 2; ++m) {
-        outBase[m] = machine.allocMem(
-            static_cast<std::uint64_t>(cfg.subBands) * 128 * 8,
-            "cslc out");
-    }
-
-    machine.resetTiming();
+    const CslcImage img = placeCslc(machine, cfg, in, weights, true);
 
     // Each cluster transforms a whole 128-point block of its own:
     // no comm; per iteration every cluster executes one butterfly
@@ -391,16 +353,6 @@ cslcImagineIndependent(ImagineMachine &machine,
     fftBatch.srfWords = 2;
     fftBatch.pipelineDepth = 32;
 
-    KernelDesc weightDesc;
-    weightDesc.name = "cslc_weights";
-    weightDesc.iterations = 16;
-    weightDesc.adds = 8;
-    weightDesc.mults = 8;
-    weightDesc.srfWords = 14;
-    weightDesc.pipelineDepth = 16;
-    weightDesc.usefulFlops = 128 * 16;
-
-    const unsigned blockWords = 256;
     // Process sub-bands in pairs: 2 bands x 4 channels = 8
     // independent forward transforms, one per cluster; then the
     // pair's 4 IFFTs run as a half-occupied batch.
@@ -411,13 +363,12 @@ cslcImagineIndependent(ImagineMachine &machine,
         StreamRef time[8], spec[8];
         for (unsigned i = 0; i < fwd; ++i) {
             const unsigned b = b0 + i / 4;
-            const unsigned ch = i % 4;
             time[i] = machine.allocStream(blockWords, "time");
             spec[i] = machine.allocStream(blockWords, "spec");
             machine.loadStream(
                 time[i],
                 MemPattern::sequential(
-                    chBase[ch]
+                    img.ch[i % 4]
                         + static_cast<Addr>(b) * cfg.subBandStride * 8,
                     blockWords));
         }
@@ -435,55 +386,19 @@ cslcImagineIndependent(ImagineMachine &machine,
             {&spec[0], &spec[1], &spec[2], &spec[3], &spec[4],
              &spec[5], &spec[6], &spec[7]},
             [&] {
-                for (unsigned i = 0; i < fwd; ++i) {
-                    auto x = readComplex(machine, time[i]);
-                    kernels::fftMixed128(x);
-                    writeComplex(machine, spec[i], x);
-                }
+                for (unsigned i = 0; i < fwd; ++i)
+                    fftStream(machine, time[i], spec[i], false);
             });
 
         // Weight application for every (band, main) of the pair,
         // collecting the cancelled spectra...
-        StreamRef cancelled[4], w[4][2];
+        Cancelled c[4];
         const unsigned nout = bands * 2;
-        for (unsigned i = 0; i < bands; ++i) {
-            const unsigned b = b0 + i;
-            for (unsigned m = 0; m < 2; ++m) {
-                const unsigned o = i * 2 + m;
-                for (unsigned a = 0; a < 2; ++a) {
-                    w[o][a] = machine.allocStream(blockWords,
-                                                  "weights");
-                    machine.loadStream(
-                        w[o][a],
-                        MemPattern::sequential(
-                            wBase[m][a] + static_cast<Addr>(b) * 1024,
-                            blockWords));
-                }
-                cancelled[o] =
-                    machine.allocStream(blockWords, "cancelled");
-                const StreamRef &mainSpec = spec[i * 4 + 2 + m];
-                const StreamRef &a0 = spec[i * 4 + 0];
-                const StreamRef &a1 = spec[i * 4 + 1];
-                machine.runKernel(
-                    weightDesc,
-                    {&mainSpec, &a0, &a1, &w[o][0], &w[o][1]},
-                    {&cancelled[o]},
-                    [&, o] {
-                        auto ms = readComplex(machine, mainSpec);
-                        auto s0 = readComplex(machine, a0);
-                        auto s1 = readComplex(machine, a1);
-                        auto w0 = readComplex(machine, w[o][0]);
-                        auto w1 = readComplex(machine, w[o][1]);
-                        // Same operation order as the reference
-                        // (see cslcImagine above): subtract each
-                        // aux product separately.
-                        for (unsigned k = 0; k < 128; ++k) {
-                            ms[k] -= w0[k] * s0[k];
-                            ms[k] -= w1[k] * s1[k];
-                        }
-                        writeComplex(machine, cancelled[o], ms);
-                    });
-            }
+        for (unsigned o = 0; o < nout; ++o) {
+            const unsigned i = o / 2;
+            c[o] = cancelBand(machine, img, o % 2, b0 + i,
+                              spec[i * 4 + 2 + o % 2], spec[i * 4],
+                              spec[i * 4 + 1]);
         }
 
         // ...then inverse-transform them as one independent batch
@@ -498,32 +413,24 @@ cslcImagineIndependent(ImagineMachine &machine,
                               * kernels::mixed128Ops().flops();
         machine.runKernel(
             invDesc,
-            {&cancelled[0], &cancelled[1], &cancelled[2],
-             &cancelled[3]},
+            {&c[0].out, &c[1].out, &c[2].out, &c[3].out},
             {&outTime[0], &outTime[1], &outTime[2], &outTime[3]},
             [&] {
-                for (unsigned o = 0; o < nout; ++o) {
-                    auto x = readComplex(machine, cancelled[o]);
-                    kernels::ifftMixed128(x);
-                    writeComplex(machine, outTime[o], x);
-                }
+                for (unsigned o = 0; o < nout; ++o)
+                    fftStream(machine, c[o].out, outTime[o], true);
             });
 
-        for (unsigned i = 0; i < bands; ++i) {
-            const unsigned b = b0 + i;
-            for (unsigned m = 0; m < 2; ++m) {
-                const unsigned o = i * 2 + m;
-                machine.storeStream(
-                    outTime[o],
-                    MemPattern::sequential(
-                        outBase[m] + static_cast<Addr>(b) * 1024,
-                        blockWords));
-            }
+        for (unsigned o = 0; o < nout; ++o) {
+            machine.storeStream(
+                outTime[o],
+                MemPattern::sequential(
+                    img.out[o % 2] + static_cast<Addr>(b0 + o / 2) * 1024,
+                    blockWords));
         }
         for (unsigned o = 0; o < nout; ++o) {
-            machine.freeStream(w[o][0]);
-            machine.freeStream(w[o][1]);
-            machine.freeStream(cancelled[o]);
+            machine.freeStream(c[o].w[0]);
+            machine.freeStream(c[o].w[1]);
+            machine.freeStream(c[o].out);
             machine.freeStream(outTime[o]);
         }
 
@@ -532,21 +439,7 @@ cslcImagineIndependent(ImagineMachine &machine,
             machine.freeStream(spec[i]);
         }
     }
-
-    const Cycles cycles = machine.completionTime();
-
-    out.main.assign(cfg.mainChannels,
-        std::vector<cfloat>(static_cast<std::size_t>(cfg.subBands)
-                            * 128));
-    for (unsigned m = 0; m < cfg.mainChannels; ++m) {
-        auto words = machine.peekWords(
-            outBase[m], static_cast<std::size_t>(cfg.subBands) * 256);
-        for (std::size_t i = 0; i < out.main[m].size(); ++i) {
-            out.main[m][i] = cfloat(wordToFloat(words[2 * i]),
-                                    wordToFloat(words[2 * i + 1]));
-        }
-    }
-    return cycles;
+    return finishCslc(machine, cfg, img, out);
 }
 
 Cycles
@@ -562,15 +455,8 @@ beamSteeringImagine(ImagineMachine &machine,
     const Addr outBase =
         machine.allocMem(cfg.outputs() * 4ULL, "bs out");
 
-    auto pokeI32 = [&machine](Addr base,
-                              const std::vector<std::int32_t> &v) {
-        std::vector<Word> w(v.size());
-        for (std::size_t i = 0; i < v.size(); ++i)
-            w[i] = static_cast<Word>(v[i]);
-        machine.pokeWords(base, w);
-    };
-    pokeI32(coarseBase, tables.calCoarse);
-    pokeI32(fineBase, tables.calFine);
+    machine.pokeWords(coarseBase, kernels::encodeI32(tables.calCoarse));
+    machine.pokeWords(fineBase, kernels::encodeI32(tables.calFine));
 
     machine.resetTiming();
 
@@ -639,10 +525,7 @@ beamSteeringImagine(ImagineMachine &machine,
 
     const Cycles cycles = machine.completionTime();
 
-    auto words = machine.peekWords(outBase, cfg.outputs());
-    out.resize(words.size());
-    for (std::size_t i = 0; i < words.size(); ++i)
-        out[i] = static_cast<std::int32_t>(words[i]);
+    out = kernels::decodeI32(machine.peekWords(outBase, cfg.outputs()));
     return cycles;
 }
 

@@ -1,8 +1,9 @@
 #include "kernels_raw.hh"
 
-#include <cstring>
+#include <array>
 
 #include "kernels/fft.hh"
+#include "kernels/word_codec.hh"
 #include "raw/assembler.hh"
 #include "sim/bitutil.hh"
 #include "sim/logging.hh"
@@ -137,109 +138,9 @@ cornerTurnRaw(RawMachine &machine, const kernels::WordMatrix &src,
 }
 
 // ----------------------------------------------------------------
-// CSLC.
+// CSLC: one host image, tile program and readback for the cached
+// mapping (Table 3) and the stream mode Section 4.3 sketches.
 // ----------------------------------------------------------------
-
-namespace
-{
-
-// Local SRAM layout for the CSLC tile program.
-constexpr std::int32_t twFwdLocal = 0;          // 128 complex
-constexpr std::int32_t twInvLocal = 1024;
-constexpr std::int32_t bufA0Local = 2048;       // aux0 spectrum
-constexpr std::int32_t bufA1Local = 3072;
-constexpr std::int32_t bufMLocal = 4096;        // main work buffer
-constexpr std::int32_t descLocal = 5120;
-constexpr unsigned descWords = 10;
-
-/**
- * Emit: copy 128 complex values from the global address in r1 into
- * local @p dst in bit-reversed order, folding the FFT input
- * reordering into the copy (straight-line; the store offsets are
- * baked in, so no separate reversal pass is needed).
- */
-void
-emitCopyInBitrev(Assembler &as, std::int32_t dst)
-{
-    for (unsigned group = 0; group < 32; ++group) {
-        // 4 complex values (8 words) per group.
-        for (unsigned k = 0; k < 8; ++k)
-            as.lw(6 + k, 1, static_cast<std::int32_t>(k * 4));
-        for (unsigned c = 0; c < 4; ++c) {
-            const unsigned i = group * 4 + c;
-            const std::int32_t at =
-                dst + static_cast<std::int32_t>(reverseBits(i, 7)) * 8;
-            as.sw(6 + 2 * c, 0, at);
-            as.sw(6 + 2 * c + 1, 0, at + 4);
-        }
-        as.addi(1, 1, 32);
-    }
-}
-
-/**
- * Emit: copy 256 words from local @src to the global address in r1,
- * scaling every float by the constant in r21 (the IFFT 1/N).
- */
-void
-emitCopyOutScaled(Assembler &as, std::int32_t src)
-{
-    as.li(2, src);
-    as.li(3, 32);
-    Label loop = as.label();
-    as.bind(loop);
-    for (unsigned k = 0; k < 8; ++k)
-        as.lw(6 + k, 2, static_cast<std::int32_t>(k * 4));
-    for (unsigned k = 0; k < 8; ++k)
-        as.fmul(6 + k, 6 + k, 21);
-    for (unsigned k = 0; k < 8; ++k)
-        as.sw(6 + k, 1, static_cast<std::int32_t>(k * 4));
-    as.addi(1, 1, 32);
-    as.addi(2, 2, 32);
-    as.addi(3, 3, -1);
-    as.bne(3, 0, loop);
-}
-
-/**
- * Emit the weight-application loop: main buffer (local) minus
- * w0*aux0 minus w1*aux1 over 128 bins. Weight pointers (global) are
- * in r1 and r2 on entry.
- */
-void
-emitWeightApply(Assembler &as)
-{
-    as.li(3, bufA0Local);
-    as.li(4, bufA1Local);
-    as.li(5, bufMLocal);
-    as.li(18, 128);
-    Label loop = as.label();
-    as.bind(loop);
-    as.lw(6, 5, 0);             // m.re
-    as.lw(7, 5, 4);             // m.im
-    for (unsigned a = 0; a < 2; ++a) {
-        const unsigned wp = 1 + a;      // weight pointer reg
-        const unsigned ap = 3 + a;      // aux spectrum pointer reg
-        as.lw(8, wp, 0);        // w.re
-        as.lw(9, wp, 4);        // w.im
-        as.lw(10, ap, 0);       // a.re
-        as.lw(11, ap, 4);       // a.im
-        as.fmul(12, 8, 10);
-        as.fmul(13, 9, 11);
-        as.fmul(14, 8, 11);
-        as.fmul(15, 9, 10);
-        as.fsub(16, 12, 13);    // t.re
-        as.fadd(17, 14, 15);    // t.im
-        as.fsub(6, 6, 16);
-        as.fsub(7, 7, 17);
-    }
-    as.sw(6, 5, 0);
-    as.sw(7, 5, 4);
-    for (unsigned p : {1u, 2u, 3u, 4u, 5u})
-        as.addi(p, p, 8);
-    as.addi(18, 18, -1);
-    as.bne(18, 0, loop);
-}
-
-} // namespace
 
 void
 emitFft128Local(Assembler &as, std::int32_t buf_local,
@@ -248,7 +149,7 @@ emitFft128Local(Assembler &as, std::int32_t buf_local,
     constexpr unsigned n = 128;
 
     // Bit-reversal: straight-line swaps of complex pairs (skipped
-    // when the buffer was filled by emitCopyInBitrev).
+    // when the buffer was filled by emitFillBitrev).
     for (unsigned i = 0; !skip_bitrev && i < n; ++i) {
         const unsigned j = reverseBits(i, 7);
         if (j <= i)
@@ -373,74 +274,275 @@ emitFft128Local(Assembler &as, std::int32_t buf_local,
     }
 }
 
-RawCslcResult
-cslcRaw(RawMachine &machine, const kernels::CslcConfig &cfg,
-        const kernels::CslcInput &in,
-        const kernels::CslcWeights &weights, kernels::CslcOutput &out,
-        unsigned intervals)
+namespace
 {
-    trace::TraceScope setup("raw.cslc.setup", "raw");
-    triarch_assert(intervals >= 1, "need at least one interval");
+
+// Local SRAM layout for the CSLC tile program.
+constexpr std::int32_t twFwdLocal = 0;          // 128 complex
+constexpr std::int32_t twInvLocal = 1024;
+constexpr std::int32_t bufA0Local = 2048;       // aux0 spectrum
+constexpr std::int32_t bufA1Local = 3072;
+constexpr std::int32_t bufMLocal = 4096;        // main work buffer
+constexpr std::int32_t descLocal = 5120;
+constexpr unsigned descWords = 10;
+
+/**
+ * Global-memory image of one CSLC interval: channel time series
+ * (aux0, aux1, main0, main1), one weight block and one output block
+ * per main channel. A weight block holds the main's two weight sets
+ * back to back for the cached mapping; for the streamed one it
+ * interleaves them per bin (w0, w1), so the DMA order matches the
+ * order the program takes weights from $csti. Both layouts fill the
+ * same addresses.
+ */
+struct CslcImage
+{
+    std::array<Addr, 4> ch;
+    std::array<Addr, 2> w;
+    std::array<Addr, 2> out;
+};
+
+CslcImage
+placeCslc(RawMachine &machine, const kernels::CslcConfig &cfg,
+          const kernels::CslcInput &in,
+          const kernels::CslcWeights &weights, bool streamed)
+{
     triarch_assert(cfg.subBandLen == 128,
                    "Raw CSLC mapping is built for 128-point sub-bands");
     triarch_assert(cfg.mainChannels == 2 && cfg.auxChannels == 2,
                    "Raw CSLC mapping assumes 2 main + 2 aux channels");
-    const unsigned tiles = machine.config().tiles();
-
-    // Global memory: channel time series, weights, output.
-    auto pokeComplex = [&machine](Addr base,
-                                  const std::vector<cfloat> &x) {
-        std::vector<Word> words(2 * x.size());
-        for (std::size_t i = 0; i < x.size(); ++i) {
-            words[2 * i] = floatToWord(x[i].real());
-            words[2 * i + 1] = floatToWord(x[i].imag());
+    CslcImage img;
+    for (unsigned c = 0; c < 4; ++c) {
+        img.ch[c] = machine.allocGlobal(cfg.samples * 8ULL,
+                                        c < 2 ? "aux" : "main");
+        machine.pokeGlobal(img.ch[c], kernels::encodeComplex(
+                                          c < 2 ? in.aux[c]
+                                                : in.main[c - 2]));
+    }
+    const std::size_t bins = static_cast<std::size_t>(cfg.subBands) * 128;
+    for (unsigned m = 0; m < 2; ++m) {
+        const auto &w = weights.w[m];
+        img.w[m] = machine.allocGlobal(bins * 16, "weights");
+        if (!streamed) {
+            machine.pokeGlobal(img.w[m], kernels::encodeComplex(w[0]));
+            machine.pokeGlobal(img.w[m] + bins * 8,
+                               kernels::encodeComplex(w[1]));
+            continue;
         }
-        machine.pokeGlobal(base, words);
-    };
-
-    std::vector<Addr> chBase(4);
-    for (unsigned a = 0; a < 2; ++a) {
-        chBase[a] = machine.allocGlobal(cfg.samples * 8ULL, "aux");
-        pokeComplex(chBase[a], in.aux[a]);
-    }
-    for (unsigned m = 0; m < 2; ++m) {
-        chBase[2 + m] = machine.allocGlobal(cfg.samples * 8ULL, "main");
-        pokeComplex(chBase[2 + m], in.main[m]);
-    }
-
-    std::vector<std::vector<Addr>> wBase(2, std::vector<Addr>(2));
-    for (unsigned m = 0; m < 2; ++m) {
-        for (unsigned a = 0; a < 2; ++a) {
-            wBase[m][a] = machine.allocGlobal(
-                static_cast<std::uint64_t>(cfg.subBands) * 128 * 8,
-                "weights");
-            pokeComplex(wBase[m][a], weights.w[m][a]);
+        std::vector<cfloat> zipped(2 * bins);
+        for (std::size_t i = 0; i < bins; ++i) {
+            zipped[2 * i] = w[0][i];
+            zipped[2 * i + 1] = w[1][i];
         }
+        machine.pokeGlobal(img.w[m], kernels::encodeComplex(zipped));
     }
-
-    std::vector<Addr> outBase(2);
-    for (unsigned m = 0; m < 2; ++m) {
-        outBase[m] = machine.allocGlobal(
-            static_cast<std::uint64_t>(cfg.subBands) * 128 * 8, "out");
-    }
+    for (unsigned m = 0; m < 2; ++m)
+        img.out[m] = machine.allocGlobal(bins * 8, "out");
 
     // Twiddle tables (forward and conjugate) into every tile's SRAM.
-    const auto tw = kernels::twiddleTable(128);
-    std::vector<Word> twF(256), twI(256);
-    for (unsigned k = 0; k < 128; ++k) {
-        twF[2 * k] = floatToWord(tw[k].real());
-        twF[2 * k + 1] = floatToWord(tw[k].imag());
-        twI[2 * k] = floatToWord(tw[k].real());
-        twI[2 * k + 1] = floatToWord(-tw[k].imag());
+    std::vector<cfloat> tw = kernels::twiddleTable(128);
+    const std::vector<Word> twF = kernels::encodeComplex(tw);
+    for (cfloat &w : tw)
+        w = std::conj(w);
+    const std::vector<Word> twI = kernels::encodeComplex(tw);
+    for (unsigned t = 0; t < machine.config().tiles(); ++t) {
+        machine.pokeLocal(t, twFwdLocal, twF);
+        machine.pokeLocal(t, twInvLocal, twI);
+    }
+    return img;
+}
+
+/**
+ * Emit: fill local @p dst with 128 complex values in bit-reversed
+ * order, folding the FFT input reordering into the fill (the store
+ * offsets are baked in, so no separate reversal pass is needed).
+ * Cached: copy from the global address in r1 (straight-line, 4
+ * values per group of loads). Streamed: store each word as it
+ * arrives on $csti (no loads, no cache misses; the network supplies
+ * the data in natural order).
+ */
+void
+emitFillBitrev(Assembler &as, std::int32_t dst, bool streamed)
+{
+    for (unsigned group = 0; group < 32; ++group) {
+        for (unsigned k = 0; k < 8 && !streamed; ++k)
+            as.lw(6 + k, 1, static_cast<std::int32_t>(k * 4));
+        for (unsigned c = 0; c < 4; ++c) {
+            const unsigned i = group * 4 + c;
+            const std::int32_t at =
+                dst + static_cast<std::int32_t>(reverseBits(i, 7)) * 8;
+            as.sw(streamed ? regCsti : 6 + 2 * c, 0, at);
+            as.sw(streamed ? regCsti : 6 + 2 * c + 1, 0, at + 4);
+        }
+        if (!streamed)
+            as.addi(1, 1, 32);
+    }
+}
+
+/**
+ * Emit: scale the 256 words of local @p src by the constant in r21
+ * (the IFFT 1/N) on their way out. Cached: store them to the global
+ * address in r1. Streamed: send them to $csto, for the DMA-out port
+ * to write to memory.
+ */
+void
+emitDrainScaled(Assembler &as, std::int32_t src, bool streamed)
+{
+    as.li(2, src);
+    as.li(3, 32);
+    Label loop = as.label();
+    as.bind(loop);
+    if (streamed) {
+        for (unsigned k = 0; k < 8; ++k) {
+            as.lw(6 + (k % 4), 2, static_cast<std::int32_t>(k * 4));
+            as.fmul(regCsto, 6 + (k % 4), 21);
+        }
+    } else {
+        for (unsigned k = 0; k < 8; ++k)
+            as.lw(6 + k, 2, static_cast<std::int32_t>(k * 4));
+        for (unsigned k = 0; k < 8; ++k)
+            as.fmul(6 + k, 6 + k, 21);
+        for (unsigned k = 0; k < 8; ++k)
+            as.sw(6 + k, 1, static_cast<std::int32_t>(k * 4));
+        as.addi(1, 1, 32);
+    }
+    as.addi(2, 2, 32);
+    as.addi(3, 3, -1);
+    as.bne(3, 0, loop);
+}
+
+/**
+ * Emit the weight-application loop: main buffer (local) minus
+ * w0*aux0 minus w1*aux1 over 128 bins. Cached, the weights are
+ * loaded through the global pointers in r1 and r2; streamed, they
+ * arrive through $csti per bin (w0.re, w0.im, w1.re, w1.im) and are
+ * consumed as instruction operands.
+ */
+void
+emitWeightApply(Assembler &as, bool streamed)
+{
+    as.li(3, bufA0Local);
+    as.li(4, bufA1Local);
+    as.li(5, bufMLocal);
+    as.li(18, 128);
+    Label loop = as.label();
+    as.bind(loop);
+    as.lw(6, 5, 0);             // m.re
+    as.lw(7, 5, 4);             // m.im
+    for (unsigned a = 0; a < 2; ++a) {
+        const unsigned wp = 1 + a;      // weight pointer reg
+        const unsigned ap = 3 + a;      // aux spectrum pointer reg
+        if (streamed) {
+            as.move(8, regCsti);
+            as.move(9, regCsti);
+        } else {
+            as.lw(8, wp, 0);    // w.re
+            as.lw(9, wp, 4);    // w.im
+        }
+        as.lw(10, ap, 0);       // a.re
+        as.lw(11, ap, 4);       // a.im
+        as.fmul(12, 8, 10);
+        as.fmul(13, 9, 11);
+        as.fmul(14, 8, 11);
+        as.fmul(15, 9, 10);
+        as.fsub(16, 12, 13);    // t.re
+        as.fadd(17, 14, 15);    // t.im
+        as.fsub(6, 6, 16);
+        as.fsub(7, 7, 17);
+    }
+    as.sw(6, 5, 0);
+    as.sw(7, 5, 4);
+    for (unsigned p = streamed ? 3 : 1; p <= 5; ++p)
+        as.addi(p, p, 8);
+    as.addi(18, 18, -1);
+    as.bne(18, 0, loop);
+}
+
+/**
+ * The program of a tile that owns @p sets sub-band sets: per set,
+ * fill and transform both aux channels, then per main channel fill,
+ * transform, apply the weights, inverse-transform and drain. Cached,
+ * each set's global addresses come from its descriptor at
+ * descLocal; streamed, the tile's DMA ports supply and take the
+ * data in program order.
+ */
+std::vector<Instr>
+cslcTileProgram(unsigned sets, bool streamed)
+{
+    Assembler as;
+    if (sets == 0) {
+        as.halt();
+        return as.finish();
+    }
+    if (streamed) {
+        as.li(23, static_cast<std::int32_t>(sets));
+    } else {
+        as.li(22, descLocal);
+        as.li(23, descLocal
+                  + static_cast<std::int32_t>(sets * descWords * 4));
+    }
+    Label subLoop = as.label();
+    as.bind(subLoop);
+
+    // Fill a buffer (cached: from the address in descriptor word
+    // `slot`) and transform it.
+    const auto fill = [&](std::int32_t buf, std::int32_t slot) {
+        if (!streamed)
+            as.lw(1, 22, slot * 4);
+        emitFillBitrev(as, buf, streamed);
+        emitFft128Local(as, buf, twFwdLocal, true);
+    };
+    fill(bufA0Local, 0);
+    fill(bufA1Local, 1);
+    for (std::int32_t m = 0; m < 2; ++m) {
+        fill(bufMLocal, 2 + m);
+        if (!streamed) {
+            as.lw(1, 22, 16 + m * 8);
+            as.lw(2, 22, 20 + m * 8);
+        }
+        emitWeightApply(as, streamed);
+        emitFft128Local(as, bufMLocal, twInvLocal, false, true);
+        as.li(21, static_cast<std::int32_t>(
+                      floatToWord(1.0f / 128.0f)));
+        if (!streamed)
+            as.lw(1, 22, 32 + m * 4);
+        emitDrainScaled(as, bufMLocal, streamed);
     }
 
-    // Per-tile sub-band descriptors and programs. With more than
-    // one processing interval, sets from consecutive intervals are
-    // handed out round-robin, as a continuously arriving input
-    // queue would be (Section 4.3's load-balance argument).
+    if (streamed) {
+        as.addi(23, 23, -1);
+        as.bne(23, 0, subLoop);
+    } else {
+        as.addi(22, 22, descWords * 4);
+        as.bne(22, 23, subLoop);
+    }
+    as.halt();
+    return as.finish();
+}
+
+/**
+ * Both CSLC mappings. Sub-band sets are dealt to tiles round-robin;
+ * with more than one processing interval, sets from consecutive
+ * intervals are handed out round-robin, as a continuously arriving
+ * input queue would be (Section 4.3's load-balance argument).
+ */
+RawCslcResult
+runCslc(RawMachine &machine, const kernels::CslcConfig &cfg,
+        const kernels::CslcInput &in, const kernels::CslcWeights &weights,
+        kernels::CslcOutput &out, unsigned intervals, bool streamed)
+{
+    trace::TraceScope setup(
+        streamed ? "raw.cslc_stream.setup" : "raw.cslc.setup", "raw");
+    triarch_assert(intervals >= 1, "need at least one interval");
+    const CslcImage img = placeCslc(machine, cfg, in, weights, streamed);
+    const unsigned tiles = machine.config().tiles();
+    const std::size_t bins = static_cast<std::size_t>(cfg.subBands) * 128;
+
     const unsigned totalSets = intervals * cfg.subBands;
     unsigned maxSets = 0;
     for (unsigned t = 0; t < tiles; ++t) {
+        if (streamed)
+            machine.setRoute(t, portEndpoint(t));
         std::vector<Word> desc;
         unsigned sets = 0;
         for (unsigned sIdx = t; sIdx < totalSets;
@@ -448,75 +550,43 @@ cslcRaw(RawMachine &machine, const kernels::CslcConfig &cfg,
             const unsigned b = sIdx % cfg.subBands;
             const Addr blockOff =
                 static_cast<Addr>(b) * cfg.subBandStride * 8;
-            desc.push_back(static_cast<Word>(chBase[0] + blockOff));
-            desc.push_back(static_cast<Word>(chBase[1] + blockOff));
-            desc.push_back(static_cast<Word>(chBase[2] + blockOff));
-            desc.push_back(static_cast<Word>(chBase[3] + blockOff));
             const Addr bandOff = static_cast<Addr>(b) * 128 * 8;
-            desc.push_back(static_cast<Word>(wBase[0][0] + bandOff));
-            desc.push_back(static_cast<Word>(wBase[0][1] + bandOff));
-            desc.push_back(static_cast<Word>(wBase[1][0] + bandOff));
-            desc.push_back(static_cast<Word>(wBase[1][1] + bandOff));
-            desc.push_back(static_cast<Word>(outBase[0] + bandOff));
-            desc.push_back(static_cast<Word>(outBase[1] + bandOff));
+            if (streamed) {
+                // DMA order must match program consumption order.
+                machine.dmaIn(t, t, img.ch[0] + blockOff, 256);
+                machine.dmaIn(t, t, img.ch[1] + blockOff, 256);
+                for (unsigned m = 0; m < 2; ++m) {
+                    machine.dmaIn(t, t, img.ch[2 + m] + blockOff, 256);
+                    machine.dmaIn(t, t, img.w[m] + 2 * bandOff, 512);
+                    machine.dmaOut(t, img.out[m] + bandOff, 256);
+                }
+                continue;
+            }
+            for (const Addr ch : img.ch)
+                desc.push_back(static_cast<Word>(ch + blockOff));
+            for (const Addr w : img.w) {
+                desc.push_back(static_cast<Word>(w + bandOff));
+                desc.push_back(static_cast<Word>(w + bins * 8 + bandOff));
+            }
+            for (const Addr o : img.out)
+                desc.push_back(static_cast<Word>(o + bandOff));
         }
         maxSets = std::max(maxSets, sets);
-
-        machine.pokeLocal(t, twFwdLocal, twF);
-        machine.pokeLocal(t, twInvLocal, twI);
         if (!desc.empty())
             machine.pokeLocal(t, descLocal, desc);
-
-        Assembler as;
-        if (sets == 0) {
-            as.halt();
-            machine.setProgram(t, as.finish());
-            continue;
-        }
-
-        as.li(22, descLocal);
-        as.li(23, descLocal
-                  + static_cast<std::int32_t>(sets * descWords * 4));
-        Label subLoop = as.label();
-        as.bind(subLoop);
-
-        // Aux channels: copy in (bit-reversing) and transform.
-        as.lw(1, 22, 0);
-        emitCopyInBitrev(as, bufA0Local);
-        emitFft128Local(as, bufA0Local, twFwdLocal, true);
-        as.lw(1, 22, 4);
-        emitCopyInBitrev(as, bufA1Local);
-        emitFft128Local(as, bufA1Local, twFwdLocal, true);
-
-        for (unsigned m = 0; m < 2; ++m) {
-            as.lw(1, 22, static_cast<std::int32_t>(8 + m * 4));
-            emitCopyInBitrev(as, bufMLocal);
-            emitFft128Local(as, bufMLocal, twFwdLocal, true);
-
-            as.lw(1, 22, static_cast<std::int32_t>(16 + m * 8));
-            as.lw(2, 22, static_cast<std::int32_t>(20 + m * 8));
-            emitWeightApply(as);
-
-            emitFft128Local(as, bufMLocal, twInvLocal, false, true);
-            as.li(21, static_cast<std::int32_t>(
-                          floatToWord(1.0f / 128.0f)));
-            as.lw(1, 22, static_cast<std::int32_t>(32 + m * 4));
-            emitCopyOutScaled(as, bufMLocal);
-        }
-
-        as.addi(22, 22, descWords * 4);
-        as.bne(22, 23, subLoop);
-        as.halt();
-        machine.setProgram(t, as.finish());
+        machine.setProgram(t, cslcTileProgram(sets, streamed));
     }
 
     setup.end();
-    trace::TraceScope runScope("raw.cslc.run", "raw",
-                               &machine.statGroup());
+    trace::TraceScope runScope(
+        streamed ? "raw.cslc_stream.run" : "raw.cslc.run", "raw",
+        &machine.statGroup());
     const Cycles cycles = machine.run();
     runScope.end();
 
-    trace::TraceScope readback("raw.cslc.readback", "raw");
+    trace::TraceScope readback(
+        streamed ? "raw.cslc_stream.readback" : "raw.cslc.readback",
+        "raw");
     RawCslcResult result;
     result.cycles = cycles;
     // Section 4.3: report perfect-load-balance extrapolation; in a
@@ -530,102 +600,24 @@ cslcRaw(RawMachine &machine, const kernels::CslcConfig &cfg,
     result.idleFraction = static_cast<double>(idle)
                           / (static_cast<double>(tiles) * cycles);
 
-    out.main.assign(2, std::vector<cfloat>(
-        static_cast<std::size_t>(cfg.subBands) * 128));
-    for (unsigned m = 0; m < 2; ++m) {
-        auto words = machine.peekGlobal(
-            outBase[m], static_cast<std::size_t>(cfg.subBands) * 256);
-        for (std::size_t i = 0; i < out.main[m].size(); ++i) {
-            out.main[m][i] = cfloat(wordToFloat(words[2 * i]),
-                                    wordToFloat(words[2 * i + 1]));
-        }
+    out.main.clear();
+    for (const Addr o : img.out) {
+        out.main.push_back(
+            kernels::decodeComplex(machine.peekGlobal(o, 2 * bins)));
     }
     return result;
 }
 
-namespace
-{
-
-/**
- * Emit: receive 128 complex values from $csti and store them into
- * local @p dst in bit-reversed order — the stream-mode replacement
- * for the cached copy-in (no loads, no cache misses; the network
- * supplies the data in natural order and the store offsets bake in
- * the reordering).
- */
-void
-emitRecvBitrev(Assembler &as, std::int32_t dst)
-{
-    for (unsigned i = 0; i < 128; ++i) {
-        const std::int32_t at =
-            dst + static_cast<std::int32_t>(reverseBits(i, 7)) * 8;
-        as.sw(regCsti, 0, at);
-        as.sw(regCsti, 0, at + 4);
-    }
-}
-
-/**
- * Emit the stream-mode weight application: weights arrive through
- * $csti interleaved per bin (w0.re, w0.im, w1.re, w1.im) and are
- * consumed as instruction operands; only the main buffer and the
- * aux spectra (all local) are loaded.
- */
-void
-emitWeightApplyStreamed(Assembler &as)
-{
-    as.li(3, bufA0Local);
-    as.li(4, bufA1Local);
-    as.li(5, bufMLocal);
-    as.li(18, 128);
-    Label loop = as.label();
-    as.bind(loop);
-    as.lw(6, 5, 0);             // m.re
-    as.lw(7, 5, 4);             // m.im
-    for (unsigned a = 0; a < 2; ++a) {
-        const unsigned ap = 3 + a;
-        as.move(8, regCsti);    // w.re
-        as.move(9, regCsti);    // w.im
-        as.lw(10, ap, 0);       // a.re
-        as.lw(11, ap, 4);       // a.im
-        as.fmul(12, 8, 10);
-        as.fmul(13, 9, 11);
-        as.fmul(14, 8, 11);
-        as.fmul(15, 9, 10);
-        as.fsub(16, 12, 13);
-        as.fadd(17, 14, 15);
-        as.fsub(6, 6, 16);
-        as.fsub(7, 7, 17);
-    }
-    as.sw(6, 5, 0);
-    as.sw(7, 5, 4);
-    for (unsigned p : {3u, 4u, 5u})
-        as.addi(p, p, 8);
-    as.addi(18, 18, -1);
-    as.bne(18, 0, loop);
-}
-
-/**
- * Emit: send 256 words from local @p src to $csto, scaling each
- * float by the constant in r21 (fused IFFT normalization + output
- * streaming; the DMA-out port writes them to memory).
- */
-void
-emitDrainScaled(Assembler &as, std::int32_t src)
-{
-    as.li(2, src);
-    as.li(3, 32);
-    Label loop = as.label();
-    as.bind(loop);
-    for (unsigned k = 0; k < 8; ++k) {
-        as.lw(6 + (k % 4), 2, static_cast<std::int32_t>(k * 4));
-        as.fmul(regCsto, 6 + (k % 4), 21);
-    }
-    as.addi(2, 2, 32);
-    as.addi(3, 3, -1);
-    as.bne(3, 0, loop);
-}
-
 } // namespace
+
+RawCslcResult
+cslcRaw(RawMachine &machine, const kernels::CslcConfig &cfg,
+        const kernels::CslcInput &in,
+        const kernels::CslcWeights &weights, kernels::CslcOutput &out,
+        unsigned intervals)
+{
+    return runCslc(machine, cfg, in, weights, out, intervals, false);
+}
 
 RawCslcResult
 cslcRawStreamed(RawMachine &machine, const kernels::CslcConfig &cfg,
@@ -633,158 +625,7 @@ cslcRawStreamed(RawMachine &machine, const kernels::CslcConfig &cfg,
                 const kernels::CslcWeights &weights,
                 kernels::CslcOutput &out)
 {
-    trace::TraceScope setup("raw.cslc_stream.setup", "raw");
-    triarch_assert(cfg.subBandLen == 128,
-                   "Raw CSLC mapping is built for 128-point sub-bands");
-    triarch_assert(cfg.mainChannels == 2 && cfg.auxChannels == 2,
-                   "Raw CSLC mapping assumes 2 main + 2 aux channels");
-    const unsigned tiles = machine.config().tiles();
-
-    auto pokeComplex = [&machine](Addr base,
-                                  const std::vector<cfloat> &x) {
-        std::vector<Word> words(2 * x.size());
-        for (std::size_t i = 0; i < x.size(); ++i) {
-            words[2 * i] = floatToWord(x[i].real());
-            words[2 * i + 1] = floatToWord(x[i].imag());
-        }
-        machine.pokeGlobal(base, words);
-    };
-
-    std::vector<Addr> chBase(4);
-    for (unsigned a = 0; a < 2; ++a) {
-        chBase[a] = machine.allocGlobal(cfg.samples * 8ULL, "aux");
-        pokeComplex(chBase[a], in.aux[a]);
-    }
-    for (unsigned m = 0; m < 2; ++m) {
-        chBase[2 + m] = machine.allocGlobal(cfg.samples * 8ULL, "main");
-        pokeComplex(chBase[2 + m], in.main[m]);
-    }
-
-    // Stream-friendly weight layout: per (main, band), bins carry
-    // (w0.re, w0.im, w1.re, w1.im) so the DMA order matches the
-    // kernel's $csti consumption order.
-    std::vector<Addr> wsBase(2);
-    for (unsigned m = 0; m < 2; ++m) {
-        wsBase[m] = machine.allocGlobal(
-            static_cast<std::uint64_t>(cfg.subBands) * 128 * 16,
-            "weights stream");
-        std::vector<Word> words(
-            static_cast<std::size_t>(cfg.subBands) * 512);
-        for (unsigned b = 0; b < cfg.subBands; ++b) {
-            for (unsigned k = 0; k < 128; ++k) {
-                const std::size_t at =
-                    static_cast<std::size_t>(b) * 512 + k * 4;
-                const cfloat w0 = weights.w[m][0][b * 128ULL + k];
-                const cfloat w1 = weights.w[m][1][b * 128ULL + k];
-                words[at] = floatToWord(w0.real());
-                words[at + 1] = floatToWord(w0.imag());
-                words[at + 2] = floatToWord(w1.real());
-                words[at + 3] = floatToWord(w1.imag());
-            }
-        }
-        machine.pokeGlobal(wsBase[m], words);
-    }
-
-    std::vector<Addr> outBase(2);
-    for (unsigned m = 0; m < 2; ++m) {
-        outBase[m] = machine.allocGlobal(
-            static_cast<std::uint64_t>(cfg.subBands) * 128 * 8, "out");
-    }
-
-    const auto tw = kernels::twiddleTable(128);
-    std::vector<Word> twF(256), twI(256);
-    for (unsigned k = 0; k < 128; ++k) {
-        twF[2 * k] = floatToWord(tw[k].real());
-        twF[2 * k + 1] = floatToWord(tw[k].imag());
-        twI[2 * k] = floatToWord(tw[k].real());
-        twI[2 * k + 1] = floatToWord(-tw[k].imag());
-    }
-
-    unsigned maxSets = 0;
-    for (unsigned t = 0; t < tiles; ++t) {
-        machine.pokeLocal(t, twFwdLocal, twF);
-        machine.pokeLocal(t, twInvLocal, twI);
-        machine.setRoute(t, portEndpoint(t));
-
-        unsigned sets = 0;
-        for (unsigned b = t; b < cfg.subBands; b += tiles, ++sets) {
-            const Addr blockOff =
-                static_cast<Addr>(b) * cfg.subBandStride * 8;
-            const Addr bandOff = static_cast<Addr>(b) * 128 * 8;
-            // DMA order must match program consumption order.
-            machine.dmaIn(t, t, chBase[0] + blockOff, 256);
-            machine.dmaIn(t, t, chBase[1] + blockOff, 256);
-            for (unsigned m = 0; m < 2; ++m) {
-                machine.dmaIn(t, t, chBase[2 + m] + blockOff, 256);
-                machine.dmaIn(t, t,
-                              wsBase[m] + static_cast<Addr>(b) * 2048,
-                              512);
-                machine.dmaOut(t, outBase[m] + bandOff, 256);
-            }
-        }
-        maxSets = std::max(maxSets, sets);
-
-        Assembler as;
-        if (sets == 0) {
-            as.halt();
-            machine.setProgram(t, as.finish());
-            continue;
-        }
-
-        as.li(23, static_cast<std::int32_t>(sets));
-        Label subLoop = as.label();
-        as.bind(subLoop);
-
-        emitRecvBitrev(as, bufA0Local);
-        emitFft128Local(as, bufA0Local, twFwdLocal, true);
-        emitRecvBitrev(as, bufA1Local);
-        emitFft128Local(as, bufA1Local, twFwdLocal, true);
-
-        for (unsigned m = 0; m < 2; ++m) {
-            emitRecvBitrev(as, bufMLocal);
-            emitFft128Local(as, bufMLocal, twFwdLocal, true);
-            emitWeightApplyStreamed(as);
-            emitFft128Local(as, bufMLocal, twInvLocal, false, true);
-            as.li(21, static_cast<std::int32_t>(
-                          floatToWord(1.0f / 128.0f)));
-            emitDrainScaled(as, bufMLocal);
-        }
-
-        as.addi(23, 23, -1);
-        as.bne(23, 0, subLoop);
-        as.halt();
-        machine.setProgram(t, as.finish());
-    }
-
-    setup.end();
-    trace::TraceScope runScope("raw.cslc_stream.run", "raw",
-                               &machine.statGroup());
-    const Cycles cycles = machine.run();
-    runScope.end();
-
-    trace::TraceScope readback("raw.cslc_stream.readback", "raw");
-    RawCslcResult result;
-    result.cycles = cycles;
-    const double meanSets = static_cast<double>(cfg.subBands) / tiles;
-    result.balancedCycles = static_cast<Cycles>(
-        static_cast<double>(cycles) * meanSets / maxSets);
-    std::uint64_t idle = 0;
-    for (unsigned t = 0; t < tiles; ++t)
-        idle += machine.tileIdleAfterHalt(t);
-    result.idleFraction = static_cast<double>(idle)
-                          / (static_cast<double>(tiles) * cycles);
-
-    out.main.assign(2, std::vector<cfloat>(
-        static_cast<std::size_t>(cfg.subBands) * 128));
-    for (unsigned m = 0; m < 2; ++m) {
-        auto words = machine.peekGlobal(
-            outBase[m], static_cast<std::size_t>(cfg.subBands) * 256);
-        for (std::size_t i = 0; i < out.main[m].size(); ++i) {
-            out.main[m][i] = cfloat(wordToFloat(words[2 * i]),
-                                    wordToFloat(words[2 * i + 1]));
-        }
-    }
-    return result;
+    return runCslc(machine, cfg, in, weights, out, 1, true);
 }
 
 // ----------------------------------------------------------------
@@ -805,12 +646,12 @@ beamSteeringRaw(RawMachine &machine, const kernels::BeamConfig &cfg,
     const Addr tabBase =
         machine.allocGlobal(cfg.elements * 8ULL, "bs tables");
     {
-        std::vector<Word> words(cfg.elements * 2);
+        std::vector<std::int32_t> pairs(cfg.elements * 2);
         for (unsigned e = 0; e < cfg.elements; ++e) {
-            words[2 * e] = static_cast<Word>(tables.calCoarse[e]);
-            words[2 * e + 1] = static_cast<Word>(tables.calFine[e]);
+            pairs[2 * e] = tables.calCoarse[e];
+            pairs[2 * e + 1] = tables.calFine[e];
         }
-        machine.pokeGlobal(tabBase, words);
+        machine.pokeGlobal(tabBase, kernels::encodeI32(pairs));
     }
     const Addr outBase =
         machine.allocGlobal(cfg.outputs() * 4ULL, "bs out");
@@ -827,18 +668,15 @@ beamSteeringRaw(RawMachine &machine, const kernels::BeamConfig &cfg,
 
         // Per-(dwell, direction) constants in local SRAM, in the
         // same order the DMA segments stream.
-        std::vector<Word> cfgTable;
+        std::vector<std::int32_t> cfgTable;
         for (unsigned dw = 0; dw < cfg.dwells; ++dw) {
             for (unsigned dir = 0; dir < cfg.directions; ++dir) {
-                cfgTable.push_back(static_cast<Word>(
-                    tables.steerBase[dir]
-                    + static_cast<std::int32_t>(e0)
-                      * tables.steerDelta[dir]));
-                cfgTable.push_back(
-                    static_cast<Word>(tables.steerDelta[dir]));
-                cfgTable.push_back(
-                    static_cast<Word>(tables.dwellOffset[dw]));
-                cfgTable.push_back(static_cast<Word>(tables.bias));
+                cfgTable.push_back(tables.steerBase[dir]
+                                   + static_cast<std::int32_t>(e0)
+                                     * tables.steerDelta[dir]);
+                cfgTable.push_back(tables.steerDelta[dir]);
+                cfgTable.push_back(tables.dwellOffset[dw]);
+                cfgTable.push_back(tables.bias);
 
                 // Tiles left without elements (fewer elements than
                 // tiles) stream nothing and just halt.
@@ -854,7 +692,7 @@ beamSteeringRaw(RawMachine &machine, const kernels::BeamConfig &cfg,
                 }
             }
         }
-        machine.pokeLocal(t, 0, cfgTable);
+        machine.pokeLocal(t, 0, kernels::encodeI32(cfgTable));
 
         Assembler as;
         if (count == 0) {
@@ -911,10 +749,7 @@ beamSteeringRaw(RawMachine &machine, const kernels::BeamConfig &cfg,
     runScope.end();
 
     trace::TraceScope readback("raw.bs.readback", "raw");
-    auto words = machine.peekGlobal(outBase, cfg.outputs());
-    out.resize(words.size());
-    for (std::size_t i = 0; i < words.size(); ++i)
-        out[i] = static_cast<std::int32_t>(words[i]);
+    out = kernels::decodeI32(machine.peekGlobal(outBase, cfg.outputs()));
     return cycles;
 }
 

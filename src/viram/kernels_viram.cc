@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "kernels/fft.hh"
+#include "kernels/word_codec.hh"
 #include "sim/bitutil.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -226,18 +227,6 @@ cornerTurnViram(ViramMachine &machine, const kernels::WordMatrix &src,
 namespace
 {
 
-/** Poke one channel's samples as interleaved complex words. */
-void
-pokeComplex(ViramMachine &m, Addr base, const std::vector<cfloat> &x)
-{
-    std::vector<Word> words(2 * x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        words[2 * i] = floatToWord(x[i].real());
-        words[2 * i + 1] = floatToWord(x[i].imag());
-    }
-    m.pokeWords(base, words);
-}
-
 /** Poke 128 complex values as re0/re1/im0/im1 planes (64 words each). */
 void
 pokePlanes(ViramMachine &m, Addr base, const cfloat *x)
@@ -282,11 +271,13 @@ cslcViram(ViramMachine &machine, const kernels::CslcConfig &cfg,
     std::vector<Addr> mainBase(cfg.mainChannels), auxBase(cfg.auxChannels);
     for (unsigned m = 0; m < cfg.mainChannels; ++m) {
         mainBase[m] = machine.alloc(cfg.samples * 8, "cslc main");
-        pokeComplex(machine, mainBase[m], in.main[m]);
+        machine.pokeWords(mainBase[m],
+                          kernels::encodeComplex(in.main[m]));
     }
     for (unsigned a = 0; a < cfg.auxChannels; ++a) {
         auxBase[a] = machine.alloc(cfg.samples * 8, "cslc aux");
-        pokeComplex(machine, auxBase[a], in.aux[a]);
+        machine.pokeWords(auxBase[a],
+                          kernels::encodeComplex(in.aux[a]));
     }
 
     // Weight planes: [m][a][band] -> 4 x 64-word planes.
@@ -389,19 +380,11 @@ beamSteeringViram(ViramMachine &machine, const kernels::BeamConfig &cfg,
 {
     const unsigned vlen = machine.config().maxVl;
 
-    auto pokeI32 = [&machine](Addr base,
-                              const std::vector<std::int32_t> &v) {
-        std::vector<Word> w(v.size());
-        for (std::size_t i = 0; i < v.size(); ++i)
-            w[i] = static_cast<Word>(v[i]);
-        machine.pokeWords(base, w);
-    };
-
     const Addr coarseBase =
         machine.alloc(cfg.elements * 4ULL, "bs coarse");
     const Addr fineBase = machine.alloc(cfg.elements * 4ULL, "bs fine");
-    pokeI32(coarseBase, tables.calCoarse);
-    pokeI32(fineBase, tables.calFine);
+    machine.pokeWords(coarseBase, kernels::encodeI32(tables.calCoarse));
+    machine.pokeWords(fineBase, kernels::encodeI32(tables.calFine));
 
     // Per-direction ramp (i+1)*delta, part of the calibration data.
     const Addr rampBase =
@@ -412,7 +395,8 @@ beamSteeringViram(ViramMachine &machine, const kernels::BeamConfig &cfg,
             ramp[i] = static_cast<std::int32_t>(i + 1)
                       * tables.steerDelta[d];
         }
-        pokeI32(rampBase + static_cast<Addr>(d) * vlen * 4, ramp);
+        machine.pokeWords(rampBase + static_cast<Addr>(d) * vlen * 4,
+                          kernels::encodeI32(ramp));
     }
 
     const Addr outBase =
@@ -495,10 +479,7 @@ beamSteeringViram(ViramMachine &machine, const kernels::BeamConfig &cfg,
 
     const Cycles cycles = machine.completionTime();
 
-    auto words = machine.peekWords(outBase, cfg.outputs());
-    out.resize(words.size());
-    for (std::size_t i = 0; i < words.size(); ++i)
-        out[i] = static_cast<std::int32_t>(words[i]);
+    out = kernels::decodeI32(machine.peekWords(outBase, cfg.outputs()));
     return cycles;
 }
 

@@ -168,6 +168,30 @@ TEST(ImagineEdges, DoubleFreeDies)
         "unknown SRF stream");
 }
 
+TEST(ImagineEdges, CslcMappingsRejectThreeAuxChannels)
+{
+    // Both mappings hold two aux spectra and two weight sets per
+    // main channel; a 3-aux config must die before it writes past
+    // them.
+    kernels::CslcConfig cfg;
+    cfg.auxChannels = 3;
+    const kernels::CslcInput in;
+    const kernels::CslcWeights weights;
+    kernels::CslcOutput out;
+    EXPECT_DEATH(
+        {
+            imagine::ImagineMachine m;
+            imagine::cslcImagine(m, cfg, in, weights, out);
+        },
+        "2 main \\+ 2 aux");
+    EXPECT_DEATH(
+        {
+            imagine::ImagineMachine m;
+            imagine::cslcImagineIndependent(m, cfg, in, weights, out);
+        },
+        "2 main \\+ 2 aux");
+}
+
 TEST(ImagineEdges, WholeSrfAllocatable)
 {
     imagine::ImagineMachine m;

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 
+#include "imagine/kernels_imagine.hh"
+#include "raw/kernels_raw.hh"
 #include "study/config_check.hh"
 #include "study/fuzz.hh"
 #include "study/registry.hh"
@@ -365,6 +367,45 @@ TEST(FuzzRegressions, SingleElementSingleBandConfigRunsEverywhere)
 
     FuzzOptions opts;
     EXPECT_EQ(checkConfigDifferential(cfg, opts), std::nullopt);
+}
+
+// ---------------------------------------------------------------
+// The claims-only CSLC variants on the fuzz configs.
+// ---------------------------------------------------------------
+
+TEST(CslcVariants, StreamedRawAndIndependentImagineValidOnFuzzConfigs)
+{
+    // Raw's stream mode and Imagine's independent per-cluster FFTs
+    // are measured only by claims rows at the paper's shape. The
+    // boundary set holds configs (e.g. 2 sub-bands) where the
+    // canceller nulls the output, so only the reference's operation
+    // order passes validation there.
+    FuzzOptions opts;
+    opts.seed = 11;
+    opts.randomConfigs = 16;
+    unsigned checked = 0;
+    for (const StudyConfig &cfg : enumerateFuzzConfigs(opts)) {
+        if (validateConfig(cfg))
+            continue;           // invalid-on-purpose boundary config
+        ++checked;
+        SCOPED_TRACE(describeConfig(cfg));
+        const auto work = buildWorkloads(cfg);
+        kernels::CslcOutput out;
+        raw::RawMachine rawMachine;
+        raw::cslcRawStreamed(rawMachine, cfg.cslc, work->cslcIn,
+                             work->weights, out);
+        EXPECT_TRUE(cslcOutputValid(cfg, *work, out,
+                                    kernels::FftAlgo::Radix2))
+            << "raw stream mode";
+        imagine::ImagineMachine imagineMachine;
+        imagine::cslcImagineIndependent(imagineMachine, cfg.cslc,
+                                        work->cslcIn, work->weights,
+                                        out);
+        EXPECT_TRUE(cslcOutputValid(cfg, *work, out,
+                                    kernels::FftAlgo::Mixed128))
+            << "imagine independent FFTs";
+    }
+    EXPECT_GE(checked, 30u) << "fuzz config list shrank unexpectedly";
 }
 
 } // namespace
